@@ -124,8 +124,9 @@ class GroundProblem:
 
         The cap bounds the enumeration effort at 2^cap: a problem with a
         pruned enumerator may declare a smaller cost_bits than its universe
-        size (a satisfiability universe of 2n literals is walked in 2^n
-        assignment steps), the brute-force subset scan costs the full size.
+        size (a satisfiability universe of 2n literals is searched over at
+        most 2^n assignments), the brute-force subset scan costs the full
+        size.
         """
         if self._mask_cache is None:
             cost = self.cost_bits if self.cost_bits is not None else self.size

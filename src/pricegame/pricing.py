@@ -281,14 +281,22 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
     )
 
 
-def decide_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> bool:
-    """Whether the leader can secure at least the instance threshold."""
-    outcome = solve_pricing(inst, cap)
+def meets_threshold(inst: PricingInstance, outcome: PricingSolution) -> bool:
+    """Whether a solve outcome secures the instance threshold for the leader.
+
+    Unbounded revenue meets every threshold; an empty follower family has
+    no decision and raises.
+    """
     if outcome.status is SolveStatus.NO_FOLLOWER_SOLUTION:
         raise NoFollowerSolutionError("the follower has no admissible response")
     if outcome.status is SolveStatus.UNBOUNDED:
         return True
     return outcome.leader_value >= inst.threshold
+
+
+def decide_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> bool:
+    """Whether the leader can secure at least the instance threshold."""
+    return meets_threshold(inst, solve_pricing(inst, cap))
 
 
 def evaluate_prices(

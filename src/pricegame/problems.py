@@ -74,7 +74,9 @@ def sat_problem(formula: CnfFormula) -> GroundProblem:
     """The satisfiability problem of a formula as a feasibility-sense instance.
 
     Universe order interleaves the pairs: x1, ~x1, x2, ~x2, ...  The
-    enumerator walks assignments rather than arbitrary literal subsets.
+    enumerator searches assignments depth first rather than scanning
+    arbitrary literal subsets, and declares its cost as the 2^n assignments
+    it could visit at worst.
     """
     n = formula.num_vars
     universe = []
@@ -102,13 +104,29 @@ def sat_problem(formula: CnfFormula) -> GroundProblem:
                 return False
         return all(mask & cm for cm in clause_masks)
 
+    # Each clause is checked once its highest variable is set; an empty
+    # clause has no highest variable and rules out every assignment.
+    closing = [[] for _ in range(n)]
+    for clause, cm in zip(formula.clauses, clause_masks):
+        if clause:
+            closing[max(abs(lit) for lit in clause) - 1].append(cm)
+    has_empty_clause = not all(formula.clauses)
+
     def enumerate_assignments():
-        for a in range(1 << n):
-            mask = 0
-            for v in range(n):
-                mask |= true_bit[v] if a >> v & 1 else false_bit[v]
-            if all(mask & cm for cm in clause_masks):
+        # Depth-first over variables 1..n, dropping a partial assignment as
+        # soon as a clause it has fully decided is falsified.
+        if has_empty_clause:
+            return
+        stack = [(0, 0)]
+        while stack:
+            v, mask = stack.pop()
+            if v == n:
                 yield mask
+                continue
+            for bit in (false_bit[v], true_bit[v]):
+                extended = mask | bit
+                if all(extended & cm for cm in closing[v]):
+                    stack.append((v + 1, extended))
 
     problem = GroundProblem(
         universe=elements,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .compilers import QdnfFormula, compile_qdnf_pricing, qdnf, qdnf_holds
 from .core import DEFAULT_CAP, CapExceededError
-from .pricing import PricingInstance, solve_pricing
+from .pricing import PricingInstance, meets_threshold, solve_pricing
 from .rational import format_rational
 
 REPORT_SCHEMA_VERSION = "1"
@@ -93,9 +93,17 @@ def build_corpus(spec: CorpusSpec) -> list[tuple[str, QdnfFormula]]:
 
 def _decide_compiled(instance: PricingInstance, cap: int):
     outcome = solve_pricing(instance, cap)
-    value = outcome.leader_value
-    verdict = value is not None and value >= instance.threshold
-    return verdict, value
+    return meets_threshold(instance, outcome), outcome.leader_value
+
+
+def decision_fields(instance: PricingInstance, cap: int = DEFAULT_CAP) -> dict:
+    """The pricing side of a sweep record; an unbounded value is recorded as null."""
+    verdict, value = _decide_compiled(instance, cap)
+    return {
+        "pricing": verdict,
+        "leader_value": None if value is None else format_rational(value),
+        "decision_threshold": format_rational(instance.threshold),
+    }
 
 
 def check_one(
@@ -111,12 +119,11 @@ def check_one(
     start = time.perf_counter()
     try:
         expected = qdnf_holds(q)
-        compiled = compile_qdnf_pricing(q)
-        instance = compiled.pricing
-        verdict, value = _decide_compiled(instance, cap)
+        instance = compile_qdnf_pricing(q).pricing
         if corrupt:
             # Push the threshold past the achieved value (or down onto it)
             # so the recorded decision is guaranteed to flip.
+            verdict, value = _decide_compiled(instance, cap)
             bumped = instance.threshold + 1 if verdict else value
             instance = PricingInstance(
                 base=instance.base,
@@ -127,14 +134,8 @@ def check_one(
                 threshold=bumped,
             )
             record["fault_injected"] = True
-            verdict, value = _decide_compiled(instance, cap)
-        record.update(
-            oracle=expected,
-            pricing=verdict,
-            leader_value=format_rational(value),
-            decision_threshold=format_rational(instance.threshold),
-            match=expected == verdict,
-        )
+        record.update(decision_fields(instance, cap), oracle=expected)
+        record["match"] = expected == record["pricing"]
     except CapExceededError as err:
         record.update(oracle=None, pricing=None, match=None, anomaly=str(err))
     if timed:

@@ -27,6 +27,7 @@ from pricegame.pricing import (
     solve_pricing,
 )
 from pricegame.problems import cnf, sat_problem, sat_to_subset_sum, sat_to_vertex_cover
+from pricegame.sweep import random_formula
 
 
 def test_oracle_examples():
@@ -197,8 +198,6 @@ def _with_weights(problem, weights, threshold):
 
 def test_compiled_instance_always_has_an_outside_option():
     rng = random.Random(11)
-    from pricegame.sweep import random_formula
-
     for _ in range(10):
         q = random_formula(rng, 2, 3)
         compiled = compile_qdnf_pricing(q)
@@ -209,10 +208,16 @@ def test_compiled_instance_always_has_an_outside_option():
 
 def test_compiled_leader_value_never_exceeds_threshold():
     rng = random.Random(3)
-    from pricegame.sweep import random_formula
-
     for _ in range(6):
         q = random_formula(rng, 1, 2)
         compiled = compile_qdnf_pricing(q)
         outcome = solve_pricing(compiled.pricing)
         assert outcome.leader_value <= compiled.decision_threshold
+
+
+@pytest.mark.parametrize("seed, expected", [(0, True), (1, False), (2, True), (3, False)])
+def test_three_pair_compiled_decision_matches_oracle(seed, expected):
+    # Compiled bases of 19 satisfiability variables, a few hundred solutions.
+    q = random_formula(random.Random(seed), 3, 3)
+    assert qdnf_holds(q) is expected
+    assert decide_pricing(compile_qdnf_pricing(q).pricing) is expected

@@ -18,6 +18,7 @@ from pricegame.pricing import (
     solve_pricing,
 )
 from pricegame.problems import cnf, sat_problem, vertex_cover_problem
+from pricegame.sweep import decision_fields
 
 
 def two_item_instance(domain=Domain.FREE):
@@ -42,6 +43,20 @@ def test_mandatory_leader_item_is_unbounded():
     base = explicit_problem([Element("eL")], [frozenset({"eL"})])
     inst = PricingInstance(base, frozenset({"eL"}), {"eL": 5}, GroundChoice.SOLUTIONS)
     assert solve_pricing(inst).status is SolveStatus.UNBOUNDED
+
+
+def test_sweep_and_decide_pricing_agree_on_unbounded_outcome():
+    base = sat_problem(cnf(1, [[1]]))
+    inst = PricingInstance(
+        base, frozenset({"x1"}), {"x1": 1, "~x1": 1}, GroundChoice.SOLUTIONS,
+        Domain.FREE, threshold=5,
+    )
+    assert solve_pricing(inst).status is SolveStatus.UNBOUNDED
+    assert decide_pricing(inst) is True
+    fields = decision_fields(inst)
+    assert fields["pricing"] is True
+    assert fields["leader_value"] is None
+    assert fields["decision_threshold"] == "5/1"
 
 
 def test_min_sense_single_edge_example():

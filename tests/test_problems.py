@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pricegame.core import check_reduction, solution_set
 from pricegame.problems import (
@@ -149,3 +150,27 @@ def test_exhaustive_small_formulas_certify_both_reductions():
             source = sat_problem(formula)
             assert check_reduction(source, sat_to_vertex_cover(formula)).passed
             assert check_reduction(source, sat_to_subset_sum(formula)).passed
+
+
+@st.composite
+def small_cnfs(draw):
+    num_vars = draw(st.integers(min_value=1, max_value=6))
+    literal = st.integers(min_value=-num_vars, max_value=num_vars).filter(bool)
+    clause = st.lists(literal, min_size=1, max_size=3, unique_by=abs)
+    clauses = draw(st.lists(clause, max_size=8))
+    if draw(st.integers(min_value=0, max_value=7)) == 0:
+        clauses.insert(draw(st.integers(min_value=0, max_value=len(clauses))), [])
+    return cnf(num_vars, clauses)
+
+
+@given(small_cnfs())
+@example(cnf(3, []))
+@example(cnf(2, [[1, -2], []]))
+@settings(max_examples=150, deadline=None)
+def test_pruned_sat_enumerator_matches_brute_force_scan(formula):
+    problem = sat_problem(formula)
+    raw = list(problem.mask_enumerator())
+    assert len(raw) == len(set(raw))
+    oracle = sat_problem(formula)
+    oracle.mask_enumerator = None
+    assert problem.feasible_masks() == oracle.feasible_masks()
