@@ -12,6 +12,7 @@ Exit codes: 0 success / decision true, 2 decision false, 3 unbounded,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .compilers import (
@@ -30,7 +31,13 @@ from .core import (
     check_reduction,
     identity_reduction,
 )
-from .pricing import Domain, GroundChoice, PricingInstance, solve_pricing
+from .pricing import (
+    Domain,
+    GroundChoice,
+    PricingInstance,
+    meets_threshold,
+    solve_pricing,
+)
 from .problems import sat_problem, sat_to_subset_sum, sat_to_vertex_cover
 from .rational import format_rational, parse_rational
 from .serialize import (
@@ -127,19 +134,17 @@ def _cmd_solve(args) -> int:
     if doc["kind"] != "pricing":
         raise ValueError(f"solve expects a pricing document, got {doc['kind']!r}")
     inst = decode_pricing(doc["payload"])
-    if args.domain:
-        inst.domain = Domain(args.domain)
-    if args.ground:
-        inst.ground = GroundChoice(args.ground)
     decide = args.threshold is not None
-    if decide:
-        inst.threshold = parse_rational(args.threshold)
-        if inst.threshold < 0:
-            raise ValueError("decision threshold must be nonnegative")
+    inst = dataclasses.replace(
+        inst,
+        domain=Domain(args.domain) if args.domain else inst.domain,
+        ground=GroundChoice(args.ground) if args.ground else inst.ground,
+        threshold=parse_rational(args.threshold) if decide else inst.threshold,
+    )
     solution = solve_pricing(inst, args.cap)
     decision = None
-    if solution.status.value == "optimal" and decide:
-        decision = solution.leader_value >= inst.threshold
+    if decide and solution.status.value != "no-follower-solution":
+        decision = meets_threshold(inst, solution)
     print("\n".join(pricing_summary(inst, solution, decision)))
     if solution.status.value == "no-follower-solution":
         return EXIT_NO_FOLLOWER

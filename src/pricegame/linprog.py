@@ -2,9 +2,12 @@
 
 A small two-phase simplex used by the per-candidate leader optimization.
 Variables are free unless bounds are given; constraints may be <=, >= or =.
-All arithmetic is Fraction arithmetic and every reported witness satisfies
-every constraint exactly.  Pivot selection follows Bland's rule, so with
-exact arithmetic the method always terminates.
+The tableau holds Python integers over one common denominator: each row is
+scaled to integers by the lcm of its denominators, and pivots are
+fraction-free (Edmonds/Bareiss), so every division is exact.  The witness
+is read back as Fractions and checked against every constraint and bound in
+Fraction arithmetic.  Pivot selection follows Bland's rule, so with exact
+arithmetic the method always terminates.
 
 Not built for scale: instances here have a handful of variables and at most
 a few hundred constraints.
@@ -15,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 Relation = str  # "<=", ">=", "="
@@ -66,11 +70,15 @@ class LpOutcome:
 
 def make_lp(objective: Sequence, constraints: Sequence, lower=None, upper=None) -> LinearProgram:
     """Convenience constructor coercing all numeric data to Fraction."""
-    obj = tuple(Fraction(c) for c in objective)
-    rows = tuple(
-        (tuple(Fraction(a) for a in coeffs), rel, Fraction(rhs))
+    # Tuples are built from lists, at their final length.  tuple() of a
+    # generator starts at a guessed length and is resized, so each one moves
+    # a free tuple of CPython's from one size class to another; over many
+    # thousand solves that grew the free lists by megabytes.
+    obj = tuple([Fraction(c) for c in objective])
+    rows = tuple([
+        (tuple([Fraction(a) for a in coeffs]), rel, Fraction(rhs))
         for coeffs, rel, rhs in constraints
-    )
+    ])
     lo = {j: Fraction(v) for j, v in (lower or {}).items()}
     up = {j: Fraction(v) for j, v in (upper or {}).items()}
     return LinearProgram(len(obj), obj, rows, lo, up)
@@ -81,30 +89,40 @@ ONE = Fraction(1)
 
 
 class _Tableau:
-    """Dense simplex tableau in minimization form with Bland pivoting."""
+    """Dense integer simplex tableau in minimization form with Bland pivoting.
+
+    Every entry is stored as an integer over one positive common denominator
+    ``d``: the true entry is ``row[j] / d``.  Pivoting is fraction-free
+    (Edmonds/Bareiss): ``d`` stays the absolute determinant of the current
+    basis, so each update divides exactly.
+    """
 
     def __init__(self, rows, basis, ncols):
-        self.rows = rows          # each row: list of ncols coefficients + rhs
+        self.rows = rows          # each row: list of ncols int coefficients + rhs
         self.basis = basis        # basic variable index per row
         self.ncols = ncols
+        self.d = 1
 
-    def pivot(self, r, j):
-        row = self.rows[r]
-        piv = row[j]
-        inv = ONE / piv
-        self.rows[r] = [v * inv for v in row]
+    def pivot(self, r, j, cost=None):
+        """Pivot on (r, j), updating every row and, if given, the cost row."""
         prow = self.rows[r]
-        for i, other in enumerate(self.rows):
-            if i == r:
-                continue
-            factor = other[j]
-            if factor != 0:
-                self.rows[i] = [a - factor * b for a, b in zip(other, prow)]
+        p = prow[j]
+        if p < 0:
+            prow = self.rows[r] = [-v for v in prow]
+            p = -p
+        d = self.d
+        for i, row in enumerate(self.rows):
+            if i != r:
+                self.rows[i] = _eliminate(row, prow, p, d, j)
+        if cost is not None:
+            cost[:] = _eliminate(cost, prow, p, d, j)
         self.basis[r] = j
+        self.d = p
 
     def run(self, cost):
         """Minimize cost (coefficients over columns, cost[-1] holds -value).
 
+        The cost row is stored over the tableau's denominator like every row.
         Returns "optimal" or "unbounded"; mutates cost in place.
         """
         while True:
@@ -116,24 +134,41 @@ class _Tableau:
             if entering < 0:
                 return "optimal"
             leaving = -1
-            best = None
             for i, row in enumerate(self.rows):
                 a = row[entering]
-                if a > 0:
-                    ratio = row[-1] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leaving]
-                    ):
-                        best = ratio
-                        leaving = i
+                if a <= 0:
+                    continue
+                if leaving < 0:
+                    leaving = i
+                    continue
+                # rhs/a against the best ratio, cross-multiplied (both a > 0).
+                best = self.rows[leaving]
+                mine, theirs = row[-1] * best[entering], best[-1] * a
+                if mine < theirs or (
+                    mine == theirs and self.basis[i] < self.basis[leaving]
+                ):
+                    leaving = i
             if leaving < 0:
                 return "unbounded"
-            self.pivot(leaving, entering)
-            prow = self.rows[leaving]
-            factor = cost[entering]
-            if factor != 0:
-                for j in range(self.ncols + 1):
-                    cost[j] -= factor * prow[j]
+            self.pivot(leaving, entering, cost)
+
+
+def _eliminate(row, prow, p, d, j):
+    """Bareiss update of one row against the pivot row prow (pivot p at j)."""
+    f = row[j]
+    if f == 0:
+        if p == d:
+            return row
+        return [p * a // d for a in row]
+    if d == 1:
+        return [p * a - f * b for a, b in zip(row, prow)]
+    return [(p * a - f * b) // d for a, b in zip(row, prow)]
+
+
+def _integer_row(values) -> tuple[int, list[int]]:
+    """Scale Fractions by the lcm of their denominators; return (lcm, ints)."""
+    scale = lcm(*[v.denominator for v in values])
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _standardize(lp: LinearProgram):
@@ -166,17 +201,18 @@ def _standardize(lp: LinearProgram):
             offsets.append(ZERO)
             next_col += 2
 
+    # Each column belongs to one variable, so no coefficient accumulates.
     rows = []
-    source = [(dict(enumerate(coeffs)), rel, rhs) for coeffs, rel, rhs in lp.constraints]
-    for coeffs, rel, rhs in source:
+    for coeffs, rel, rhs in lp.constraints:
         std = {}
         shift = ZERO
-        for j, a in coeffs.items():
+        for j, a in enumerate(coeffs):
             if a == 0:
                 continue
-            shift += a * offsets[j]
+            if offsets[j]:
+                shift += a * offsets[j]
             for col, sign in col_map[j]:
-                std[col] = std.get(col, ZERO) + a * sign
+                std[col] = a if sign > 0 else -a
         rows.append((std, rel, rhs - shift))
     rows.extend(extra_rows)
     return col_map, offsets, rows, next_col
@@ -187,22 +223,26 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     col_map, offsets, std_rows, nstd = _standardize(lp)
     m = len(std_rows)
 
-    # Equality rows with slack or surplus columns, rhs made nonnegative.
+    # Integer equality rows with slack or surplus columns, rhs made
+    # nonnegative.  Each row is scaled by the lcm of its denominators; its
+    # slack keeps coefficient +-1, which only rescales that column.
     nslack = sum(1 for _, rel, _ in std_rows if rel != "=")
     ncols = nstd + nslack
     rows = []
+    row_scale = []
     slack_col = nstd
     slack_of_row = []
     for coeffs, rel, rhs in std_rows:
-        row = [ZERO] * ncols + [rhs]
-        for col, a in coeffs.items():
+        scale, ints = _integer_row([*coeffs.values(), rhs])
+        row = [0] * ncols + [ints[-1]]
+        for col, a in zip(coeffs, ints):
             row[col] = a
         if rel == "<=":
-            row[slack_col] = ONE
+            row[slack_col] = 1
             slack_of_row.append(slack_col)
             slack_col += 1
         elif rel == ">=":
-            row[slack_col] = -ONE
+            row[slack_col] = -1
             slack_of_row.append(slack_col)
             slack_col += 1
         else:
@@ -210,6 +250,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         if row[-1] < 0:
             row = [-v for v in row]
         rows.append(row)
+        row_scale.append(scale)
 
     # Initial basis: a slack column with coefficient +1, else an artificial.
     basis = [-1] * m
@@ -222,27 +263,29 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
             artificial_rows.append(i)
     nart = len(artificial_rows)
     total = ncols + nart
-    for k, i in enumerate(artificial_rows):
-        rows[i] = rows[i][:-1] + [ZERO] * nart + [rows[i][-1]]
-        rows[i][ncols + k] = ONE
-        basis[i] = ncols + k
     for i in range(m):
-        if i not in artificial_rows:
-            rows[i] = rows[i][:-1] + [ZERO] * nart + [rows[i][-1]]
+        rows[i] = rows[i][:-1] + [0] * nart + [rows[i][-1]]
+    for k, i in enumerate(artificial_rows):
+        rows[i][ncols + k] = 1
+        basis[i] = ncols + k
 
     tab = _Tableau(rows, basis, total)
 
     if nart:
-        # Phase 1: minimize the sum of artificials.
-        cost = [ZERO] * (total + 1)
-        for k in range(nart):
-            cost[ncols + k] = ONE
-        for i in artificial_rows:
-            cost = [c - v for c, v in zip(cost, tab.rows[i])]
+        # Phase 1: minimize the sum of the unscaled rows' artificials.  A row
+        # scaled by s has an artificial worth s of them, so it is weighted
+        # lcm / s: the objective stays a positive multiple of the unscaled
+        # one, and the pivot path does not change.
+        weight = lcm(*[row_scale[i] for i in artificial_rows])
+        cost = [0] * (total + 1)
+        for k, i in enumerate(artificial_rows):
+            w = weight // row_scale[i]
+            cost[ncols + k] = w
+            cost = [c - w * v for c, v in zip(cost, tab.rows[i])]
         outcome = tab.run(cost)
         if outcome != "optimal":
             raise RuntimeError("phase 1 cannot be unbounded")
-        if -cost[-1] != 0:
+        if cost[-1] != 0:
             return LpOutcome(LpStatus.INFEASIBLE)
         # Drive leftover artificials out of the basis; drop redundant rows.
         keep = []
@@ -260,16 +303,21 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         tab.rows = [tab.rows[i][:ncols] + [tab.rows[i][-1]] for i in keep]
         tab.basis = [tab.basis[i] for i in keep]
         tab.ncols = ncols
-    # Phase 2: minimize the negated objective over the standardized columns.
-    cost = [ZERO] * (ncols + 1)
+    # Phase 2: minimize the negated objective over the standardized columns,
+    # scaled to integers and priced out against the basis.
+    objective = [ZERO] * ncols
     for j in range(lp.num_vars):
         c = lp.objective[j]
         if c == 0:
             continue
         for col, sign in col_map[j]:
-            cost[col] -= c * sign
+            objective[col] -= c * sign
+    _, objective = _integer_row(objective)
+    cost = [tab.d * c for c in objective] + [0]
+    # Basic columns are unit columns, so each basic row is subtracted once,
+    # times the objective coefficient of its basic variable.
     for i, b in enumerate(tab.basis):
-        factor = cost[b]
+        factor = objective[b]
         if factor != 0:
             cost = [c - factor * v for c, v in zip(cost, tab.rows[i])]
     outcome = tab.run(cost)
@@ -278,8 +326,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
 
     std_values = [ZERO] * ncols
     for i, b in enumerate(tab.basis):
-        if b < ncols:
-            std_values[b] = tab.rows[i][-1]
+        std_values[b] = Fraction(tab.rows[i][-1], tab.d)
     witness = []
     for j in range(lp.num_vars):
         x = offsets[j]
@@ -293,7 +340,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
 
 def _check_witness(lp: LinearProgram, witness) -> None:
     for coeffs, rel, rhs in lp.constraints:
-        lhs = sum((a * x for a, x in zip(coeffs, witness)), ZERO)
+        lhs = sum((a * x for a, x in zip(coeffs, witness) if a), ZERO)
         ok = lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
         if not ok:
             raise RuntimeError("simplex produced a witness violating a constraint")

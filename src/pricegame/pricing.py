@@ -230,9 +230,11 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
     best_witness: tuple[Fraction, ...] | None = None
     lower, upper = _domain_bounds(inst, var_ids)
 
-    order = sorted(sig.value_of, key=lambda p: (-upper_bound(p), _canon_key(sig.rep_of[p])))
+    bound = {p: upper_bound(p) for p in sig.value_of}
+    canon = {p: _canon_key(sig.rep_of[p]) for p in sig.value_of}
+    order = sorted(sig.value_of, key=lambda p: (-bound[p], canon[p]))
     for pattern in order:
-        if best_value is not None and upper_bound(pattern) < best_value:
+        if best_value is not None and bound[pattern] < best_value:
             continue
         if not var_bits:
             value, witness = Fraction(0), ()
@@ -263,8 +265,7 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
                 raise RuntimeError("candidate LP unbounded despite structural bound")
             value, witness = outcome.optimal_value, outcome.witness
         better = best_value is None or value > best_value or (
-            value == best_value
-            and _canon_key(sig.rep_of[pattern]) < _canon_key(sig.rep_of[best_pattern])
+            value == best_value and canon[pattern] < canon[best_pattern]
         )
         if better:
             best_value, best_pattern, best_witness = value, pattern, witness

@@ -52,6 +52,21 @@ def test_solve_unbounded_exit_code(tmp_path, capsys):
     assert "unbounded" in capsys.readouterr().out
 
 
+def test_solve_unbounded_decides_true_at_any_threshold(tmp_path, capsys):
+    base = explicit_problem([Element("eL")], [frozenset({"eL"})])
+    inst = PricingInstance(base, frozenset({"eL"}), {"eL": 5}, GroundChoice.SOLUTIONS)
+    path = write_doc(tmp_path / "u.json", "pricing", encode_pricing(inst))
+    assert main(["solve", path, "--threshold", "3"]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["status: unbounded", "decision: true at threshold 3/1"]
+
+
+def test_solve_negative_threshold_is_an_error(tmp_path, capsys):
+    path = two_item_pricing_doc(tmp_path)
+    assert main(["solve", path, "--threshold", "-1"]) == 1
+    assert "threshold must be nonnegative" in capsys.readouterr().err
+
+
 def test_solve_empty_ground_exit_code(tmp_path, capsys):
     base = explicit_problem([Element("e")], [])
     inst = PricingInstance(base, frozenset(), {"e": 1}, GroundChoice.SOLUTIONS)

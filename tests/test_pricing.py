@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -5,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pricegame.compilers import compile_qdnf_pricing
 from pricegame.core import Element, explicit_problem
 from pricegame.pricing import (
     Domain,
@@ -18,7 +21,8 @@ from pricegame.pricing import (
     solve_pricing,
 )
 from pricegame.problems import cnf, sat_problem, vertex_cover_problem
-from pricegame.sweep import decision_fields
+from pricegame.serialize import pricing_summary
+from pricegame.sweep import decision_fields, random_formula
 
 
 def two_item_instance(domain=Domain.FREE):
@@ -225,3 +229,22 @@ def test_valuation_must_cover_universe_and_be_nonnegative():
         PricingInstance(base, frozenset({"a"}), {"a": -1}, GroundChoice.SOLUTIONS)
     with pytest.raises(ValueError):
         PricingInstance(base, frozenset({"b"}), {"a": 1}, GroundChoice.SOLUTIONS)
+
+
+# sha256 of the summaries below.  Among several optimal price vectors the
+# simplex's pivot path picks one, and `pricegame solve` prints it; the
+# integer tableau scales rows and columns only by positive factors, which
+# keeps every Bland pivot, so this digest must not move.
+PINNED_VERTEX_DIGEST = "187a31575d52fe76774cf336b9dc0b012af6dbf00e409bc3f26fe55cbaf0bfe4"
+
+
+def test_compiled_two_pair_vertices_are_pinned():
+    lines = []
+    for seed in range(6):
+        compiled = compile_qdnf_pricing(random_formula(random.Random(seed), 2, 3))
+        for domain in (Domain.FREE, Domain.NONNEG, Domain.CAPPED, Domain.BOX):
+            inst = dataclasses.replace(compiled.pricing, domain=domain)
+            lines += [f"seed {seed} {domain.value}"]
+            lines += pricing_summary(inst, solve_pricing(inst))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_VERTEX_DIGEST
