@@ -7,7 +7,7 @@ vertex cover, subset sum), the quantified-DNF hardness compiler with its
 lifts, and a batch verification harness.
 """
 
-from .rational import Rational, format_rational, parse_rational, rational, rational_arith
+from .rational import Rational, format_rational, parse_rational
 from .linprog import LinearProgram, LpOutcome, LpStatus, make_lp, solve_lp
 from .core import (
     CapExceededError,

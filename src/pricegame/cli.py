@@ -27,18 +27,11 @@ from .core import (
     CapExceededError,
     CertificationError,
     DEFAULT_CAP,
-    ReductionArtifact,
     check_reduction,
     identity_reduction,
 )
-from .pricing import (
-    Domain,
-    GroundChoice,
-    PricingInstance,
-    meets_threshold,
-    solve_pricing,
-)
-from .problems import sat_problem, sat_to_subset_sum, sat_to_vertex_cover
+from .pricing import Domain, GroundChoice, meets_threshold, solve_pricing
+from .problems import CnfFormula, sat_problem, sat_to_subset_sum, sat_to_vertex_cover
 from .rational import format_rational, parse_rational
 from .serialize import (
     decode_cnf,
@@ -155,13 +148,6 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _sat_formula_of(inst: PricingInstance):
-    formula = getattr(inst.base, "formula", None)
-    if formula is None:
-        raise ValueError("this pipeline needs a pricing document over a sat base")
-    return formula
-
-
 def _cmd_compile(args) -> int:
     doc = _read_document(args.path)
     pipeline = args.pipeline
@@ -199,11 +185,7 @@ def _cmd_compile(args) -> int:
             raise ValueError("weight-lift expects a reduction-artifact document")
         source, artifact = decode_artifact(doc["payload"])
         lifted_target = weight_lift(artifact.target, artifact.image_ids())
-        lifted = ReductionArtifact(
-            source_universe=artifact.source_universe,
-            target=lifted_target,
-            embedding=dict(artifact.embedding),
-        )
+        lifted = dataclasses.replace(artifact, target=lifted_target)
         provenance += [{
             "step": "weight-lift",
             "params": {"scale": len(artifact.image_ids()) + 1,
@@ -219,19 +201,17 @@ def _cmd_compile(args) -> int:
     if doc["kind"] != "pricing":
         raise ValueError(f"{pipeline} expects a pricing document")
     inst = decode_pricing(doc["payload"])
-    formula = _sat_formula_of(inst)
+    formula = inst.base.spec
+    if not isinstance(formula, CnfFormula):
+        raise ValueError("this pipeline needs a pricing document over a sat base")
     if pipeline == "lift-max":
-        artifact = sat_to_subset_sum(formula)
-        lifted, params = lift_max(inst, artifact, args.cap)
-        steps = [dict(p) for p in artifact.provenance]
+        lift, artifact = lift_max, sat_to_subset_sum(formula)
     elif pipeline == "lift-min":
-        artifact = sat_to_vertex_cover(formula)
-        lifted, params = lift_min(inst, artifact, args.cap)
-        steps = [dict(p) for p in artifact.provenance]
+        lift, artifact = lift_min, sat_to_vertex_cover(formula)
     else:
-        artifact = identity_reduction(inst.base)
-        lifted, params = lift_feas(inst, artifact, args.cap)
-        steps = [dict(p) for p in artifact.provenance]
+        lift, artifact = lift_feas, identity_reduction(inst.base)
+    lifted, params = lift(inst, artifact, args.cap)
+    steps = [dict(p) for p in artifact.provenance]
     steps.append({
         "step": pipeline,
         "params": {

@@ -15,14 +15,20 @@ precisely when some exists assignment beats every forall assignment.
 
 lift_max, lift_min and lift_feas transport a pricing instance over
 satisfiability through a certified reduction into pricing over the
-reduction's target problem, scaling target weights by a factor large enough
-that follower optimality is decided by the weight digit first.  weight_lift
-rescales a minimization target so every embedded element has weight at
-least one, preserving the solution set; lift_min applies it on demand.
+reduction's target problem.  They are one lift that differs only in the
+target sense it accepts: the lifted valuation is scale * weight plus the
+source value on embedded elements (minus it for a minimization target),
+with the scale large enough that follower optimality is decided by the
+weight digit first; feasibility targets have zero weights, so only the
+source value remains.  weight_lift rescales a minimization target so every
+embedded element has weight at least one, preserving the solution set;
+lift_min applies it on demand and the CLI's weight-lift pipeline records it
+as a provenance step.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -230,12 +236,6 @@ class LiftParameters:
     target_optimum: int | None
 
 
-def _certify(source: GroundProblem, artifact: ReductionArtifact, cap: int) -> None:
-    report = check_reduction(source, artifact, cap)
-    if not report.passed:
-        raise CertificationError(report)
-
-
 def _weight_scale(sat_pricing: PricingInstance) -> int:
     n = len(sat_pricing.base.universe)
     return 4 * n * sum(sat_pricing.valuation.values())
@@ -251,8 +251,54 @@ def _target_optimum(target: GroundProblem, cap: int) -> int | None:
     return values.pop()
 
 
-def _lifted_partition(artifact: ReductionArtifact, leader_ids: frozenset[str]) -> frozenset[str]:
-    return frozenset(artifact.embedding[e] for e in leader_ids)
+# The lifted valuation is scale * w plus the source value on embedded
+# elements, minus it for a minimization target; the ground is the feasible
+# family, except for a feasibility target, whose feasible sets are already
+# its solutions.
+_LIFTS = {
+    Sense.MAX: ("max", 1, GroundChoice.FEASIBLE),
+    Sense.MIN: ("min", -1, GroundChoice.FEASIBLE),
+    Sense.FEASIBILITY: ("feas", 1, GroundChoice.SOLUTIONS),
+}
+
+
+def _lift(
+    sat_pricing: PricingInstance,
+    artifact: ReductionArtifact,
+    cap: int,
+    sense: Sense,
+) -> tuple[PricingInstance, LiftParameters]:
+    mode, sign, ground = _LIFTS[sense]
+    if artifact.target.sense is not sense:
+        raise ValueError(f"lift_{mode} needs a {sense.value}-sense target")
+    report = check_reduction(sat_pricing.base, artifact, cap)
+    if not report.passed:
+        raise CertificationError(report)
+    target = artifact.target
+    image_ids = artifact.image_ids()
+    if sense is Sense.MIN and any(target.weights[i] < 1 for i in image_ids):
+        before = set(target.solution_masks(cap))
+        target = weight_lift(target, image_ids)
+        if set(target.solution_masks(cap)) != before:
+            raise CompileAnomalyError("weight rescaling changed the target solution set")
+    scale = _weight_scale(sat_pricing)
+    image = {v: k for k, v in artifact.embedding.items()}
+    valuation = {}
+    for e in target.universe:
+        valuation[e.id] = scale * target.weights[e.id]
+        if e.id in image:
+            valuation[e.id] += sign * sat_pricing.valuation[image[e.id]]
+        if valuation[e.id] < 0:
+            raise CompileAnomalyError("negative lifted cost; weight rescaling was skipped?")
+    lifted = PricingInstance(
+        base=target,
+        leader_ids=frozenset(artifact.embedding[e] for e in sat_pricing.leader_ids),
+        valuation=valuation,
+        ground=ground,
+        domain=sat_pricing.domain,
+        threshold=sat_pricing.threshold,
+    )
+    return lifted, LiftParameters(mode, scale, _target_optimum(target, cap))
 
 
 def lift_max(
@@ -266,27 +312,7 @@ def lift_max(
     elements, so the weight digit dominates and the source game replays on
     the embedded copy.  The decision threshold carries over unchanged.
     """
-    if artifact.target.sense is not Sense.MAX:
-        raise ValueError("lift_max needs a maximization-sense target")
-    _certify(sat_pricing.base, artifact, cap)
-    scale = _weight_scale(sat_pricing)
-    target = artifact.target
-    image = {v: k for k, v in artifact.embedding.items()}
-    profits = {}
-    for e in target.universe:
-        profits[e.id] = scale * target.weights[e.id]
-        if e.id in image:
-            profits[e.id] += sat_pricing.valuation[image[e.id]]
-    lifted = PricingInstance(
-        base=target,
-        leader_ids=_lifted_partition(artifact, sat_pricing.leader_ids),
-        valuation=profits,
-        ground=GroundChoice.FEASIBLE,
-        domain=sat_pricing.domain,
-        threshold=sat_pricing.threshold,
-    )
-    params = LiftParameters("max", scale, _target_optimum(target, cap))
-    return lifted, params
+    return _lift(sat_pricing, artifact, cap, Sense.MAX)
 
 
 def lift_min(
@@ -299,53 +325,9 @@ def lift_min(
     Costs become scale * weight minus the source profit on embedded
     elements.  If any embedded element has weight zero the target is first
     rescaled by weight_lift, which leaves the solution set untouched; the
-    rescaling is recorded in the artifact provenance.
+    lifted instance's base is then the rescaled target.
     """
-    if artifact.target.sense is not Sense.MIN:
-        raise ValueError("lift_min needs a minimization-sense target")
-    _certify(sat_pricing.base, artifact, cap)
-    image_ids = artifact.image_ids()
-    if any(artifact.target.weights[i] < 1 for i in image_ids):
-        before = set(artifact.target.solution_masks(cap))
-        lifted_target = weight_lift(artifact.target, image_ids)
-        after = set(lifted_target.solution_masks(cap))
-        if before != after:
-            raise CompileAnomalyError("weight rescaling changed the target solution set")
-        artifact = ReductionArtifact(
-            source_universe=artifact.source_universe,
-            target=lifted_target,
-            embedding=dict(artifact.embedding),
-            provenance=artifact.provenance
-            + (
-                {
-                    "step": "weight-lift",
-                    "params": {
-                        "scale": len(image_ids) + 1,
-                        "threshold": lifted_target.threshold,
-                    },
-                },
-            ),
-        )
-    scale = _weight_scale(sat_pricing)
-    target = artifact.target
-    image = {v: k for k, v in artifact.embedding.items()}
-    costs = {}
-    for e in target.universe:
-        costs[e.id] = scale * target.weights[e.id]
-        if e.id in image:
-            costs[e.id] -= sat_pricing.valuation[image[e.id]]
-        if costs[e.id] < 0:
-            raise CompileAnomalyError("negative lifted cost; weight rescaling was skipped?")
-    lifted = PricingInstance(
-        base=target,
-        leader_ids=_lifted_partition(artifact, sat_pricing.leader_ids),
-        valuation=costs,
-        ground=GroundChoice.FEASIBLE,
-        domain=sat_pricing.domain,
-        threshold=sat_pricing.threshold,
-    )
-    params = LiftParameters("min", scale, _target_optimum(target, cap))
-    return lifted, params
+    return _lift(sat_pricing, artifact, cap, Sense.MIN)
 
 
 def lift_feas(
@@ -359,26 +341,7 @@ def lift_feas(
     inherit the source profit, everything else is worth nothing, and the
     follower ranges over the target solution family.
     """
-    if artifact.target.sense is not Sense.FEASIBILITY:
-        raise ValueError("lift_feas needs a feasibility-sense target")
-    _certify(sat_pricing.base, artifact, cap)
-    scale = _weight_scale(sat_pricing)
-    target = artifact.target
-    image = {v: k for k, v in artifact.embedding.items()}
-    profits = {
-        e.id: sat_pricing.valuation[image[e.id]] if e.id in image else 0
-        for e in target.universe
-    }
-    lifted = PricingInstance(
-        base=target,
-        leader_ids=_lifted_partition(artifact, sat_pricing.leader_ids),
-        valuation=profits,
-        ground=GroundChoice.SOLUTIONS,
-        domain=sat_pricing.domain,
-        threshold=sat_pricing.threshold,
-    )
-    params = LiftParameters("feas", scale, _target_optimum(target, cap))
-    return lifted, params
+    return _lift(sat_pricing, artifact, cap, Sense.FEASIBILITY)
 
 
 def weight_lift(problem: GroundProblem, image_ids) -> GroundProblem:
@@ -403,16 +366,6 @@ def weight_lift(problem: GroundProblem, image_ids) -> GroundProblem:
         e.id: scale * problem.weights[e.id] + (1 if e.id in image else 0)
         for e in problem.universe
     }
-    lifted = GroundProblem(
-        universe=problem.universe,
-        weights=new_weights,
-        threshold=scale * problem.threshold + n // 2,
-        sense=Sense.MIN,
-        feasible=problem.feasible,
-        mask_enumerator=problem.mask_enumerator,
-        name=problem.name,
-        cost_bits=problem.cost_bits,
+    return dataclasses.replace(
+        problem, weights=new_weights, threshold=scale * problem.threshold + n // 2
     )
-    if hasattr(problem, "edges"):
-        lifted.edges = problem.edges
-    return lifted

@@ -59,7 +59,13 @@ class GroundProblem:
     mask_enumerator, when given, yields every feasible set as a bitmask over
     the universe order and must agree with the oracle; problem constructors
     in problems.py install pruned enumerators, the fallback scans all
-    subsets.
+    subsets.  name is the kind tag documents are written under, and spec is
+    the data its constructor was given beyond universe and weights: the
+    CnfFormula of a "sat" problem, the tuple of sorted edges of a
+    "vertex-cover" problem, None for every other kind.
+
+    The problem caches its feasible masks and, for pricing, the follower
+    signatures of each (ground, leader mask, valuation) it was solved under.
     """
 
     universe: tuple[Element, ...]
@@ -70,9 +76,11 @@ class GroundProblem:
     mask_enumerator: Callable[[], Iterable[int]] | None = None
     name: str = "custom"
     cost_bits: int | None = None
+    spec: object = None
     _index: dict[str, int] = field(init=False, repr=False)
     _weight_bits: list[int] = field(init=False, repr=False)
     _mask_cache: list[int] | None = field(default=None, init=False, repr=False)
+    _signature_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         ids = [e.id for e in self.universe]
@@ -95,9 +103,6 @@ class GroundProblem:
     @property
     def size(self) -> int:
         return len(self.universe)
-
-    def index_of(self, element_id: str) -> int:
-        return self._index[element_id]
 
     def mask_of(self, ids: Iterable[str]) -> int:
         mask = 0
@@ -297,14 +302,17 @@ def explicit_problem(
     family = frozenset(frozenset(s) for s in feasible_sets)
     if weights is None:
         weights = {e.id: 0 for e in elements}
-    problem = GroundProblem(
+    bit = {e.id: 1 << i for i, e in enumerate(elements)}
+    if not all(s <= bit.keys() for s in family):
+        raise ValueError("feasible sets must lie inside the universe")
+    masks = [sum(bit[i] for i in s) for s in family]
+    return GroundProblem(
         universe=elements,
         weights=weights,
         threshold=threshold,
         sense=sense,
         feasible=lambda s: frozenset(s) in family,
+        mask_enumerator=lambda: masks,
         name=name,
         cost_bits=0,
     )
-    problem.mask_enumerator = lambda: [problem.mask_of(s) for s in family]
-    return problem

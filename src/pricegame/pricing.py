@@ -25,7 +25,7 @@ leader's part, revenue grows without bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -61,15 +61,16 @@ class NoFollowerSolutionError(RuntimeError):
     """The follower's ground family is empty; the game is vacuous."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PricingInstance:
+    """One pricing game over a base problem; derive variants with dataclasses.replace."""
+
     base: GroundProblem
     leader_ids: frozenset[str]
     valuation: dict[str, int]
     ground: GroundChoice
     domain: Domain = Domain.FREE
     threshold: Fraction = Fraction(0)
-    _signature_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         ids = {e.id for e in self.base.universe}
@@ -79,13 +80,9 @@ class PricingInstance:
             raise ValueError("valuation must cover exactly the base universe")
         if any(v < 0 for v in self.valuation.values()):
             raise ValueError("valuations must be nonnegative")
-        self.threshold = Fraction(self.threshold)
+        object.__setattr__(self, "threshold", Fraction(self.threshold))
         if self.threshold < 0:
             raise ValueError("decision threshold must be nonnegative")
-
-    @property
-    def follower_ids(self) -> frozenset[str]:
-        return frozenset(e.id for e in self.base.universe) - self.leader_ids
 
     @property
     def minimizing(self) -> bool:
@@ -140,12 +137,15 @@ def _ground_masks(inst: PricingInstance, ground: GroundChoice, cap: int) -> list
 
 
 def _signatures(inst: PricingInstance, ground: GroundChoice, cap: int) -> _Signatures:
-    cached = inst._signature_cache.get(ground)
-    if cached is not None:
-        return cached
+    # Memoised on the base problem, so fresh instances over one base share
+    # the collapse whenever they agree on everything it reads.
     base = inst.base
     leader_mask = base.mask_of(inst.leader_ids)
-    values = [inst.valuation[e.id] for e in base.universe]
+    values = tuple(inst.valuation[e.id] for e in base.universe)
+    key = (ground, leader_mask, values)
+    cached = base._signature_cache.get(key)
+    if cached is not None:
+        return cached
 
     def value_of_mask(mask: int) -> int:
         total = 0
@@ -168,7 +168,7 @@ def _signatures(inst: PricingInstance, ground: GroundChoice, cap: int) -> _Signa
         elif val == cur and _canon_key(m) < _canon_key(rep_of[pattern]):
             rep_of[pattern] = m
     sig = _Signatures(leader_mask, value_of, rep_of)
-    inst._signature_cache[ground] = sig
+    base._signature_cache[key] = sig
     return sig
 
 

@@ -137,8 +137,8 @@ def sat_problem(formula: CnfFormula) -> GroundProblem:
         mask_enumerator=enumerate_assignments,
         name="sat",
         cost_bits=n,
+        spec=formula,
     )
-    problem.formula = formula
     return problem
 
 
@@ -157,10 +157,13 @@ def vertex_cover_problem(
     index = {v: i for i, v in enumerate(names)}
     size = len(names)
     full = (1 << size) - 1
+    edge_pairs = tuple(tuple(sorted((str(u), str(v)))) for u, v in edges)
     edge_masks = []
     adjacency = [0] * size
-    for u, v in edges:
-        iu, iv = index[str(u)], index[str(v)]
+    for u, v in edge_pairs:
+        if u not in index or v not in index:
+            raise ValueError(f"edge ({u}, {v}) has an end outside the vertex set")
+        iu, iv = index[u], index[v]
         if iu == iv:
             raise ValueError("self-loops are not allowed")
         edge_masks.append((1 << iu) | (1 << iv))
@@ -193,8 +196,8 @@ def vertex_cover_problem(
         feasible=feasible,
         mask_enumerator=enumerate_covers,
         name="vertex-cover",
+        spec=edge_pairs,
     )
-    problem.edges = [tuple(sorted((str(u), str(v)))) for u, v in edges]
     return problem
 
 
@@ -236,7 +239,7 @@ def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> Ground
 
         return walk()
 
-    problem = GroundProblem(
+    return GroundProblem(
         universe=elements,
         weights=weights,
         threshold=target,
@@ -245,7 +248,6 @@ def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> Ground
         mask_enumerator=enumerate_light,
         name="subset-sum",
     )
-    return problem
 
 
 def sat_to_vertex_cover(formula: CnfFormula) -> ReductionArtifact:

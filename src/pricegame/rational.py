@@ -17,32 +17,6 @@ from fractions import Fraction
 
 Rational = Fraction
 
-_OPS = {"+", "-", "*", "/"}
-
-
-def rational(numerator: int | str | Fraction, denominator: int | None = None) -> Fraction:
-    """Build a Rational from ints, an "a/b" string, or another Rational."""
-    if denominator is not None:
-        return Fraction(numerator, denominator)
-    if isinstance(numerator, str):
-        return parse_rational(numerator)
-    return Fraction(numerator)
-
-
-def rational_arith(a: Fraction, b: Fraction, op: str) -> Fraction:
-    """Apply one of +, -, *, / exactly.  Division by zero is a ValueError."""
-    if op not in _OPS:
-        raise ValueError(f"unknown operation {op!r}, expected one of {sorted(_OPS)}")
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if b == 0:
-        raise ValueError("division by zero")
-    return a / b
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse "a/b" or "a" (no decimal points allowed anywhere)."""

@@ -54,10 +54,16 @@ def encode_qdnf(q: QdnfFormula) -> dict:
     return {"pairs": q.num_pairs, "terms": [sorted(t) for t in q.terms]}
 
 
+def _field(payload: dict, name: str):
+    """A required payload field; a missing one is a malformed document."""
+    if not isinstance(payload, dict) or name not in payload:
+        raise ValueError(f"payload is missing the {name!r} field")
+    return payload[name]
+
+
 def decode_qdnf(payload: dict) -> QdnfFormula:
-    return QdnfFormula(
-        int(payload["pairs"]), tuple(frozenset(t) for t in payload["terms"])
-    )
+    pairs = int(_field(payload, "pairs"))
+    return QdnfFormula(pairs, tuple(frozenset(t) for t in _field(payload, "terms")))
 
 
 def encode_cnf(f: CnfFormula) -> dict:
@@ -68,22 +74,23 @@ def encode_cnf(f: CnfFormula) -> dict:
 
 
 def decode_cnf(payload: dict) -> CnfFormula:
+    num_vars = int(_field(payload, "num_vars"))
     names = payload.get("var_names")
     return CnfFormula(
-        int(payload["num_vars"]),
-        tuple(frozenset(c) for c in payload["clauses"]),
+        num_vars,
+        tuple(frozenset(c) for c in _field(payload, "clauses")),
         tuple(names) if names is not None else None,
     )
 
 
 def encode_problem(p: GroundProblem) -> dict:
     if p.name == "sat":
-        return {"problem": "sat", "cnf": encode_cnf(p.formula)}
+        return {"problem": "sat", "cnf": encode_cnf(p.spec)}
     if p.name == "vertex-cover":
         return {
             "problem": "vertex-cover",
             "vertices": [e.id for e in p.universe],
-            "edges": [list(edge) for edge in p.edges],
+            "edges": [list(edge) for edge in p.spec],
             "weights": {e.id: p.weights[e.id] for e in p.universe},
             "threshold": p.threshold,
         }
@@ -100,38 +107,36 @@ def encode_problem(p: GroundProblem) -> dict:
         "sense": p.sense.value,
         "weights": {e.id: p.weights[e.id] for e in p.universe},
         "threshold": p.threshold,
-        "feasible_sets": sorted(sorted(s) for s in _feasible_family(p)),
+        "feasible_sets": sorted(sorted(p.ids_of(m)) for m in p.feasible_masks()),
     }
 
 
-def _feasible_family(p: GroundProblem):
-    return [p.ids_of(m) for m in p.feasible_masks()]
+def _weights(payload: dict) -> dict[str, int]:
+    return {k: int(v) for k, v in _field(payload, "weights").items()}
 
 
 def decode_problem(payload: dict) -> GroundProblem:
-    flavor = payload.get("problem")
+    flavor = _field(payload, "problem")
     if flavor == "sat":
-        return sat_problem(decode_cnf(payload["cnf"]))
+        return sat_problem(decode_cnf(_field(payload, "cnf")))
     if flavor == "vertex-cover":
         return vertex_cover_problem(
-            payload["vertices"],
-            [tuple(e) for e in payload["edges"]],
-            int(payload["threshold"]),
-            {k: int(v) for k, v in payload["weights"].items()},
+            _field(payload, "vertices"),
+            [tuple(e) for e in _field(payload, "edges")],
+            int(_field(payload, "threshold")),
+            _weights(payload),
         )
     if flavor == "subset-sum":
         return subset_sum_problem(
-            payload["items"],
-            {k: int(v) for k, v in payload["weights"].items()},
-            int(payload["target"]),
+            _field(payload, "items"), _weights(payload), int(_field(payload, "target"))
         )
     if flavor == "explicit":
         return explicit_problem(
-            (Element(i, label) for i, label in payload["universe"]),
-            (frozenset(s) for s in payload["feasible_sets"]),
-            {k: int(v) for k, v in payload["weights"].items()},
-            int(payload["threshold"]),
-            Sense(payload["sense"]),
+            (Element(i, label) for i, label in _field(payload, "universe")),
+            (frozenset(s) for s in _field(payload, "feasible_sets")),
+            _weights(payload),
+            int(_field(payload, "threshold")),
+            Sense(_field(payload, "sense")),
         )
     raise ValueError(f"unknown problem flavor {flavor!r}")
 
@@ -149,12 +154,12 @@ def encode_pricing(inst: PricingInstance) -> dict:
 
 def decode_pricing(payload: dict) -> PricingInstance:
     return PricingInstance(
-        base=decode_problem(payload["base"]),
-        leader_ids=frozenset(payload["leader"]),
-        valuation={k: int(v) for k, v in payload["valuation"].items()},
-        ground=GroundChoice(payload["ground"]),
-        domain=Domain(payload["domain"]),
-        threshold=parse_rational(payload["threshold"]),
+        base=decode_problem(_field(payload, "base")),
+        leader_ids=frozenset(_field(payload, "leader")),
+        valuation={k: int(v) for k, v in _field(payload, "valuation").items()},
+        ground=GroundChoice(_field(payload, "ground")),
+        domain=Domain(_field(payload, "domain")),
+        threshold=parse_rational(_field(payload, "threshold")),
     )
 
 
@@ -167,11 +172,11 @@ def encode_artifact(artifact: ReductionArtifact, source: GroundProblem) -> dict:
 
 
 def decode_artifact(payload: dict) -> tuple[GroundProblem, ReductionArtifact]:
-    source = decode_problem(payload["source"])
+    source = decode_problem(_field(payload, "source"))
     artifact = ReductionArtifact(
         source_universe=source.universe,
-        target=decode_problem(payload["target"]),
-        embedding=dict(payload["embedding"]),
+        target=decode_problem(_field(payload, "target")),
+        embedding=dict(_field(payload, "embedding")),
     )
     return source, artifact
 

@@ -15,6 +15,7 @@ detects mismatches.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import multiprocessing
@@ -125,14 +126,7 @@ def check_one(
             # so the recorded decision is guaranteed to flip.
             verdict, value = _decide_compiled(instance, cap)
             bumped = instance.threshold + 1 if verdict else value
-            instance = PricingInstance(
-                base=instance.base,
-                leader_ids=instance.leader_ids,
-                valuation=instance.valuation,
-                ground=instance.ground,
-                domain=instance.domain,
-                threshold=bumped,
-            )
+            instance = dataclasses.replace(instance, threshold=bumped)
             record["fault_injected"] = True
         record.update(decision_fields(instance, cap), oracle=expected)
         record["match"] = expected == record["pricing"]

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 from pricegame.cli import main
 from pricegame.compilers import qdnf
@@ -13,6 +15,7 @@ from pricegame.serialize import (
     make_document,
 )
 from pricegame.problems import cnf
+from pricegame.sweep import random_formula
 
 
 def write_doc(path, kind, payload, provenance=()):
@@ -158,6 +161,32 @@ def test_parse_error_is_exit_one(tmp_path, capsys):
     assert main(["solve", str(bad)]) == 1
 
 
+def test_malformed_documents_say_what_is_wrong(tmp_path, capsys):
+    two_item_pricing_doc(tmp_path)
+    payload = load_document((tmp_path / "two.json").read_text())["payload"]
+    del payload["leader"]
+    no_leader = write_doc(tmp_path / "no-leader.json", "pricing", payload)
+    sat_doc = {"base": {"problem": "sat"}, "leader": ["x1"],
+               "valuation": {"x1": 1, "~x1": 0}, "domain": "free",
+               "ground": "solutions", "threshold": "0/1"}
+    no_cnf = write_doc(tmp_path / "no-cnf.json", "pricing", sat_doc)
+    vc_doc = dict(sat_doc, leader=[], valuation={"u": 1, "v": 1}, base={
+        "problem": "vertex-cover", "vertices": ["u", "v"], "edges": [["u", "w"]],
+        "weights": {"u": 1, "v": 1}, "threshold": 1})
+    stray_edge = write_doc(tmp_path / "stray-edge.json", "pricing", vc_doc)
+    explicit_doc = dict(sat_doc, leader=[], valuation={"a": 1}, base={
+        "problem": "explicit", "universe": [["a", ""]], "sense": "feasibility",
+        "weights": {"a": 0}, "threshold": 0, "feasible_sets": [["a", "b"]]})
+    stray_set = write_doc(tmp_path / "stray-set.json", "pricing", explicit_doc)
+    for path, wrong in ((no_leader, "missing the 'leader' field"),
+                        (no_cnf, "missing the 'cnf' field"),
+                        (stray_edge, "outside the vertex set"),
+                        (stray_set, "inside the universe")):
+        assert main(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and wrong in err
+
+
 def test_sweep_reports_are_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["--seed", "9", "verify-sweep", "--pairs", "1", "--max-terms", "2",
@@ -201,3 +230,72 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert main(["--out", str(serial)] + base) == 0
     assert main(["--out", str(parallel), "--jobs", "2"] + base) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+# sha256 over every run below: its argv (paths as file names), exit code,
+# stdout and, on success with --out, the written document.  Recorded before
+# the problem data, the lifts and PricingInstance were restructured; every
+# pipeline's output bytes must stay as they were.
+PIPELINE_DIGEST = "98b092d3ac519863610175679a130ba04330ee134d34e150f78f9ed64e975409"
+
+
+def _pipeline_corpus():
+    """Seeded one-pair qdnf payloads and pricing-over-sat payloads of 1-3 variables."""
+    rng = random.Random(2024)
+    qdnfs = [encode_qdnf(random_formula(rng, 1, 2)) for _ in range(4)]
+    sources = []
+    for k in range(6):
+        num_vars = 1 + k % 3
+        literals = [v for x in range(1, num_vars + 1) for v in (x, -x)]
+        clauses = []
+        for _ in range(rng.randint(1, 3)):
+            variables = rng.sample(range(1, num_vars + 1), rng.randint(1, num_vars))
+            clauses.append(sorted(v if rng.randint(0, 1) else -v for v in variables))
+        names = {lit: f"x{lit}" if lit > 0 else f"~x{-lit}" for lit in literals}
+        sources.append({
+            "base": {"problem": "sat",
+                     "cnf": {"num_vars": num_vars, "clauses": clauses}},
+            "leader": sorted(names[lit] for lit in literals if rng.randint(0, 1)),
+            "valuation": {names[lit]: rng.randint(0, 5) for lit in literals},
+            "domain": "free",
+            "ground": "solutions",
+            "threshold": "1/1",
+        })
+    return qdnfs, sources
+
+
+def test_every_pipeline_writes_the_pinned_bytes(tmp_path, capsys):
+    digest = hashlib.sha256()
+
+    def run(*argv, out=None):
+        extra = ["--out", str(tmp_path / out)] if out else []
+        code = main(extra + list(argv))
+        shown = [a.rsplit("/", 1)[-1] for a in argv] + ([out] if out else [])
+        digest.update(f"{' '.join(shown)}\nexit {code}\n".encode())
+        digest.update(capsys.readouterr().out.encode())
+        if out and code == 0:
+            digest.update((tmp_path / out).read_bytes())
+        return str(tmp_path / out) if out else None
+
+    qdnfs, sources = _pipeline_corpus()
+    for k, payload in enumerate(qdnfs):
+        q = write_doc(tmp_path / f"q{k}.json", "qdnf", payload)
+        compiled = run("compile", q, "--pipeline", "thm2", out=f"thm2-{k}.json")
+        run("solve", compiled)
+        run("solve", run("compile", compiled, "--pipeline", "lift-feas",
+                         out=f"thm2-feas-{k}.json"))
+    # A thm2 base lifted through either gadget reduction exceeds the default cap.
+    run("compile", compiled, "--pipeline", "lift-max", out="thm2-max.json")
+    run("compile", compiled, "--pipeline", "lift-min", out="thm2-min.json")
+    for k, payload in enumerate(sources):
+        f = write_doc(tmp_path / f"f{k}.json", "cnf", payload["base"]["cnf"])
+        vc = run("compile", f, "--pipeline", "sat2vc", out=f"vc-{k}.json")
+        ss = run("compile", f, "--pipeline", "sat2ss", out=f"ss-{k}.json")
+        run("compile", vc, "--pipeline", "weight-lift", out=f"wl-{k}.json")
+        p = write_doc(tmp_path / f"p{k}.json", "pricing", payload)
+        run("solve", p, "--threshold", "1")
+        for pipeline in ("lift-max", "lift-min", "lift-feas"):
+            run("solve", run("compile", p, "--pipeline", pipeline,
+                             out=f"{pipeline}-{k}.json"))
+    run("compile", ss, "--pipeline", "weight-lift", out="wl-ss.json")
+    assert digest.hexdigest() == PIPELINE_DIGEST

@@ -20,7 +20,7 @@ from pricegame.pricing import (
     incentive_to_price,
     solve_pricing,
 )
-from pricegame.problems import cnf, sat_problem, vertex_cover_problem
+from pricegame.problems import cnf, sat_problem, subset_sum_problem, vertex_cover_problem
 from pricegame.serialize import pricing_summary
 from pricegame.sweep import decision_fields, random_formula
 
@@ -90,11 +90,11 @@ def test_optimistic_tie_breaking_favors_the_leader():
 
 def test_decide_thresholds():
     inst = two_item_instance()
-    inst.threshold = Fraction(2)
+    inst = dataclasses.replace(inst, threshold=Fraction(2))
     assert decide_pricing(inst)
-    inst.threshold = Fraction(5, 2)
+    inst = dataclasses.replace(inst, threshold=Fraction(5, 2))
     assert not decide_pricing(inst)
-    inst.threshold = Fraction(0)
+    inst = dataclasses.replace(inst, threshold=Fraction(0))
     assert decide_pricing(inst)
 
 
@@ -248,3 +248,35 @@ def test_compiled_two_pair_vertices_are_pinned():
             lines += pricing_summary(inst, solve_pricing(inst))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == PINNED_VERTEX_DIGEST
+
+
+def test_instances_are_frozen_and_replace_revalidates():
+    inst = two_item_instance()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.threshold = Fraction(1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.domain = Domain.BOX
+    with pytest.raises(ValueError):
+        dataclasses.replace(inst, threshold=-1)
+    assert dataclasses.replace(inst, threshold=3).threshold == Fraction(3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: vertex_cover_problem("abcd", [("a", "b"), ("b", "c"), ("c", "d")], threshold=2),
+    lambda: subset_sum_problem("abcd", {"a": 1, "b": 2, "c": 2, "d": 3}, target=4),
+], ids=["vertex-cover", "subset-sum"])
+def test_solves_over_a_shared_base_match_solves_over_fresh_bases(build):
+    # The follower signatures are memoised on the base problem; every solve
+    # and evaluation over the one shared base must equal the same call on a
+    # base built afresh, whatever the valuation, leader set and ground.
+    shared = build()
+    rng = random.Random(17)
+    valuations = [{v: rng.randint(0, 6) for v in "abcd"} for _ in range(4)]
+    for leader in (frozenset("a"), frozenset("bc"), frozenset("d")):
+        for ground in GroundChoice:
+            for valuation in valuations:
+                here = PricingInstance(shared, leader, valuation, ground, Domain.BOX)
+                fresh = PricingInstance(build(), leader, valuation, ground, Domain.BOX)
+                assert solve_pricing(here) == solve_pricing(fresh)
+                prices = {e: Fraction(1) for e in leader}
+                assert evaluate_prices(here, prices) == evaluate_prices(fresh, prices)

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -74,7 +75,7 @@ def test_pricing_round_trip():
 
 def test_rationals_serialize_as_fraction_strings():
     inst = compile_qdnf_pricing(qdnf(1, [{1}])).pricing
-    inst.threshold = Fraction(7, 2)
+    inst = dataclasses.replace(inst, threshold=Fraction(7, 2))
     payload = encode_pricing(inst)
     assert payload["threshold"] == "7/2"
     assert "." not in dump_document(make_document("pricing", payload))
@@ -123,3 +124,17 @@ def test_document_validation():
         load_document("{}")
     with pytest.raises(ValueError):
         load_document('{"schema_version": "0", "kind": "cnf", "payload": {}}')
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sat_problem(cnf(2, [[1, 2]], var_names=["p", "q"])),
+    lambda: sat_to_vertex_cover(cnf(2, [[1, -2], [2]])).target,
+    lambda: sat_to_subset_sum(cnf(2, [[1, 2]])).target,
+    lambda: explicit_problem([Element("a", "A"), Element("b")],
+                             [frozenset(), frozenset({"a", "b"})]),
+], ids=["sat", "vertex-cover", "subset-sum", "explicit"])
+def test_replace_copy_encodes_like_the_original(build):
+    problem = build()
+    copy = dataclasses.replace(problem)
+    assert encode_problem(copy) == encode_problem(problem)
+    assert encode_problem(decode_problem(encode_problem(copy))) == encode_problem(problem)
