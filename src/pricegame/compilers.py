@@ -40,6 +40,7 @@ from .core import (
     ReductionArtifact,
     Sense,
     check_reduction,
+    mask_sums,
 )
 from .pricing import Domain, GroundChoice, PricingInstance
 from .problems import CnfFormula, sat_problem
@@ -245,7 +246,7 @@ def _target_optimum(target: GroundProblem, cap: int) -> int | None:
     solutions = target.solution_masks(cap)
     if not solutions:
         return None
-    values = {target.weight_of_mask(m) for m in solutions}
+    values = set(mask_sums([target.weights[e.id] for e in target.universe], solutions))
     if len(values) != 1:
         raise CompileAnomalyError("target solutions do not share a common weight")
     return values.pop()

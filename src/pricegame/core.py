@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable
+from operator import ge, gt, le, lt
+from typing import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_CAP = 24
 
@@ -64,8 +65,11 @@ class GroundProblem:
     CnfFormula of a "sat" problem, the tuple of sorted edges of a
     "vertex-cover" problem, None for every other kind.
 
-    The problem caches its feasible masks and, for pricing, the follower
-    signatures of each (ground, leader mask, valuation) it was solved under.
+    The problem caches its feasible masks; its solutions, with the count of
+    feasible sets strictly better than the threshold, from one weighing pass
+    over them; and, for pricing, the follower signatures of each (ground,
+    leader mask, valuation) it was solved under.  dataclasses.replace starts
+    a copy with empty caches.
     """
 
     universe: tuple[Element, ...]
@@ -80,6 +84,7 @@ class GroundProblem:
     _index: dict[str, int] = field(init=False, repr=False)
     _weight_bits: list[int] = field(init=False, repr=False)
     _mask_cache: list[int] | None = field(default=None, init=False, repr=False)
+    _solution_cache: tuple | None = field(default=None, init=False, repr=False)
     _signature_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -116,6 +121,7 @@ class GroundProblem:
         )
 
     def weight_of_mask(self, mask: int) -> int:
+        """One mask's weight by walking its bits; the oracle for mask_sums."""
         total = 0
         bits = self._weight_bits
         while mask:
@@ -149,12 +155,50 @@ class GroundProblem:
         return self._mask_cache
 
     def solution_masks(self, cap: int = DEFAULT_CAP) -> list[int]:
+        """The feasible sets meeting the threshold, as a fresh list."""
+        return list(self._weigh(cap)[0])
+
+    def strictly_better_count(self, cap: int = DEFAULT_CAP) -> int:
+        """How many feasible sets beat the threshold strictly."""
+        return self._weigh(cap)[1]
+
+    def _weigh(self, cap: int) -> tuple[Sequence[int], int]:
+        # One pass weighs the feasible family; the strictly better sets are
+        # among the solutions.  Feasibility problems have nothing to weigh.
         masks = self.feasible_masks(cap)
         if self.sense is Sense.FEASIBILITY:
-            return list(masks)
-        if self.sense is Sense.MIN:
-            return [m for m in masks if self.weight_of_mask(m) <= self.threshold]
-        return [m for m in masks if self.weight_of_mask(m) >= self.threshold]
+            return masks, 0
+        if self._solution_cache is None:
+            meets, beats = (le, lt) if self.sense is Sense.MIN else (ge, gt)
+            t, bits = self.threshold, self._weight_bits
+            solutions = [m for m, w in zip(masks, mask_sums(bits, masks)) if meets(w, t)]
+            better = sum(1 for w in mask_sums(bits, solutions) if beats(w, t))
+            self._solution_cache = (tuple(solutions), better)
+        return self._solution_cache
+
+
+def subset_sums(values: Sequence[int]) -> list[int]:
+    """Entry m is the sum of values[i] over the bits i of m, built by doubling."""
+    sums = [0]
+    for v in values:
+        sums += [s + v for s in sums]
+    return sums
+
+
+def mask_sums(values: Sequence[int], masks: Iterable[int]) -> Iterator[int]:
+    """The sum of values[i] over the bits i of each mask, lazily and in order.
+
+    One subset_sums table of at most 256 entries per byte of the universe,
+    skipped where the byte's values are all zero, so a mask costs one lookup
+    per remaining byte.
+    """
+    chunks = [(shift, values[shift:shift + 8]) for shift in range(0, len(values), 8)]
+    tables = [(shift, subset_sums(chunk)) for shift, chunk in chunks if any(chunk)]
+    for mask in masks:
+        total = 0
+        for shift, table in tables:
+            total += table[mask >> shift & 255]
+        yield total
 
 
 def solution_set(problem: GroundProblem, cap: int = DEFAULT_CAP) -> frozenset[frozenset[str]]:
@@ -248,7 +292,7 @@ def check_reduction(
     image_mask = target.mask_of(image)
 
     tgt_solution_masks = target.solution_masks(cap)
-    strictly_better = _count_strictly_better(target, cap)
+    strictly_better = target.strictly_better_count(cap)
 
     mapped = frozenset(artifact.map_set(s) for s in src_solutions)
     projected = frozenset(target.ids_of(m & image_mask) for m in tgt_solution_masks)
@@ -264,19 +308,6 @@ def check_reduction(
     elif not tight:
         detail = f"{strictly_better} feasible sets strictly better than threshold"
     return ReductionReport(yes_eq, family_match, tight, detail)
-
-
-def _count_strictly_better(target: GroundProblem, cap: int) -> int:
-    if target.sense is Sense.FEASIBILITY:
-        return 0
-    count = 0
-    for m in target.feasible_masks(cap):
-        w = target.weight_of_mask(m)
-        if target.sense is Sense.MIN and w <= target.threshold - 1:
-            count += 1
-        elif target.sense is Sense.MAX and w >= target.threshold + 1:
-            count += 1
-    return count
 
 
 def identity_reduction(problem: GroundProblem) -> ReductionArtifact:

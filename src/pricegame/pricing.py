@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .core import DEFAULT_CAP, GroundProblem, Sense
+from .core import DEFAULT_CAP, GroundProblem, Sense, mask_sums
 from .linprog import LpStatus, make_lp, solve_lp
 
 
@@ -147,20 +147,12 @@ def _signatures(inst: PricingInstance, ground: GroundChoice, cap: int) -> _Signa
     if cached is not None:
         return cached
 
-    def value_of_mask(mask: int) -> int:
-        total = 0
-        while mask:
-            low = mask & -mask
-            total += values[low.bit_length() - 1]
-            mask ^= low
-        return total
-
     minimizing = inst.minimizing
     value_of: dict[int, int] = {}
     rep_of: dict[int, int] = {}
-    for m in _ground_masks(inst, ground, cap):
+    masks = _ground_masks(inst, ground, cap)
+    for m, val in zip(masks, mask_sums(values, masks)):
         pattern = m & leader_mask
-        val = value_of_mask(m)
         cur = value_of.get(pattern)
         if cur is None or (val < cur if minimizing else val > cur):
             value_of[pattern] = val

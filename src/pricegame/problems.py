@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Element, GroundProblem, ReductionArtifact, Sense
+from .core import Element, GroundProblem, ReductionArtifact, Sense, mask_sums, subset_sums
 
 
 class EmptyClauseError(ValueError):
@@ -84,7 +84,7 @@ def sat_problem(formula: CnfFormula) -> GroundProblem:
         universe.append(Element(formula.literal_id(v), formula.name_of(v)))
         universe.append(Element(formula.literal_id(-v), "not " + formula.name_of(v)))
     elements = tuple(universe)
-    ids = {e.id for e in elements}
+    bit = {e.id: 1 << i for i, e in enumerate(elements)}
     true_bit = [1 << (2 * v) for v in range(n)]
     false_bit = [1 << (2 * v + 1) for v in range(n)]
     clause_masks = []
@@ -96,9 +96,9 @@ def sat_problem(formula: CnfFormula) -> GroundProblem:
         clause_masks.append(mask)
 
     def feasible(subset: frozenset[str]) -> bool:
-        if not subset <= ids:
+        if not subset <= bit.keys():
             return False
-        mask = problem.mask_of(subset)
+        mask = sum(bit[i] for i in subset)
         for v in range(n):
             if (1 if mask & true_bit[v] else 0) + (1 if mask & false_bit[v] else 0) != 1:
                 return False
@@ -128,7 +128,7 @@ def sat_problem(formula: CnfFormula) -> GroundProblem:
                 if all(extended & cm for cm in closing[v]):
                     stack.append((v + 1, extended))
 
-    problem = GroundProblem(
+    return GroundProblem(
         universe=elements,
         weights={e.id: 0 for e in elements},
         threshold=0,
@@ -139,7 +139,6 @@ def sat_problem(formula: CnfFormula) -> GroundProblem:
         cost_bits=n,
         spec=formula,
     )
-    return problem
 
 
 def vertex_cover_problem(
@@ -173,7 +172,7 @@ def vertex_cover_problem(
     def feasible(subset: frozenset[str]) -> bool:
         if not subset <= set(names):
             return False
-        mask = problem.mask_of(subset)
+        mask = sum(1 << index[v] for v in subset)
         return all(mask & em for em in edge_masks)
 
     def enumerate_covers():
@@ -188,7 +187,7 @@ def vertex_cover_problem(
 
         yield from rec(0, 0, 0)
 
-    problem = GroundProblem(
+    return GroundProblem(
         universe=elements,
         weights=weights,
         threshold=threshold,
@@ -198,7 +197,6 @@ def vertex_cover_problem(
         name="vertex-cover",
         spec=edge_pairs,
     )
-    return problem
 
 
 def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> GroundProblem:
@@ -218,26 +216,12 @@ def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> Ground
         return sum(weights[i] for i in subset) <= target
 
     def enumerate_light():
+        # One table of every subset's sum, while it fits in memory.
         w = [weights[i] for i in names]
-        size = len(names)
-        if size <= 20:
-            sums = [0] * (1 << size)
-            for m in range(1, 1 << size):
-                low = m & -m
-                sums[m] = sums[m ^ low] + w[low.bit_length() - 1]
-            return (m for m in range(1 << size) if sums[m] <= target)
-
-        def walk():
-            for m in range(1 << size):
-                total, rest = 0, m
-                while rest:
-                    low = rest & -rest
-                    total += w[low.bit_length() - 1]
-                    rest ^= low
-                if total <= target:
-                    yield m
-
-        return walk()
+        if len(w) <= 20:
+            return (m for m, total in enumerate(subset_sums(w)) if total <= target)
+        masks = range(1 << len(w))
+        return (m for m, total in zip(masks, mask_sums(w, masks)) if total <= target)
 
     return GroundProblem(
         universe=elements,

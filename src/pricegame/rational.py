@@ -20,6 +20,8 @@ Rational = Fraction
 
 def parse_rational(text: str) -> Fraction:
     """Parse "a/b" or "a" (no decimal points allowed anywhere)."""
+    if not isinstance(text, str):
+        raise ValueError(f"a rational must be a string such as \"3/1\", not {text!r}")
     text = text.strip()
     if "." in text:
         raise ValueError(f"decimal notation is not accepted: {text!r}")

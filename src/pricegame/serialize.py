@@ -39,6 +39,8 @@ def dump_document(doc: dict) -> str:
 
 def load_document(text: str) -> dict:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("a document must be a JSON object")
     for field in ("schema_version", "kind", "payload"):
         if field not in doc:
             raise ValueError(f"document is missing the {field!r} field")
@@ -54,16 +56,23 @@ def encode_qdnf(q: QdnfFormula) -> dict:
     return {"pairs": q.num_pairs, "terms": [sorted(t) for t in q.terms]}
 
 
-def _field(payload: dict, name: str):
-    """A required payload field; a missing one is a malformed document."""
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _field(payload: dict, name: str, kind: type):
+    """A required payload field of one JSON type; else a malformed document."""
     if not isinstance(payload, dict) or name not in payload:
         raise ValueError(f"payload is missing the {name!r} field")
-    return payload[name]
+    value = payload[name]
+    if not isinstance(value, kind):
+        found = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ValueError(f"payload field {name!r} must be {_JSON_TYPES[kind]}, not {found}")
+    return value
 
 
 def decode_qdnf(payload: dict) -> QdnfFormula:
-    pairs = int(_field(payload, "pairs"))
-    return QdnfFormula(pairs, tuple(frozenset(t) for t in _field(payload, "terms")))
+    pairs = _field(payload, "pairs", int)
+    return QdnfFormula(pairs, tuple(frozenset(t) for t in _field(payload, "terms", list)))
 
 
 def encode_cnf(f: CnfFormula) -> dict:
@@ -74,11 +83,11 @@ def encode_cnf(f: CnfFormula) -> dict:
 
 
 def decode_cnf(payload: dict) -> CnfFormula:
-    num_vars = int(_field(payload, "num_vars"))
+    num_vars = _field(payload, "num_vars", int)
     names = payload.get("var_names")
     return CnfFormula(
         num_vars,
-        tuple(frozenset(c) for c in _field(payload, "clauses")),
+        tuple(frozenset(c) for c in _field(payload, "clauses", list)),
         tuple(names) if names is not None else None,
     )
 
@@ -111,32 +120,37 @@ def encode_problem(p: GroundProblem) -> dict:
     }
 
 
-def _weights(payload: dict) -> dict[str, int]:
-    return {k: int(v) for k, v in _field(payload, "weights").items()}
+def _integers(payload: dict, name: str) -> dict[str, int]:
+    mapping = _field(payload, name, dict)
+    if not all(isinstance(v, int) for v in mapping.values()):
+        raise ValueError(f"payload field {name!r} must map ids to integers")
+    return dict(mapping)
 
 
 def decode_problem(payload: dict) -> GroundProblem:
-    flavor = _field(payload, "problem")
+    flavor = _field(payload, "problem", str)
     if flavor == "sat":
-        return sat_problem(decode_cnf(_field(payload, "cnf")))
+        return sat_problem(decode_cnf(_field(payload, "cnf", dict)))
     if flavor == "vertex-cover":
         return vertex_cover_problem(
-            _field(payload, "vertices"),
-            [tuple(e) for e in _field(payload, "edges")],
-            int(_field(payload, "threshold")),
-            _weights(payload),
+            _field(payload, "vertices", list),
+            [tuple(e) for e in _field(payload, "edges", list)],
+            _field(payload, "threshold", int),
+            _integers(payload, "weights"),
         )
     if flavor == "subset-sum":
         return subset_sum_problem(
-            _field(payload, "items"), _weights(payload), int(_field(payload, "target"))
+            _field(payload, "items", list),
+            _integers(payload, "weights"),
+            _field(payload, "target", int),
         )
     if flavor == "explicit":
         return explicit_problem(
-            (Element(i, label) for i, label in _field(payload, "universe")),
-            (frozenset(s) for s in _field(payload, "feasible_sets")),
-            _weights(payload),
-            int(_field(payload, "threshold")),
-            Sense(_field(payload, "sense")),
+            (Element(i, label) for i, label in _field(payload, "universe", list)),
+            (frozenset(s) for s in _field(payload, "feasible_sets", list)),
+            _integers(payload, "weights"),
+            _field(payload, "threshold", int),
+            Sense(_field(payload, "sense", str)),
         )
     raise ValueError(f"unknown problem flavor {flavor!r}")
 
@@ -154,12 +168,12 @@ def encode_pricing(inst: PricingInstance) -> dict:
 
 def decode_pricing(payload: dict) -> PricingInstance:
     return PricingInstance(
-        base=decode_problem(_field(payload, "base")),
-        leader_ids=frozenset(_field(payload, "leader")),
-        valuation={k: int(v) for k, v in _field(payload, "valuation").items()},
-        ground=GroundChoice(_field(payload, "ground")),
-        domain=Domain(_field(payload, "domain")),
-        threshold=parse_rational(_field(payload, "threshold")),
+        base=decode_problem(_field(payload, "base", dict)),
+        leader_ids=frozenset(_field(payload, "leader", list)),
+        valuation=_integers(payload, "valuation"),
+        ground=GroundChoice(_field(payload, "ground", str)),
+        domain=Domain(_field(payload, "domain", str)),
+        threshold=parse_rational(_field(payload, "threshold", str)),
     )
 
 
@@ -172,11 +186,11 @@ def encode_artifact(artifact: ReductionArtifact, source: GroundProblem) -> dict:
 
 
 def decode_artifact(payload: dict) -> tuple[GroundProblem, ReductionArtifact]:
-    source = decode_problem(_field(payload, "source"))
+    source = decode_problem(_field(payload, "source", dict))
     artifact = ReductionArtifact(
         source_universe=source.universe,
-        target=decode_problem(_field(payload, "target")),
-        embedding=dict(_field(payload, "embedding")),
+        target=decode_problem(_field(payload, "target", dict)),
+        embedding=dict(_field(payload, "embedding", dict)),
     )
     return source, artifact
 

@@ -187,6 +187,25 @@ def test_malformed_documents_say_what_is_wrong(tmp_path, capsys):
         assert err.startswith("error:") and wrong in err
 
 
+def test_wrong_json_types_name_the_field_and_the_type(tmp_path, capsys):
+    two_item_pricing_doc(tmp_path)
+    payload = load_document((tmp_path / "two.json").read_text())["payload"]
+    vc_base = {"problem": "vertex-cover", "vertices": ["u", "v"], "edges": [["u", "v"]],
+               "weights": [1, 1], "threshold": 1}
+    cases = (
+        (dict(payload, threshold=3), "'threshold' must be a string, not an integer"),
+        (dict(payload, valuation=[5, 3]), "'valuation' must be an object, not a list"),
+        (dict(payload, leader=[], valuation={"u": 1, "v": 1}, base=vc_base),
+         "'weights' must be an object, not a list"),
+        (dict(payload, valuation={"eL": "5", "eF": 3}), "'valuation' must map ids to integers"),
+    )
+    for k, (wrong, message) in enumerate(cases):
+        path = write_doc(tmp_path / f"wrong-{k}.json", "pricing", wrong)
+        assert main(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+
 def test_sweep_reports_are_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["--seed", "9", "verify-sweep", "--pairs", "1", "--max-terms", "2",

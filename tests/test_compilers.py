@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -27,6 +28,14 @@ from pricegame.pricing import (
     solve_pricing,
 )
 from pricegame.problems import cnf, sat_problem, sat_to_subset_sum, sat_to_vertex_cover
+from pricegame.serialize import (
+    decode_pricing,
+    dump_document,
+    encode_pricing,
+    load_document,
+    make_document,
+    pricing_summary,
+)
 from pricegame.sweep import random_formula
 
 
@@ -221,3 +230,40 @@ def test_three_pair_compiled_decision_matches_oracle(seed, expected):
     q = random_formula(random.Random(seed), 3, 3)
     assert qdnf_holds(q) is expected
     assert decide_pricing(compile_qdnf_pricing(q).pricing) is expected
+
+
+# sha256 of the summaries and documents below, recorded before the weighing
+# of ground families was batched; every lifted document and solve must keep
+# these bytes.
+LIFT_CHAIN_DIGEST = "e143e07e333d48923c591c5c63c1b78fb9800f77a40bda912f29c933bece21e7"
+
+
+def seeded_sat_sources(rng, count):
+    for _ in range(count):
+        num_vars = rng.randint(2, 5)
+        clauses = []
+        for _ in range(rng.randint(1, 3)):
+            variables = rng.sample(range(1, num_vars + 1), rng.randint(1, min(3, num_vars)))
+            clauses.append([v if rng.randint(0, 1) else -v for v in variables])
+        formula = cnf(num_vars, clauses)
+        base = sat_problem(formula)
+        leader = {e.id for e in base.universe if rng.randint(0, 2) == 0}
+        valuation = {e.id: rng.randint(0, 5) for e in base.universe}
+        yield formula, source_instance(formula, leader, valuation)
+
+
+def test_lift_chain_writes_the_pinned_bytes():
+    hasher = hashlib.sha256()
+    for k, (formula, src) in enumerate(seeded_sat_sources(random.Random(5), 16)):
+        for mode, lift, artifact in (
+            ("min", lift_min, sat_to_vertex_cover(formula)),
+            ("max", lift_max, sat_to_subset_sum(formula)),
+            ("feas", lift_feas, identity_reduction(src.base)),
+        ):
+            lifted, params = lift(src, artifact)
+            text = dump_document(make_document("pricing", encode_pricing(lifted)))
+            decoded = decode_pricing(load_document(text)["payload"])
+            lines = [f"source {k} lift {mode} optimum {params.target_optimum}"]
+            lines += pricing_summary(decoded, solve_pricing(decoded))
+            hasher.update(("\n".join(lines) + "\n" + text).encode())
+    assert hasher.hexdigest() == LIFT_CHAIN_DIGEST

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pricegame.compilers import weight_lift
 from pricegame.core import (
     CapExceededError,
     Element,
@@ -11,6 +14,7 @@ from pricegame.core import (
     check_reduction,
     explicit_problem,
     identity_reduction,
+    mask_sums,
     solution_set,
 )
 from pricegame.problems import cnf, sat_problem, sat_to_vertex_cover, vertex_cover_problem
@@ -126,3 +130,81 @@ def test_explicit_problem_solution_set_matches_threshold_filter(family, threshol
     )
     expected = {frozenset(s) for s in family if len(s) <= threshold}
     assert solution_set(problem) == expected
+
+
+@st.composite
+def weighed_universes(draw):
+    """Values over 0-40 elements, some whole bytes zero, some above 2^30."""
+    size = draw(st.integers(min_value=0, max_value=40))
+    value = st.one_of(st.just(0), st.integers(0, 9), st.integers(2**30, 2**62))
+    values = draw(st.lists(value, min_size=size, max_size=size))
+    for byte in draw(st.sets(st.integers(min_value=0, max_value=4))):
+        values[8 * byte:8 * byte + 8] = [0] * len(values[8 * byte:8 * byte + 8])
+    masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << size) - 1), max_size=30))
+    return values, masks
+
+
+@given(weighed_universes())
+@settings(max_examples=150, deadline=None)
+def test_mask_sums_match_the_bit_walk(drawn):
+    values, masks = drawn
+    universe = tuple(Element(f"e{i}") for i in range(len(values)))
+    weights = {e.id: v for e, v in zip(universe, values)}
+    problem = GroundProblem(universe, weights, 0, Sense.MAX, lambda s: True)
+    assert list(mask_sums(values, masks)) == [problem.weight_of_mask(m) for m in masks]
+    assert list(mask_sums(tuple(values), iter(masks))) == list(mask_sums(values, masks))
+
+
+@st.composite
+def weighed_problems(draw):
+    sense = draw(st.sampled_from(Sense))
+    universe = [Element(x) for x in "abcdef"]
+    family = draw(st.sets(st.frozensets(st.sampled_from("abcdef")), max_size=20))
+    if sense is Sense.FEASIBILITY:
+        weights, threshold = None, 0
+    else:
+        weights = {e.id: draw(st.integers(0, 5)) for e in universe}
+        threshold = draw(st.integers(0, 20))
+    return explicit_problem(universe, family, weights, threshold, sense)
+
+
+def per_mask_oracle(problem):
+    """Solutions and strictly better count, one weight_of_mask per member."""
+    if problem.sense is Sense.FEASIBILITY:
+        return problem.feasible_masks(), 0
+    minimizing, t = problem.sense is Sense.MIN, problem.threshold
+    solutions, better = [], 0
+    for m in problem.feasible_masks():
+        w = problem.weight_of_mask(m)
+        if (w <= t) if minimizing else (w >= t):
+            solutions.append(m)
+        better += (w < t) if minimizing else (w > t)
+    return solutions, better
+
+
+@given(weighed_problems(), st.integers(0, 20))
+@settings(max_examples=150, deadline=None)
+def test_weighing_cache_matches_a_per_mask_oracle(problem, other_threshold):
+    expected = per_mask_oracle(problem)
+    returned = problem.solution_masks()
+    assert (returned, problem.strictly_better_count()) == expected
+    returned.append(-1)
+    returned.reverse()
+    assert problem.solution_masks() == expected[0]
+    if problem.sense is not Sense.FEASIBILITY:
+        copy = dataclasses.replace(problem, threshold=other_threshold)
+        assert (copy.solution_masks(), copy.strictly_better_count()) == per_mask_oracle(copy)
+        assert (problem.solution_masks(), problem.strictly_better_count()) == expected
+
+
+def test_weight_lift_copy_weighs_afresh():
+    # Every feasible set weighs zero, so all three are solutions; the lift
+    # makes a and b weigh one each under threshold one, which drops {a, b}.
+    universe = [Element(x) for x in "abcd"]
+    family = [frozenset("a"), frozenset("ab"), frozenset("cd")]
+    problem = explicit_problem(universe, family, {x: 0 for x in "abcd"}, 0, Sense.MIN)
+    assert len(problem.solution_masks()) == 3
+    lifted = weight_lift(problem, {"a", "b"})
+    assert solution_set(lifted) == {frozenset("a"), frozenset("cd")}
+    assert lifted.strictly_better_count() == 1
+    assert len(problem.solution_masks()) == 3

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -174,3 +176,64 @@ def test_pruned_sat_enumerator_matches_brute_force_scan(formula):
     oracle = sat_problem(formula)
     oracle.mask_enumerator = None
     assert problem.feasible_masks() == oracle.feasible_masks()
+
+
+@st.composite
+def small_subset_sums(draw):
+    # At most 12 items: the table-of-sums path, and a cheap brute-force scan.
+    size = draw(st.integers(min_value=0, max_value=12))
+    weights = {f"i{k}": draw(st.integers(min_value=0, max_value=40)) for k in range(size)}
+    return subset_sum_problem(list(weights), weights, draw(st.integers(0, 120)))
+
+
+@given(small_subset_sums())
+@settings(max_examples=100, deadline=None)
+def test_subset_sum_enumerator_matches_brute_force_scan(problem):
+    raw = list(problem.mask_enumerator())
+    assert len(raw) == len(set(raw))
+    oracle = subset_sum_problem(
+        [e.id for e in problem.universe], problem.weights, problem.threshold
+    )
+    oracle.mask_enumerator = None
+    assert problem.feasible_masks() == oracle.feasible_masks()
+    assert problem.solution_masks() == oracle.solution_masks()
+
+
+@st.composite
+def small_graphs(draw):
+    size = draw(st.integers(min_value=1, max_value=10))
+    vertices = [f"v{k}" for k in range(size)]
+    pairs = list(itertools.combinations(vertices, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return vertices, edges, draw(st.integers(min_value=0, max_value=size))
+
+
+@given(small_graphs())
+@settings(max_examples=100, deadline=None)
+def test_vertex_cover_enumerator_matches_brute_force_scan(graph):
+    problem = vertex_cover_problem(*graph)
+    raw = list(problem.mask_enumerator())
+    assert len(raw) == len(set(raw))
+    oracle = vertex_cover_problem(*graph)
+    oracle.mask_enumerator = None
+    assert problem.feasible_masks() == oracle.feasible_masks()
+    assert problem.solution_masks() == oracle.solution_masks()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sat_problem(cnf(3, [[1, -2], [2, 3]])),
+    lambda: vertex_cover_problem("abc", [("a", "b"), ("b", "c")], threshold=1),
+    lambda: subset_sum_problem("abc", {"a": 1, "b": 2, "c": 3}, target=3),
+], ids=["sat", "vertex-cover", "subset-sum"])
+def test_problems_are_freed_without_the_cycle_collector(build):
+    # A problem whose oracle closed over the problem itself would keep its
+    # enumerated family alive until a full collection, after every operation.
+    problem = build()
+    problem.solution_masks()
+    ref = weakref.ref(problem)
+    gc.disable()
+    try:
+        del problem
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -17,6 +17,12 @@ def test_decimal_notation_rejected():
         parse_rational("0.5")
 
 
+def test_non_string_rejected_with_the_expected_type():
+    for value in (3, [1, 2], None):
+        with pytest.raises(ValueError, match="must be a string"):
+            parse_rational(value)
+
+
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=97
 )
