@@ -2,12 +2,16 @@
 
 A small two-phase simplex used by the per-candidate leader optimization.
 Variables are free unless bounds are given; constraints may be <=, >= or =.
-The tableau holds Python integers over one common denominator: each row is
-scaled to integers by the lcm of its denominators, and pivots are
-fraction-free (Edmonds/Bareiss), so every division is exact.  The witness
-is read back as Fractions and checked against every constraint and bound in
-Fraction arithmetic.  Pivot selection follows Bland's rule, so with exact
-arithmetic the method always terminates.
+LP data are Python ints or Fractions, and the solver works in integers
+from end to end: each row is scaled to integers by the lcm of its
+denominators (an int has denominator 1, so integral data is not scaled),
+the tableau holds Python integers over one common denominator, and pivots
+are fraction-free (Edmonds/Bareiss), so every division is exact.  The
+witness is read back as integers over a common denominator ``D`` and
+checked in integer arithmetic against every constraint (``a.(x D) <= b D``)
+and every bound.  Fractions are built only for the returned witness and
+value.  Pivot selection follows Bland's rule, so with exact arithmetic the
+method always terminates.
 
 Not built for scale: instances here have a handful of variables and at most
 a few hundred constraints.
@@ -19,11 +23,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from operator import add, mul, neg, sub
 from typing import Sequence
 
 Relation = str  # "<=", ">=", "="
 
 _RELATIONS = ("<=", ">=", "=")
+_EXACT_TYPES = frozenset({int, Fraction})
 
 
 class LpStatus(Enum):
@@ -32,29 +38,47 @@ class LpStatus(Enum):
     UNBOUNDED = "unbounded"
 
 
+def _require_exact(values, what: str) -> None:
+    """Raise TypeError unless every value is an int (not a bool) or a Fraction."""
+    if _EXACT_TYPES.issuperset(map(type, values)):
+        return
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise TypeError(f"{what} {v!r} is not an int or a Fraction")
+
+
 @dataclass(frozen=True)
 class LinearProgram:
-    """Maximize objective . x subject to constraints and optional bounds."""
+    """Maximize objective . x subject to constraints and optional bounds.
+
+    Every coefficient, right-hand side and bound is an int or a Fraction;
+    ``make_lp`` coerces other numbers.
+    """
 
     num_vars: int
-    objective: tuple[Fraction, ...]
-    constraints: tuple[tuple[tuple[Fraction, ...], Relation, Fraction], ...]
-    lower: dict[int, Fraction] = field(default_factory=dict)
-    upper: dict[int, Fraction] = field(default_factory=dict)
+    objective: tuple[int | Fraction, ...]
+    constraints: tuple[tuple[tuple[int | Fraction, ...], Relation, int | Fraction], ...]
+    lower: dict[int, int | Fraction] = field(default_factory=dict)
+    upper: dict[int, int | Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.num_vars < 1:
             raise ValueError("a linear program needs at least one variable")
         if len(self.objective) != self.num_vars:
             raise ValueError("objective length does not match num_vars")
+        _require_exact(self.objective, "objective coefficient")
         for coeffs, rel, _ in self.constraints:
             if len(coeffs) != self.num_vars:
                 raise ValueError("constraint coefficient vector has wrong length")
             if rel not in _RELATIONS:
                 raise ValueError(f"unknown relation {rel!r}")
+            _require_exact(coeffs, "constraint coefficient")
+        _require_exact([rhs for _, _, rhs in self.constraints], "right-hand side")
         for j in set(self.lower) | set(self.upper):
             if not 0 <= j < self.num_vars:
                 raise ValueError(f"bound on unknown variable {j}")
+        _require_exact(self.lower.values(), "lower bound")
+        _require_exact(self.upper.values(), "upper bound")
         for j, lo in self.lower.items():
             up = self.upper.get(j)
             if up is not None and lo > up:
@@ -84,10 +108,6 @@ def make_lp(objective: Sequence, constraints: Sequence, lower=None, upper=None) 
     return LinearProgram(len(obj), obj, rows, lo, up)
 
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
 class _Tableau:
     """Dense integer simplex tableau in minimization form with Bland pivoting.
 
@@ -108,7 +128,7 @@ class _Tableau:
         prow = self.rows[r]
         p = prow[j]
         if p < 0:
-            prow = self.rows[r] = [-v for v in prow]
+            prow = self.rows[r] = list(map(neg, prow))
             p = -p
         d = self.d
         for i, row in enumerate(self.rows):
@@ -161,82 +181,94 @@ def _eliminate(row, prow, p, d, j):
             return row
         return [p * a // d for a in row]
     if d == 1:
+        if p == 1:
+            # The most common update on 0/+-1 data: a plain row sum.
+            if f == 1:
+                return list(map(sub, row, prow))
+            if f == -1:
+                return list(map(add, row, prow))
         return [p * a - f * b for a, b in zip(row, prow)]
     return [(p * a - f * b) // d for a, b in zip(row, prow)]
 
 
 def _integer_row(values) -> tuple[int, list[int]]:
-    """Scale Fractions by the lcm of their denominators; return (lcm, ints)."""
+    """Scale ints and Fractions by the lcm of their denominators; return (lcm, ints)."""
     scale = lcm(*[v.denominator for v in values])
+    if scale == 1:
+        return 1, [v.numerator for v in values]
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _standardize(lp: LinearProgram):
-    """Rewrite into min-form standard data with nonnegative variables.
+def _integer_rows(lp: LinearProgram) -> list[tuple[int, list[int], Relation]]:
+    """Each constraint as (scale, integer coefficients then rhs, relation)."""
+    return [(*_integer_row([*coeffs, rhs]), rel) for coeffs, rel, rhs in lp.constraints]
 
-    Returns (columns_per_var, offsets, rows) where original variable j equals
-    offsets[j] + sum(sign * u[k] for k, sign in columns_per_var[j]) and every
-    row is (coeffs over u, rhs) understood as an equality with rhs >= 0 still
-    to be arranged by the caller.
+
+def _standardize(lp: LinearProgram, rows):
+    """Rewrite integer rows over nonnegative standard columns u.
+
+    Returns (plan, offsets, den, std_rows): plan[col] is the (variable,
+    sign) of standard column col, and original variable j equals
+    offsets[j] / den plus the signed sum of its columns, with integer
+    offsets over the lcm ``den`` of their denominators.  Each std row is
+    (integer coefficients over u, relation, integer rhs, scale): the
+    original constraint multiplied by the positive scale, with rhs >= 0
+    still to be arranged by the caller.
     """
-    col_map: list[list[tuple[int, int]]] = []
-    offsets: list[Fraction] = []
-    extra_rows = []
-    next_col = 0
+    plan: list[tuple[int, int]] = []
+    offsets = []
+    box = []
     for j in range(lp.num_vars):
         lo = lp.lower.get(j)
         up = lp.upper.get(j)
         if lo is not None:
-            col_map.append([(next_col, 1)])
+            plan.append((j, 1))
             offsets.append(lo)
             if up is not None:
-                extra_rows.append(({next_col: ONE}, "<=", up - lo))
-            next_col += 1
+                box.append((len(plan) - 1, up - lo))
         elif up is not None:
-            col_map.append([(next_col, -1)])
+            plan.append((j, -1))
             offsets.append(up)
-            next_col += 1
         else:
-            col_map.append([(next_col, 1), (next_col + 1, -1)])
-            offsets.append(ZERO)
-            next_col += 2
+            plan += [(j, 1), (j, -1)]
+            offsets.append(0)
+    den, offsets = _integer_row(offsets)
 
-    # Each column belongs to one variable, so no coefficient accumulates.
-    rows = []
-    for coeffs, rel, rhs in lp.constraints:
-        std = {}
-        shift = ZERO
-        for j, a in enumerate(coeffs):
-            if a == 0:
-                continue
-            if offsets[j]:
-                shift += a * offsets[j]
-            for col, sign in col_map[j]:
-                std[col] = a if sign > 0 else -a
-        rows.append((std, rel, rhs - shift))
-    rows.extend(extra_rows)
-    return col_map, offsets, rows, next_col
+    # Multiplying a row by den keeps it integral after the offsets shift it.
+    unit = [(j, sign * den) for j, sign in plan]
+    shifts = [(j, o) for j, o in enumerate(offsets) if o]
+    std_rows = []
+    for scale, ints, rel in rows:
+        rhs = ints[-1] * den
+        for j, o in shifts:
+            rhs -= ints[j] * o
+        std_rows.append(([f * ints[j] for j, f in unit], rel, rhs, scale * den))
+    for col, width in box:
+        scale, (a, rhs) = _integer_row([1, width])
+        coeffs = [0] * len(plan)
+        coeffs[col] = a
+        std_rows.append((coeffs, "<=", rhs, scale))
+    return plan, offsets, den, std_rows
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Exact optimum of a rational LP, with status and witness point."""
-    col_map, offsets, std_rows, nstd = _standardize(lp)
+    int_rows = _integer_rows(lp)
+    plan, offsets, den, std_rows = _standardize(lp, int_rows)
     m = len(std_rows)
+    nstd = len(plan)
 
-    # Integer equality rows with slack or surplus columns, rhs made
-    # nonnegative.  Each row is scaled by the lcm of its denominators; its
-    # slack keeps coefficient +-1, which only rescales that column.
-    nslack = sum(1 for _, rel, _ in std_rows if rel != "=")
+    # Equality rows with slack or surplus columns, rhs made nonnegative.  A
+    # row's slack keeps coefficient +-1 whatever the row's scale, which only
+    # rescales that column.
+    nslack = sum(1 for _, rel, _, _ in std_rows if rel != "=")
     ncols = nstd + nslack
     rows = []
     row_scale = []
     slack_col = nstd
     slack_of_row = []
-    for coeffs, rel, rhs in std_rows:
-        scale, ints = _integer_row([*coeffs.values(), rhs])
-        row = [0] * ncols + [ints[-1]]
-        for col, a in zip(coeffs, ints):
-            row[col] = a
+    for coeffs, rel, rhs, scale in std_rows:
+        row = coeffs + [0] * nslack + [rhs]
         if rel == "<=":
             row[slack_col] = 1
             slack_of_row.append(slack_col)
@@ -247,8 +279,8 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
             slack_col += 1
         else:
             slack_of_row.append(-1)
-        if row[-1] < 0:
-            row = [-v for v in row]
+        if rhs < 0:
+            row = list(map(neg, row))
         rows.append(row)
         row_scale.append(scale)
 
@@ -263,8 +295,9 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
             artificial_rows.append(i)
     nart = len(artificial_rows)
     total = ncols + nart
-    for i in range(m):
-        rows[i] = rows[i][:-1] + [0] * nart + [rows[i][-1]]
+    if nart:
+        for row in rows:
+            row[ncols:ncols] = [0] * nart
     for k, i in enumerate(artificial_rows):
         rows[i][ncols + k] = 1
         basis[i] = ncols + k
@@ -303,16 +336,10 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         tab.rows = [tab.rows[i][:ncols] + [tab.rows[i][-1]] for i in keep]
         tab.basis = [tab.basis[i] for i in keep]
         tab.ncols = ncols
-    # Phase 2: minimize the negated objective over the standardized columns,
-    # scaled to integers and priced out against the basis.
-    objective = [ZERO] * ncols
-    for j in range(lp.num_vars):
-        c = lp.objective[j]
-        if c == 0:
-            continue
-        for col, sign in col_map[j]:
-            objective[col] -= c * sign
-    _, objective = _integer_row(objective)
+    # Phase 2: minimize the negated objective, scaled to integers, over the
+    # standard columns, priced out against the basis.
+    obj_scale, obj_ints = _integer_row(lp.objective)
+    objective = [-sign * obj_ints[j] for j, sign in plan] + [0] * nslack
     cost = [tab.d * c for c in objective] + [0]
     # Basic columns are unit columns, so each basic row is subtracted once,
     # times the objective coefficient of its basic variable.
@@ -324,29 +351,39 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     if outcome == "unbounded":
         return LpOutcome(LpStatus.UNBOUNDED)
 
-    std_values = [ZERO] * ncols
+    # The witness over the common denominator D = den * d: variable j is
+    # scaled[j] / D, where the standard column of basic row i is rhs_i / d.
+    d = tab.d
+    std_values = [0] * ncols
     for i, b in enumerate(tab.basis):
-        std_values[b] = Fraction(tab.rows[i][-1], tab.d)
-    witness = []
-    for j in range(lp.num_vars):
-        x = offsets[j]
-        for col, sign in col_map[j]:
-            x += sign * std_values[col]
-        witness.append(x)
-    value = sum((c * x for c, x in zip(lp.objective, witness)), ZERO)
-    _check_witness(lp, witness)
-    return LpOutcome(LpStatus.OPTIMAL, value, tuple(witness))
+        std_values[b] = tab.rows[i][-1]
+    totals = [0] * lp.num_vars
+    for (j, sign), u in zip(plan, std_values):
+        totals[j] += sign * u
+    scaled = [offset * d + den * t for offset, t in zip(offsets, totals)]
+    common = den * d
+    _check_witness(lp, int_rows, scaled, common)
+    value = Fraction(sum(map(mul, obj_ints, scaled)), obj_scale * common)
+    witness = tuple([Fraction(x, common) for x in scaled])
+    return LpOutcome(LpStatus.OPTIMAL, value, witness)
 
 
-def _check_witness(lp: LinearProgram, witness) -> None:
-    for coeffs, rel, rhs in lp.constraints:
-        lhs = sum((a * x for a, x in zip(coeffs, witness) if a), ZERO)
+def _check_witness(lp: LinearProgram, int_rows, scaled, common: int) -> None:
+    """Raise unless the point scaled / common meets every row and bound of lp.
+
+    int_rows are the constraints as integers (``_integer_rows``), each a
+    positive multiple of the original, so a row a.x <= b is checked as
+    a.scaled <= b * common, all in integers.
+    """
+    for _, ints, rel in int_rows:
+        lhs = sum(map(mul, ints, scaled))
+        rhs = ints[-1] * common
         ok = lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
         if not ok:
             raise RuntimeError("simplex produced a witness violating a constraint")
     for j, lo in lp.lower.items():
-        if witness[j] < lo:
+        if scaled[j] * lo.denominator < lo.numerator * common:
             raise RuntimeError("simplex witness violates a lower bound")
     for j, up in lp.upper.items():
-        if witness[j] > up:
+        if scaled[j] * up.denominator > up.numerator * common:
             raise RuntimeError("simplex witness violates an upper bound")

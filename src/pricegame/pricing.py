@@ -28,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import sub
 
 from .core import DEFAULT_CAP, GroundProblem, Sense, mask_sums
-from .linprog import LpStatus, make_lp, solve_lp
+from .linprog import LinearProgram, LpStatus, solve_lp
 
 
 class Domain(Enum):
@@ -165,16 +166,16 @@ def _signatures(inst: PricingInstance, ground: GroundChoice, cap: int) -> _Signa
 
 
 def _domain_bounds(inst: PricingInstance, var_ids: list[str]):
-    lower: dict[int, Fraction] = {}
-    upper: dict[int, Fraction] = {}
+    lower: dict[int, int] = {}
+    upper: dict[int, int] = {}
     for k, e in enumerate(var_ids):
-        cap_value = Fraction(inst.valuation[e])
+        cap_value = inst.valuation[e]
         if inst.domain is Domain.NONNEG:
-            lower[k] = Fraction(0)
+            lower[k] = 0
         elif inst.domain is Domain.CAPPED:
             upper[k] = cap_value
         elif inst.domain is Domain.BOX:
-            lower[k] = Fraction(0)
+            lower[k] = 0
             upper[k] = cap_value
         elif inst.domain is Domain.LOWER_CAP:
             lower[k] = -cap_value
@@ -203,19 +204,20 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
     var_ids = [base.universe[b].id for b in var_bits]
     var_pos = {b: k for k, b in enumerate(var_bits)}
 
-    def pattern_coeffs(pattern: int) -> list[int]:
+    # Each pattern's 0/1 price vector over var_bits, built once per solve.
+    vector: dict[int, tuple[int, ...]] = {}
+    for pattern in sig.value_of:
         coeffs = [0] * len(var_bits)
         for b in _canon_key(pattern):
             coeffs[var_pos[b]] = 1
-        return coeffs
+        vector[pattern] = tuple(coeffs)
 
-    def upper_bound(pattern: int) -> Fraction:
+    def upper_bound(pattern: int) -> int:
         if 0 in sig.value_of:
-            gap = sig.value_of[0] - sig.value_of[pattern] if minimizing \
+            return sig.value_of[0] - sig.value_of[pattern] if minimizing \
                 else sig.value_of[pattern] - sig.value_of[0]
-            return Fraction(gap)
         # No all-follower member: only reachable under price caps.
-        return Fraction(sum(inst.valuation[base.universe[b].id] for b in _canon_key(pattern)))
+        return sum(inst.valuation[base.universe[b].id] for b in _canon_key(pattern))
 
     best_value: Fraction | None = None
     best_pattern: int | None = None
@@ -238,18 +240,17 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
             if not feasible:
                 continue
         else:
-            objective = pattern_coeffs(pattern)
+            # Stay follower-optimal against every other pattern: the price
+            # difference is at most the base-value gap.
+            objective = vector[pattern]
             rows = []
             for other, other_value in sig.value_of.items():
                 if other == pattern:
                     continue
-                coeffs = list(objective)
-                for b in _canon_key(other):
-                    coeffs[var_pos[b]] -= 1
                 gap = other_value - sig.value_of[pattern] if minimizing \
                     else sig.value_of[pattern] - other_value
-                rows.append((coeffs, "<=", gap))
-            lp = make_lp(objective, rows, lower=lower, upper=upper)
+                rows.append((tuple(list(map(sub, objective, vector[other]))), "<=", gap))
+            lp = LinearProgram(len(objective), objective, tuple(rows), lower, upper)
             outcome = solve_lp(lp)
             if outcome.status is LpStatus.INFEASIBLE:
                 continue  # this candidate is never a follower optimum
@@ -262,7 +263,11 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
         if better:
             best_value, best_pattern, best_witness = value, pattern, witness
 
-    assert best_value is not None, "some candidate LP is always feasible"
+    if best_value is None:
+        raise RuntimeError(
+            "every candidate LP is infeasible, yet some pattern is follower-optimal"
+            " at any admissible prices"
+        )
     prices = {e: Fraction(0) for e in inst.leader_ids}
     for k, e in enumerate(var_ids):
         prices[e] = best_witness[k] if best_witness else Fraction(0)

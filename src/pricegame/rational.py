@@ -2,8 +2,8 @@
 
 Every number that can reach a threshold comparison in this package is a
 Rational.  There is no floating point in any optimization path: leader
-values, follower values, prices and LP data are all exact fractions, and
-all comparisons are exact.
+values, follower values and prices are exact fractions, LP data are
+integers or exact fractions, and all comparisons are exact.
 
 Rational is the standard library Fraction, which already maintains the
 canonical form we rely on: positive denominator, gcd-reduced after every

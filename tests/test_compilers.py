@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -267,3 +268,20 @@ def test_lift_chain_writes_the_pinned_bytes():
             lines += pricing_summary(decoded, solve_pricing(decoded))
             hasher.update(("\n".join(lines) + "\n" + text).encode())
     assert hasher.hexdigest() == LIFT_CHAIN_DIGEST
+
+
+# sha256 of the summaries below, recorded before the LP moved to integer
+# data.  Lower-cap prices are bounded below by minus the valuation, so these
+# solves shift their variables by negative offsets; the printed prices and
+# responses must keep these bytes.
+LOWER_CAP_DIGEST = "97c2f3dbf3390d52004297773bf07621a785b1a8b36af068dfecab6ad9c48e97"
+
+
+def test_lower_cap_solves_of_lifted_sources_are_pinned():
+    lines = []
+    for k, (formula, src) in enumerate(seeded_sat_sources(random.Random(5), 32)):
+        lifted, _ = lift_min(src, sat_to_vertex_cover(formula))
+        inst = dataclasses.replace(lifted, domain=Domain.LOWER_CAP)
+        lines += [f"source {k} lowercap"]
+        lines += pricing_summary(inst, solve_pricing(inst))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LOWER_CAP_DIGEST

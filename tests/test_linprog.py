@@ -1,10 +1,19 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pricegame.linprog import LinearProgram, LpStatus, make_lp, solve_lp
+from pricegame.linprog import (
+    LinearProgram,
+    LpStatus,
+    _check_witness,
+    _eliminate,
+    _integer_rows,
+    make_lp,
+    solve_lp,
+)
 
 from lp_oracle import (
     farkas_certificate,
@@ -55,6 +64,28 @@ def test_malformed_dimensions_rejected():
         make_lp([1], [([1], "<<", 0)])
     with pytest.raises(ValueError):
         make_lp([1], [], lower={0: 2}, upper={0: 1})
+
+
+@pytest.mark.parametrize("build, what", [
+    (lambda: LinearProgram(1, (0.5,), ()), "objective coefficient"),
+    (lambda: LinearProgram(1, (1,), (((1.0,), "<=", 1),)), "constraint coefficient"),
+    (lambda: LinearProgram(1, (1,), (((1,), "<=", 2.5),)), "right-hand side"),
+    (lambda: LinearProgram(1, (1,), (), {0: 0.0}), "lower bound"),
+    (lambda: LinearProgram(1, (1,), (), {}, {0: True}), "upper bound"),
+    (lambda: LinearProgram(1, (False,), ()), "objective coefficient"),
+    (lambda: LinearProgram(1, (1,), (((1,), "<=", "3"),)), "right-hand side"),
+], ids=["float-objective", "float-coefficient", "float-rhs", "float-lower",
+        "bool-upper", "bool-objective", "string-rhs"])
+def test_inexact_lp_data_is_rejected(build, what):
+    with pytest.raises(TypeError, match=what):
+        build()
+
+
+def test_make_lp_still_coerces_to_fractions():
+    lp = make_lp([0.5], [([True], "<=", 1.5)], lower={0: 0}, upper={0: 2.0})
+    assert lp.objective == (Fraction(1, 2),)
+    assert lp.constraints == (((Fraction(1),), "<=", Fraction(3, 2)),)
+    assert solve_lp(lp).optimal_value == Fraction(3, 4)
 
 
 def test_negative_rhs_needs_artificial():
@@ -181,3 +212,105 @@ def test_rational_degenerate_lps_against_oracle(lp, scales):
         upper=lp.upper,
     )
     assert solve_lp(scaled) == solve_lp(lp)
+
+
+DOMAINS = ("free", "nonneg", "capped", "box", "lowercap")
+
+
+@st.composite
+def pricing_style_lp(draw):
+    """LP data shaped like a pricing candidate, as plain ints.
+
+    The objective is the candidate's 0/1 price vector, each row subtracts
+    another pattern's vector (so coefficients are 0 or +-1) against an
+    integer gap, and the bounds follow one price domain with integer caps.
+    """
+    n = draw(st.integers(1, 4))
+    vector = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    objective = draw(vector)
+    rows = [
+        (tuple([a - b for a, b in zip(objective, other)]), "<=", draw(st.integers(-6, 6)))
+        for other in draw(st.lists(vector, max_size=6))
+    ]
+    caps = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    domain = draw(st.sampled_from(DOMAINS))
+    lower, upper = {}, {}
+    for k, cap in enumerate(caps):
+        if domain in ("nonneg", "box"):
+            lower[k] = 0
+        if domain in ("capped", "box"):
+            upper[k] = cap
+        if domain == "lowercap":
+            lower[k] = -cap
+    return objective, rows, lower, upper
+
+
+@given(pricing_style_lp())
+@settings(max_examples=150, deadline=None)
+def test_integer_lps_match_their_fraction_copies(data):
+    objective, rows, lower, upper = data
+    native = LinearProgram(len(objective), tuple(objective), tuple(rows), lower, upper)
+    out = solve_lp(native)
+    assert out == solve_lp(make_lp(objective, rows, lower=lower, upper=upper))
+    if out.status is LpStatus.OPTIMAL:
+        assert type(out.optimal_value) is Fraction
+        assert all(type(x) is Fraction for x in out.witness)
+    assert_matches_oracle(native)
+
+
+@given(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=8).flatmap(
+        lambda row: st.tuples(
+            st.just(row),
+            st.lists(st.integers(-50, 50), min_size=len(row), max_size=len(row)),
+            st.integers(0, len(row) - 1),
+            st.sampled_from([-1, 1]),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_unit_pivot_fast_path_matches_the_bareiss_formula(case):
+    row, prow, j, f = case
+    row, prow = list(row), list(prow)
+    row[j], prow[j] = f, 1
+    p = d = 1
+    expected = [(p * a - f * b) // d for a, b in zip(row, prow)]
+    assert _eliminate(list(row), prow, p, d, j) == expected
+
+
+def _tight(lp):
+    """The optimum of lp as integers over a denominator of 7 times its own."""
+    out = solve_lp(lp)
+    assert out.status is LpStatus.OPTIMAL
+    common = 7 * lcm(*[x.denominator for x in out.witness])
+    return [x.numerator * (common // x.denominator) for x in out.witness], common
+
+
+@pytest.mark.parametrize("lp, j, step, message", [
+    # max x s.t. 2x <= 3: tight at x = 3/2.
+    (make_lp([1], [([2], "<=", 3)]), 0, 1, "constraint"),
+    # max -x s.t. 3x >= 2: tight at x = 2/3.
+    (make_lp([-1], [([3], ">=", 2)]), 0, -1, "constraint"),
+    # max x + y s.t. 2x + y = 1, y in [0, 1]: x = 1/2, y = 0.
+    (make_lp([1, 1], [([2, 1], "=", 1)], lower={1: 0}, upper={1: 1}), 0, 1, "constraint"),
+    (make_lp([1, 1], [([2, 1], "=", 1)], lower={1: 0}, upper={1: 1}), 0, -1, "constraint"),
+    # max -x with x >= -1/3.
+    (make_lp([-1], [], lower={0: Fraction(-1, 3)}), 0, -1, "lower bound"),
+    # max x with x <= 5/2.
+    (make_lp([1], [], upper={0: Fraction(5, 2)}), 0, 1, "upper bound"),
+    (LinearProgram(2, (1, 0), (((1, -1), "<=", 2),), {0: 0, 1: -3}, {0: 4, 1: 0}),
+     0, 1, "constraint"),
+    (LinearProgram(2, (1, 1), (), {0: -2, 1: 0}, {0: 4, 1: 3}), 1, 1, "upper bound"),
+    (LinearProgram(1, (-1,), (((1,), ">=", 2),)), 0, -1, "constraint"),
+    (LinearProgram(2, (1, 0), (((1, 1), "=", 3),), {1: 1}), 0, 1, "constraint"),
+    (LinearProgram(1, (-1,), (), {0: -2}), 0, -1, "lower bound"),
+], ids=["le-row", "ge-row", "eq-row-up", "eq-row-down", "lower", "upper",
+        "int-le-row", "int-upper", "int-ge-row", "int-eq-row", "int-lower"])
+def test_witness_moved_by_one_unit_past_a_tight_row_or_bound_fails(lp, j, step, message):
+    scaled, common = _tight(lp)
+    rows = _integer_rows(lp)
+    _check_witness(lp, rows, scaled, common)
+    moved = list(scaled)
+    moved[j] += step
+    with pytest.raises(RuntimeError, match=message):
+        _check_witness(lp, rows, moved, common)

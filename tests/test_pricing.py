@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pricegame import pricing
 from pricegame.compilers import compile_qdnf_pricing
 from pricegame.core import Element, explicit_problem
+from pricegame.linprog import LpOutcome, LpStatus
 from pricegame.pricing import (
     Domain,
     GroundChoice,
@@ -109,6 +111,14 @@ def test_no_follower_solution_is_a_distinguished_error():
     assert solve_pricing(inst).status is SolveStatus.NO_FOLLOWER_SOLUTION
     with pytest.raises(NoFollowerSolutionError):
         decide_pricing(inst)
+
+
+def test_no_feasible_candidate_is_a_runtime_error(monkeypatch):
+    # Some pattern is always follower-optimal, so this is an internal
+    # fault; it must raise even under python -O.
+    monkeypatch.setattr(pricing, "solve_lp", lambda lp: LpOutcome(LpStatus.INFEASIBLE))
+    with pytest.raises(RuntimeError, match="every candidate LP is infeasible"):
+        solve_pricing(two_item_instance())
 
 
 def test_incentive_to_price_examples():
