@@ -265,10 +265,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except CapExceededError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as err:
+    except (CapExceededError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

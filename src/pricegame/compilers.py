@@ -94,7 +94,7 @@ def qdnf_holds(q: QdnfFormula, limit: int = QDNF_PAIR_LIMIT) -> bool:
     """
     n = q.num_pairs
     if n > limit:
-        raise CapExceededError(n, limit)
+        raise CapExceededError(n, limit, f"a formula of {n} exists/forall pairs")
     terms = []
     for term in q.terms:
         pos = neg = 0

@@ -32,10 +32,14 @@ DEFAULT_CAP = 24
 
 
 class CapExceededError(RuntimeError):
-    """Raised when an enumeration would exceed the configured universe cap."""
+    """Raised when an enumeration would exceed its cap.
 
-    def __init__(self, size: int, cap: int):
-        super().__init__(f"universe of {size} elements exceeds the enumeration cap of {cap}")
+    size is the quantity counted against the cap, and counted names it with
+    its unit, as in "a universe of 30 elements".
+    """
+
+    def __init__(self, size: int, cap: int, counted: str):
+        super().__init__(f"{counted} exceeds the enumeration cap of {cap}")
         self.size = size
         self.cap = cap
 
@@ -68,7 +72,7 @@ class GroundProblem:
     The problem caches its feasible masks; its solutions, with the count of
     feasible sets strictly better than the threshold, from one weighing pass
     over them; and, for pricing, the follower signatures of each (ground,
-    leader mask, valuation) it was solved under.  dataclasses.replace starts
+    leader mask, gains, cap) it was solved under.  dataclasses.replace starts
     a copy with empty caches.
     """
 
@@ -137,14 +141,16 @@ class GroundProblem:
         pruned enumerator may declare a smaller cost_bits than its universe
         size (a satisfiability universe of 2n literals is searched over at
         most 2^n assignments), the brute-force subset scan costs the full
-        size.
+        size.  The cap is checked on every call, cached or not.
         """
+        if self.mask_enumerator is None or self.cost_bits is None:
+            if self.size > cap:
+                raise CapExceededError(self.size, cap, f"a universe of {self.size} elements")
+        elif self.cost_bits > cap:
+            raise CapExceededError(
+                self.cost_bits, cap, f"a search over {self.cost_bits} binary choices"
+            )
         if self._mask_cache is None:
-            cost = self.cost_bits if self.cost_bits is not None else self.size
-            if self.mask_enumerator is None:
-                cost = self.size
-            if cost > cap:
-                raise CapExceededError(cost, cap)
             if self.mask_enumerator is not None:
                 masks = sorted(self.mask_enumerator())
             else:

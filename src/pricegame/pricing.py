@@ -7,20 +7,25 @@ optimizing their own objective built from the fixed valuation:
     MAX / FEASIBILITY sense    maximize  valuation(X) - d(X)
     MIN sense                  minimize  valuation(X) + d(X)
 
-Among follower-optimal responses the one best for the leader is selected
-(optimistic tie-breaking), with remaining ties resolved by canonical subset
-order over the universe.
+The solver turns the sense into the sign of the follower's gain: the
+valuation, negated under MIN.  Both objectives are then one, maximize
+gain(X) - d(X), and the reported follower value is that net gain, negated
+back under MIN.  Among follower-optimal responses the one best for the
+leader is selected (optimistic tie-breaking), with remaining ties resolved
+by canonical subset order over the universe.
 
-The solver enumerates the ground family once, collapses it to the leader
-signature of each member (its intersection with the leader set plus the
-best follower base value for that intersection), and then solves one exact
-LP per surviving candidate: maximize the candidate's price revenue subject
-to the candidate staying follower-optimal against every signature, plus the
+The solver enumerates the ground family once and collapses it to leader
+patterns: each member's intersection with the leader set, kept with the
+best gain of any member on that pattern and the canonical such member.
+Every verdict is read off the patterns.  No pattern means the follower has
+no solution.  If the price domain allows arbitrarily high prices and no
+member avoids the leader's part (there is no pattern 0), revenue grows
+without bound.  Otherwise one exact LP per candidate pattern, highest
+revenue bound first, maximizes the pattern's price revenue subject to its
+price lead over every other pattern staying within its gain lead, plus the
 price-domain restriction.  The bilevel optimum is the best LP value.  An
-infeasible candidate LP just means that candidate is never an optimal
-response.  Unboundedness is recognized structurally up front: if the price
-domain allows arbitrarily high prices and every ground member touches the
-leader's part, revenue grows without bound.
+infeasible candidate LP just means that pattern is never an optimal
+response; candidates stop once the bound falls below the incumbent.
 """
 
 from __future__ import annotations
@@ -117,8 +122,7 @@ def incentive_to_price(gross_profit: dict, incentive: dict) -> dict[str, Fractio
 
 @dataclass(frozen=True)
 class _Signatures:
-    leader_mask: int
-    value_of: dict[int, int]   # leader pattern -> best follower base value
+    gain_of: dict[int, int]    # leader pattern -> best follower gain
     rep_of: dict[int, int]     # leader pattern -> canonical best member
 
 
@@ -131,38 +135,40 @@ def _canon_key(mask: int) -> tuple[int, ...]:
     return tuple(key)
 
 
-def _ground_masks(inst: PricingInstance, ground: GroundChoice, cap: int) -> list[int]:
-    if ground is GroundChoice.FEASIBLE:
-        return inst.base.feasible_masks(cap)
-    return inst.base.solution_masks(cap)
-
-
-def _signatures(inst: PricingInstance, ground: GroundChoice, cap: int) -> _Signatures:
-    # Memoised on the base problem, so fresh instances over one base share
-    # the collapse whenever they agree on everything it reads.
-    base = inst.base
-    leader_mask = base.mask_of(inst.leader_ids)
-    values = tuple(inst.valuation[e.id] for e in base.universe)
-    key = (ground, leader_mask, values)
+def _signatures(
+    base: GroundProblem, ground: GroundChoice, leader_mask: int,
+    gains: tuple[int, ...], cap: int,
+) -> _Signatures:
+    # Memoised on the base problem under the other arguments, so fresh
+    # instances over one base share the collapse.
+    key = (ground, leader_mask, gains, cap)
     cached = base._signature_cache.get(key)
     if cached is not None:
         return cached
 
-    minimizing = inst.minimizing
-    value_of: dict[int, int] = {}
+    if ground is GroundChoice.FEASIBLE:
+        masks = base.feasible_masks(cap)
+    else:
+        masks = base.solution_masks(cap)
+    gain_of: dict[int, int] = {}
     rep_of: dict[int, int] = {}
-    masks = _ground_masks(inst, ground, cap)
-    for m, val in zip(masks, mask_sums(values, masks)):
+    for m, gain in zip(masks, mask_sums(gains, masks)):
         pattern = m & leader_mask
-        cur = value_of.get(pattern)
-        if cur is None or (val < cur if minimizing else val > cur):
-            value_of[pattern] = val
+        best = gain_of.get(pattern)
+        if best is None or gain > best:
+            gain_of[pattern] = gain
             rep_of[pattern] = m
-        elif val == cur and _canon_key(m) < _canon_key(rep_of[pattern]):
+        elif gain == best and _canon_key(m) < _canon_key(rep_of[pattern]):
             rep_of[pattern] = m
-    sig = _Signatures(leader_mask, value_of, rep_of)
+    sig = _Signatures(gain_of, rep_of)
     base._signature_cache[key] = sig
     return sig
+
+
+def _collapse(inst: PricingInstance, ground: GroundChoice, cap: int) -> _Signatures:
+    sign = -1 if inst.minimizing else 1
+    gains = tuple(sign * inst.valuation[e.id] for e in inst.base.universe)
+    return _signatures(inst.base, ground, inst.base.mask_of(inst.leader_ids), gains, cap)
 
 
 def _domain_bounds(inst: PricingInstance, var_ids: list[str]):
@@ -186,19 +192,16 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
     """Exact optimistic bilevel optimum of a pricing instance."""
     if inst.domain is Domain.LOWER_CAP and not inst.minimizing:
         raise ValueError("the lower-cap domain applies to minimization instances only")
-    masks = _ground_masks(inst, inst.ground, cap)
-    if not masks:
+    sig = _collapse(inst, inst.ground, cap)
+    gain_of = sig.gain_of
+    if not gain_of:
         return PricingSolution(SolveStatus.NO_FOLLOWER_SOLUTION)
-
-    sig = _signatures(inst, inst.ground, cap)
-    leader_mask = sig.leader_mask
-    if inst.domain in _UNBOUNDED_CAPABLE and all(m & leader_mask for m in masks):
+    if inst.domain in _UNBOUNDED_CAPABLE and 0 not in gain_of:
         return PricingSolution(SolveStatus.UNBOUNDED)
 
-    minimizing = inst.minimizing
     base = inst.base
     union = 0
-    for pattern in sig.value_of:
+    for pattern in gain_of:
         union |= pattern
     var_bits = _canon_key(union)
     var_ids = [base.universe[b].id for b in var_bits]
@@ -206,50 +209,41 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
 
     # Each pattern's 0/1 price vector over var_bits, built once per solve.
     vector: dict[int, tuple[int, ...]] = {}
-    for pattern in sig.value_of:
+    for pattern in gain_of:
         coeffs = [0] * len(var_bits)
         for b in _canon_key(pattern):
             coeffs[var_pos[b]] = 1
         vector[pattern] = tuple(coeffs)
 
-    def upper_bound(pattern: int) -> int:
-        if 0 in sig.value_of:
-            return sig.value_of[0] - sig.value_of[pattern] if minimizing \
-                else sig.value_of[pattern] - sig.value_of[0]
-        # No all-follower member: only reachable under price caps.
-        return sum(inst.valuation[base.universe[b].id] for b in _canon_key(pattern))
+    # A pattern's revenue is at most its gain lead over pattern 0, or, with
+    # no all-follower member (only under price caps), the sum of its caps.
+    if 0 in gain_of:
+        bound = {p: gain - gain_of[0] for p, gain in gain_of.items()}
+    else:
+        bound = {p: sum(inst.valuation[base.universe[b].id] for b in _canon_key(p))
+                 for p in gain_of}
 
     best_value: Fraction | None = None
     best_pattern: int | None = None
     best_witness: tuple[Fraction, ...] | None = None
     lower, upper = _domain_bounds(inst, var_ids)
-
-    bound = {p: upper_bound(p) for p in sig.value_of}
-    canon = {p: _canon_key(sig.rep_of[p]) for p in sig.value_of}
-    order = sorted(sig.value_of, key=lambda p: (-bound[p], canon[p]))
+    canon = {p: _canon_key(sig.rep_of[p]) for p in gain_of}
+    order = sorted(gain_of, key=lambda p: (-bound[p], canon[p]))
     for pattern in order:
         if best_value is not None and bound[pattern] < best_value:
-            continue
+            break  # bounds only fall from here on
         if not var_bits:
+            # The one pattern is 0, which earns nothing.
             value, witness = Fraction(0), ()
-            feasible = all(
-                (sig.value_of[p] >= sig.value_of[pattern] if minimizing
-                 else sig.value_of[p] <= sig.value_of[pattern])
-                for p in sig.value_of
-            )
-            if not feasible:
-                continue
         else:
             # Stay follower-optimal against every other pattern: the price
-            # difference is at most the base-value gap.
+            # difference is at most the gain gap.
             objective = vector[pattern]
             rows = []
-            for other, other_value in sig.value_of.items():
-                if other == pattern:
-                    continue
-                gap = other_value - sig.value_of[pattern] if minimizing \
-                    else sig.value_of[pattern] - other_value
-                rows.append((tuple(list(map(sub, objective, vector[other]))), "<=", gap))
+            for other, other_gain in gain_of.items():
+                if other != pattern:
+                    gap = gain_of[pattern] - other_gain
+                    rows.append((tuple(map(sub, objective, vector[other])), "<=", gap))
             lp = LinearProgram(len(objective), objective, tuple(rows), lower, upper)
             outcome = solve_lp(lp)
             if outcome.status is LpStatus.INFEASIBLE:
@@ -269,11 +263,10 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
             " at any admissible prices"
         )
     prices = {e: Fraction(0) for e in inst.leader_ids}
-    for k, e in enumerate(var_ids):
-        prices[e] = best_witness[k] if best_witness else Fraction(0)
+    prices.update(zip(var_ids, best_witness))
     response = base.ids_of(sig.rep_of[best_pattern])
-    base_value = Fraction(sig.value_of[best_pattern])
-    follower_value = base_value + best_value if minimizing else base_value - best_value
+    net = gain_of[best_pattern] - best_value
+    follower_value = -net if inst.minimizing else net
     return PricingSolution(
         SolveStatus.OPTIMAL, prices, response, best_value, follower_value
     )
@@ -310,33 +303,23 @@ def evaluate_prices(
     """
     if set(prices) != set(inst.leader_ids):
         raise ValueError("prices must be given on exactly the leader elements")
-    ground = ground or inst.ground
-    if not _ground_masks(inst, ground, cap):
+    sig = _collapse(inst, ground or inst.ground, cap)
+    if not sig.gain_of:
         raise NoFollowerSolutionError("the follower has no admissible response")
-    sig = _signatures(inst, ground, cap)
     base = inst.base
-    minimizing = inst.minimizing
 
-    def price_of(pattern: int) -> Fraction:
-        total = Fraction(0)
-        for b in _canon_key(pattern):
-            total += Fraction(prices[base.universe[b].id])
-        return total
-
-    follower_best: Fraction | None = None
-    per_pattern: dict[int, Fraction] = {}
-    for pattern, val in sig.value_of.items():
-        d = price_of(pattern)
-        per_pattern[pattern] = d
-        obj = Fraction(val) + d if minimizing else Fraction(val) - d
-        if follower_best is None or (obj < follower_best if minimizing else obj > follower_best):
-            follower_best = obj
-    winners = [
-        p for p, val in sig.value_of.items()
-        if (Fraction(val) + per_pattern[p] if minimizing else Fraction(val) - per_pattern[p])
-        == follower_best
-    ]
-    leader_value = max(per_pattern[p] for p in winners)
-    optimal = [p for p in winners if per_pattern[p] == leader_value]
-    rep = min((sig.rep_of[p] for p in optimal), key=_canon_key)
-    return PriceEvaluation(follower_best, leader_value, base.ids_of(rep))
+    # The follower takes the best net gain, the leader the dearest of those
+    # responses, and canonical order breaks the ties that remain.
+    best_rank: tuple[Fraction, Fraction] | None = None
+    reps: list[int] = []
+    for pattern, gain in sig.gain_of.items():
+        paid = sum((Fraction(prices[base.universe[b].id]) for b in _canon_key(pattern)),
+                   Fraction(0))
+        rank = (gain - paid, paid)
+        if best_rank is None or rank > best_rank:
+            best_rank, reps = rank, [sig.rep_of[pattern]]
+        elif rank == best_rank:
+            reps.append(sig.rep_of[pattern])
+    net, leader_value = best_rank
+    follower_value = -net if inst.minimizing else net
+    return PriceEvaluation(follower_value, leader_value, base.ids_of(min(reps, key=_canon_key)))

@@ -176,16 +176,16 @@ def vertex_cover_problem(
         return all(mask & em for em in edge_masks)
 
     def enumerate_covers():
-        # Depth-first over independent sets; each complement is a cover.
-        def rec(next_vertex: int, chosen: int, banned: int):
+        # Depth-first over independent sets, each extended only by vertices
+        # after its last; each complement is a cover.
+        stack = [(0, 0, 0)]
+        while stack:
+            next_vertex, chosen, banned = stack.pop()
             yield full ^ chosen
             for v in range(next_vertex, size):
                 bit = 1 << v
-                if banned & bit:
-                    continue
-                yield from rec(v + 1, chosen | bit, banned | bit | adjacency[v])
-
-        yield from rec(0, 0, 0)
+                if not banned & bit:
+                    stack.append((v + 1, chosen | bit, banned | bit | adjacency[v]))
 
     return GroundProblem(
         universe=elements,

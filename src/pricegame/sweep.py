@@ -136,12 +136,6 @@ def check_one(
     return record
 
 
-def _worker(args) -> dict:
-    instance_id, pairs, terms, cap, corrupt, timed = args
-    q = QdnfFormula(pairs, tuple(frozenset(t) for t in terms))
-    return check_one(instance_id, q, cap, corrupt, timed)
-
-
 def run_sweep(
     spec: CorpusSpec,
     cap: int = DEFAULT_CAP,
@@ -151,8 +145,7 @@ def run_sweep(
 ) -> dict:
     items = build_corpus(spec)
     tasks = [
-        (instance_id, q.num_pairs, [sorted(t) for t in q.terms], cap,
-         inject_fault == idx, timed)
+        (instance_id, q, cap, inject_fault == idx, timed)
         for idx, (instance_id, q) in enumerate(items)
     ]
     if jobs > 1:
@@ -161,9 +154,9 @@ def run_sweep(
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            records = pool.map(_worker, tasks)
+            records = pool.starmap(check_one, tasks)
     else:
-        records = [_worker(t) for t in tasks]
+        records = [check_one(*t) for t in tasks]
     records.sort(key=lambda r: r["instance_id"])
     mismatches = [r for r in records if r["match"] is False]
     errors = [r for r in records if r["match"] is None]

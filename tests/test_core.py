@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pricegame.compilers import weight_lift
+from pricegame.compilers import qdnf, qdnf_holds, weight_lift
 from pricegame.core import (
     CapExceededError,
     Element,
@@ -43,6 +43,38 @@ def test_cap_is_enforced_and_names_the_cap():
     with pytest.raises(CapExceededError) as err:
         solution_set(problem, cap=5)
     assert "cap of 5" in str(err.value)
+
+
+def _path_cover():
+    vertices = [f"v{i}" for i in range(10)]
+    return vertex_cover_problem(vertices, list(zip(vertices, vertices[1:])), threshold=5)
+
+
+def test_cap_verdict_does_not_depend_on_call_history():
+    warm = _path_cover()
+    assert warm.feasible_masks(cap=24)
+    with pytest.raises(CapExceededError):
+        warm.feasible_masks(cap=5)
+    with pytest.raises(CapExceededError):
+        warm.solution_masks(cap=5)
+
+    cold = _path_cover()
+    with pytest.raises(CapExceededError):
+        cold.feasible_masks(cap=5)
+    assert cold.feasible_masks(cap=24) == warm.feasible_masks(cap=24)
+
+
+def test_cap_errors_name_what_they_counted():
+    with pytest.raises(CapExceededError) as err:
+        _path_cover().feasible_masks(cap=5)
+    assert str(err.value) == "a universe of 10 elements exceeds the enumeration cap of 5"
+    with pytest.raises(CapExceededError) as err:
+        sat_problem(cnf(30, [[1, -30]])).feasible_masks()
+    assert str(err.value) == "a search over 30 binary choices exceeds the enumeration cap of 24"
+    assert (err.value.size, err.value.cap) == (30, 24)
+    with pytest.raises(CapExceededError) as err:
+        qdnf_holds(qdnf(13, [{1}]))
+    assert str(err.value) == "a formula of 13 exists/forall pairs exceeds the enumeration cap of 12"
 
 
 def test_solution_set_within_enumerator_output():

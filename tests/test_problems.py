@@ -5,7 +5,7 @@ import weakref
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pricegame.core import check_reduction, solution_set
+from pricegame.core import check_reduction, solution_set, subset_sums
 from pricegame.problems import (
     CnfFormula,
     EmptyClauseError,
@@ -197,6 +197,15 @@ def test_subset_sum_enumerator_matches_brute_force_scan(problem):
     oracle.mask_enumerator = None
     assert problem.feasible_masks() == oracle.feasible_masks()
     assert problem.solution_masks() == oracle.solution_masks()
+
+
+def test_subset_sum_past_the_table_size_matches_the_table():
+    # 21 items take the bulk mask_sums path instead of one table of sums.
+    weights = {f"i{k}": k + 1 for k in range(21)}
+    problem = subset_sum_problem(list(weights), weights, target=50)
+    sums = subset_sums(list(weights.values()))
+    assert problem.feasible_masks() == [m for m, total in enumerate(sums) if total <= 50]
+    assert problem.solution_masks() == [m for m, total in enumerate(sums) if total == 50]
 
 
 @st.composite
