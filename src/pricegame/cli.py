@@ -30,7 +30,7 @@ from .core import (
     check_reduction,
     identity_reduction,
 )
-from .pricing import Domain, GroundChoice, meets_threshold, solve_pricing
+from .pricing import Domain, GroundChoice, SolveStatus, meets_threshold, solve_pricing
 from .problems import CnfFormula, sat_problem, sat_to_subset_sum, sat_to_vertex_cover
 from .rational import format_rational, parse_rational
 from .serialize import (
@@ -136,12 +136,12 @@ def _cmd_solve(args) -> int:
     )
     solution = solve_pricing(inst, args.cap)
     decision = None
-    if decide and solution.status.value != "no-follower-solution":
+    if decide and solution.status is not SolveStatus.NO_FOLLOWER_SOLUTION:
         decision = meets_threshold(inst, solution)
     print("\n".join(pricing_summary(inst, solution, decision)))
-    if solution.status.value == "no-follower-solution":
+    if solution.status is SolveStatus.NO_FOLLOWER_SOLUTION:
         return EXIT_NO_FOLLOWER
-    if solution.status.value == "unbounded":
+    if solution.status is SolveStatus.UNBOUNDED:
         return EXIT_UNBOUNDED
     if decide and not decision:
         return EXIT_FALSE

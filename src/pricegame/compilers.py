@@ -86,15 +86,15 @@ def qdnf(num_pairs: int, terms) -> QdnfFormula:
     return QdnfFormula(num_pairs, ordered)
 
 
-def qdnf_holds(q: QdnfFormula, limit: int = QDNF_PAIR_LIMIT) -> bool:
+def qdnf_holds(q: QdnfFormula) -> bool:
     """Exhaustively decide the exists/forall DNF formula.
 
     True iff some exists-block assignment satisfies the formula under every
     forall-block assignment.  The walk is 4^n, so n is capped.
     """
     n = q.num_pairs
-    if n > limit:
-        raise CapExceededError(n, limit, f"a formula of {n} exists/forall pairs")
+    if n > QDNF_PAIR_LIMIT:
+        raise CapExceededError(n, QDNF_PAIR_LIMIT, f"a formula of {n} exists/forall pairs")
     terms = []
     for term in q.terms:
         pos = neg = 0

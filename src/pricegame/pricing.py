@@ -12,7 +12,9 @@ valuation, negated under MIN.  Both objectives are then one, maximize
 gain(X) - d(X), and the reported follower value is that net gain, negated
 back under MIN.  Among follower-optimal responses the one best for the
 leader is selected (optimistic tie-breaking), with remaining ties resolved
-by canonical subset order over the universe.
+by canonical subset order over the universe: members compare as the
+tuples of their sorted element positions, so a member precedes its
+extensions.  `_canon_before` is the one definition of that order.
 
 The solver enumerates the ground family once and collapses it to leader
 patterns: each member's intersection with the leader set, kept with the
@@ -26,6 +28,10 @@ price lead over every other pattern staying within its gain lead, plus the
 price-domain restriction.  The bilevel optimum is the best LP value.  An
 infeasible candidate LP just means that pattern is never an optimal
 response; candidates stop once the bound falls below the incumbent.
+Candidates are taken in bound order alone: every candidate whose bound
+reaches the optimum is solved whatever the order among equal bounds, and
+equal LP values go to the canonically first member, so that order changes
+neither the LPs solved nor the result.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import sub
+from functools import reduce
+from operator import or_, sub
 
 from .core import DEFAULT_CAP, GroundProblem, Sense, mask_sums
 from .linprog import LinearProgram, LpStatus, solve_lp
@@ -47,9 +54,16 @@ class Domain(Enum):
     LOWER_CAP = "lowercap"
 
 
-# Domains with no upper limit on prices; under CAPPED and BOX the problem
-# is always bounded and the structural check is skipped.
-_UNBOUNDED_CAPABLE = {Domain.FREE, Domain.NONNEG, Domain.LOWER_CAP}
+# Each domain's (lower, upper) price bound as a multiple of the element's
+# valuation, None for no bound.  A domain with no upper bound lets revenue
+# grow without limit when no member avoids the leader's part.
+_PRICE_BOUNDS = {
+    Domain.FREE: (None, None),
+    Domain.NONNEG: (0, None),
+    Domain.CAPPED: (None, 1),
+    Domain.BOX: (0, 1),
+    Domain.LOWER_CAP: (-1, None),
+}
 
 
 class GroundChoice(Enum):
@@ -120,25 +134,31 @@ def incentive_to_price(gross_profit: dict, incentive: dict) -> dict[str, Fractio
     return {e: Fraction(gross_profit[e]) - Fraction(incentive[e]) for e in gross_profit}
 
 
-@dataclass(frozen=True)
-class _Signatures:
-    gain_of: dict[int, int]    # leader pattern -> best follower gain
-    rep_of: dict[int, int]     # leader pattern -> canonical best member
-
-
-def _canon_key(mask: int) -> tuple[int, ...]:
-    key = []
+def _bits(mask: int) -> list[int]:
+    """The positions of a mask's set bits, lowest first."""
+    bits = []
     while mask:
         low = mask & -mask
-        key.append(low.bit_length() - 1)
+        bits.append(low.bit_length() - 1)
         mask ^= low
-    return tuple(key)
+    return bits
 
 
-def _signatures(
+def _canon_before(a: int, b: int) -> bool:
+    """Whether member a strictly precedes member b in canonical order.
+
+    At the lowest bit where the masks differ, the mask holding it comes
+    first, unless the other mask has no higher bit and so is its prefix.
+    """
+    low = (a ^ b) & -(a ^ b)
+    return b > low if a & low else a < low
+
+
+def _best_by_pattern(
     base: GroundProblem, ground: GroundChoice, leader_mask: int,
     gains: tuple[int, ...], cap: int,
-) -> _Signatures:
+) -> dict[int, tuple[int, int]]:
+    """{leader pattern: (best follower gain, canonical member with that gain)}."""
     # Memoised on the base problem under the other arguments, so fresh
     # instances over one base share the collapse.
     key = (ground, leader_mask, gains, cap)
@@ -150,88 +170,57 @@ def _signatures(
         masks = base.feasible_masks(cap)
     else:
         masks = base.solution_masks(cap)
-    gain_of: dict[int, int] = {}
-    rep_of: dict[int, int] = {}
+    best: dict[int, tuple[int, int]] = {}
     for m, gain in zip(masks, mask_sums(gains, masks)):
         pattern = m & leader_mask
-        best = gain_of.get(pattern)
-        if best is None or gain > best:
-            gain_of[pattern] = gain
-            rep_of[pattern] = m
-        elif gain == best and _canon_key(m) < _canon_key(rep_of[pattern]):
-            rep_of[pattern] = m
-    sig = _Signatures(gain_of, rep_of)
-    base._signature_cache[key] = sig
-    return sig
+        held = best.get(pattern)
+        if held is None or gain > held[0] or (gain == held[0] and _canon_before(m, held[1])):
+            best[pattern] = (gain, m)
+    base._signature_cache[key] = best
+    return best
 
 
-def _collapse(inst: PricingInstance, ground: GroundChoice, cap: int) -> _Signatures:
+def _collapse(inst: PricingInstance, ground: GroundChoice, cap: int) -> dict[int, tuple[int, int]]:
     sign = -1 if inst.minimizing else 1
     gains = tuple(sign * inst.valuation[e.id] for e in inst.base.universe)
-    return _signatures(inst.base, ground, inst.base.mask_of(inst.leader_ids), gains, cap)
-
-
-def _domain_bounds(inst: PricingInstance, var_ids: list[str]):
-    lower: dict[int, int] = {}
-    upper: dict[int, int] = {}
-    for k, e in enumerate(var_ids):
-        cap_value = inst.valuation[e]
-        if inst.domain is Domain.NONNEG:
-            lower[k] = 0
-        elif inst.domain is Domain.CAPPED:
-            upper[k] = cap_value
-        elif inst.domain is Domain.BOX:
-            lower[k] = 0
-            upper[k] = cap_value
-        elif inst.domain is Domain.LOWER_CAP:
-            lower[k] = -cap_value
-    return lower, upper
+    return _best_by_pattern(inst.base, ground, inst.base.mask_of(inst.leader_ids), gains, cap)
 
 
 def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolution:
     """Exact optimistic bilevel optimum of a pricing instance."""
     if inst.domain is Domain.LOWER_CAP and not inst.minimizing:
         raise ValueError("the lower-cap domain applies to minimization instances only")
-    sig = _collapse(inst, inst.ground, cap)
-    gain_of = sig.gain_of
-    if not gain_of:
+    patterns = _collapse(inst, inst.ground, cap)
+    if not patterns:
         return PricingSolution(SolveStatus.NO_FOLLOWER_SOLUTION)
-    if inst.domain in _UNBOUNDED_CAPABLE and 0 not in gain_of:
+    low_bound, high_bound = _PRICE_BOUNDS[inst.domain]
+    if high_bound is None and 0 not in patterns:
         return PricingSolution(SolveStatus.UNBOUNDED)
 
     base = inst.base
-    union = 0
-    for pattern in gain_of:
-        union |= pattern
-    var_bits = _canon_key(union)
+    var_bits = _bits(reduce(or_, patterns, 0))
     var_ids = [base.universe[b].id for b in var_bits]
-    var_pos = {b: k for k, b in enumerate(var_bits)}
-
+    caps = [inst.valuation[e] for e in var_ids]
+    lower = {} if low_bound is None else {k: low_bound * c for k, c in enumerate(caps)}
+    upper = {} if high_bound is None else {k: high_bound * c for k, c in enumerate(caps)}
     # Each pattern's 0/1 price vector over var_bits, built once per solve.
-    vector: dict[int, tuple[int, ...]] = {}
-    for pattern in gain_of:
-        coeffs = [0] * len(var_bits)
-        for b in _canon_key(pattern):
-            coeffs[var_pos[b]] = 1
-        vector[pattern] = tuple(coeffs)
+    vector = {p: tuple(p >> b & 1 for b in var_bits) for p in patterns}
 
     # A pattern's revenue is at most its gain lead over pattern 0, or, with
     # no all-follower member (only under price caps), the sum of its caps.
-    if 0 in gain_of:
-        bound = {p: gain - gain_of[0] for p, gain in gain_of.items()}
+    if 0 in patterns:
+        bound = {p: gain - patterns[0][0] for p, (gain, _) in patterns.items()}
     else:
-        bound = {p: sum(inst.valuation[base.universe[b].id] for b in _canon_key(p))
-                 for p in gain_of}
+        valuations = [inst.valuation[e.id] for e in base.universe]
+        bound = dict(zip(patterns, mask_sums(valuations, patterns)))
 
     best_value: Fraction | None = None
     best_pattern: int | None = None
     best_witness: tuple[Fraction, ...] | None = None
-    lower, upper = _domain_bounds(inst, var_ids)
-    canon = {p: _canon_key(sig.rep_of[p]) for p in gain_of}
-    order = sorted(gain_of, key=lambda p: (-bound[p], canon[p]))
-    for pattern in order:
+    for pattern in sorted(patterns, key=bound.__getitem__, reverse=True):
         if best_value is not None and bound[pattern] < best_value:
             break  # bounds only fall from here on
+        gain, member = patterns[pattern]
         if not var_bits:
             # The one pattern is 0, which earns nothing.
             value, witness = Fraction(0), ()
@@ -240,9 +229,9 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
             # difference is at most the gain gap.
             objective = vector[pattern]
             rows = []
-            for other, other_gain in gain_of.items():
+            for other, (other_gain, _) in patterns.items():
                 if other != pattern:
-                    gap = gain_of[pattern] - other_gain
+                    gap = gain - other_gain
                     rows.append((tuple(map(sub, objective, vector[other])), "<=", gap))
             lp = LinearProgram(len(objective), objective, tuple(rows), lower, upper)
             outcome = solve_lp(lp)
@@ -251,10 +240,9 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
             if outcome.status is LpStatus.UNBOUNDED:
                 raise RuntimeError("candidate LP unbounded despite structural bound")
             value, witness = outcome.optimal_value, outcome.witness
-        better = best_value is None or value > best_value or (
-            value == best_value and canon[pattern] < canon[best_pattern]
-        )
-        if better:
+        if best_value is None or value > best_value or (
+            value == best_value and _canon_before(member, patterns[best_pattern][1])
+        ):
             best_value, best_pattern, best_witness = value, pattern, witness
 
     if best_value is None:
@@ -264,11 +252,11 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
         )
     prices = {e: Fraction(0) for e in inst.leader_ids}
     prices.update(zip(var_ids, best_witness))
-    response = base.ids_of(sig.rep_of[best_pattern])
-    net = gain_of[best_pattern] - best_value
+    gain, member = patterns[best_pattern]
+    net = gain - best_value
     follower_value = -net if inst.minimizing else net
     return PricingSolution(
-        SolveStatus.OPTIMAL, prices, response, best_value, follower_value
+        SolveStatus.OPTIMAL, prices, base.ids_of(member), best_value, follower_value
     )
 
 
@@ -303,23 +291,23 @@ def evaluate_prices(
     """
     if set(prices) != set(inst.leader_ids):
         raise ValueError("prices must be given on exactly the leader elements")
-    sig = _collapse(inst, ground or inst.ground, cap)
-    if not sig.gain_of:
+    patterns = _collapse(inst, ground or inst.ground, cap)
+    if not patterns:
         raise NoFollowerSolutionError("the follower has no admissible response")
     base = inst.base
 
     # The follower takes the best net gain, the leader the dearest of those
     # responses, and canonical order breaks the ties that remain.
     best_rank: tuple[Fraction, Fraction] | None = None
-    reps: list[int] = []
-    for pattern, gain in sig.gain_of.items():
-        paid = sum((Fraction(prices[base.universe[b].id]) for b in _canon_key(pattern)),
+    response: int | None = None
+    for pattern, (gain, member) in patterns.items():
+        paid = sum((Fraction(prices[base.universe[b].id]) for b in _bits(pattern)),
                    Fraction(0))
         rank = (gain - paid, paid)
-        if best_rank is None or rank > best_rank:
-            best_rank, reps = rank, [sig.rep_of[pattern]]
-        elif rank == best_rank:
-            reps.append(sig.rep_of[pattern])
+        if best_rank is None or rank > best_rank or (
+            rank == best_rank and _canon_before(member, response)
+        ):
+            best_rank, response = rank, member
     net, leader_value = best_rank
     follower_value = -net if inst.minimizing else net
-    return PriceEvaluation(follower_value, leader_value, base.ids_of(min(reps, key=_canon_key)))
+    return PriceEvaluation(follower_value, leader_value, base.ids_of(response))

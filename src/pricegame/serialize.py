@@ -1,7 +1,7 @@
 """Instance documents: a JSON format for every artifact this package builds.
 
 A document is {schema_version, kind, payload, provenance} with kind one of
-qdnf, cnf, lop, pricing, reduction-artifact.  Rationals are serialized as
+qdnf, cnf, pricing, reduction-artifact.  Rationals are serialized as
 "numerator/denominator" strings, never as decimals; literals inside cnf and
 qdnf payloads are signed integers.  Serialization preserves the stored
 order of formulas and universes, so parsing a serialized value reproduces
@@ -19,7 +19,7 @@ from .problems import CnfFormula, sat_problem, subset_sum_problem, vertex_cover_
 from .rational import format_rational, parse_rational
 
 SCHEMA_VERSION = "1"
-KINDS = ("qdnf", "cnf", "lop", "pricing", "reduction-artifact")
+KINDS = ("qdnf", "cnf", "pricing", "reduction-artifact")
 
 
 def make_document(kind: str, payload: dict, provenance=()) -> dict:
@@ -70,9 +70,27 @@ def _field(payload: dict, name: str, kind: type):
     return value
 
 
+def _rows(payload: dict, name: str, kind: type) -> list[list]:
+    """A required payload field that is a list of lists of one JSON type."""
+    rows = _field(payload, name, list)
+    if not all(isinstance(row, list) and all(isinstance(x, kind) for x in row) for row in rows):
+        raise ValueError(
+            f"payload field {name!r} must be a list of lists, each item {_JSON_TYPES[kind]}"
+        )
+    return rows
+
+
+def _strings(payload: dict, name: str) -> list[str]:
+    """A required payload field that is a list of strings."""
+    names = _field(payload, name, list)
+    if not all(isinstance(x, str) for x in names):
+        raise ValueError(f"payload field {name!r} must be a list, each item a string")
+    return names
+
+
 def decode_qdnf(payload: dict) -> QdnfFormula:
     pairs = _field(payload, "pairs", int)
-    return QdnfFormula(pairs, tuple(frozenset(t) for t in _field(payload, "terms", list)))
+    return QdnfFormula(pairs, tuple(frozenset(t) for t in _rows(payload, "terms", int)))
 
 
 def encode_cnf(f: CnfFormula) -> dict:
@@ -87,8 +105,8 @@ def decode_cnf(payload: dict) -> CnfFormula:
     names = payload.get("var_names")
     return CnfFormula(
         num_vars,
-        tuple(frozenset(c) for c in _field(payload, "clauses", list)),
-        tuple(names) if names is not None else None,
+        tuple(frozenset(c) for c in _rows(payload, "clauses", int)),
+        tuple(_strings(payload, "var_names")) if names is not None else None,
     )
 
 
@@ -134,7 +152,7 @@ def decode_problem(payload: dict) -> GroundProblem:
     if flavor == "vertex-cover":
         return vertex_cover_problem(
             _field(payload, "vertices", list),
-            [tuple(e) for e in _field(payload, "edges", list)],
+            [tuple(e) for e in _rows(payload, "edges", str)],
             _field(payload, "threshold", int),
             _integers(payload, "weights"),
         )
@@ -146,8 +164,8 @@ def decode_problem(payload: dict) -> GroundProblem:
         )
     if flavor == "explicit":
         return explicit_problem(
-            (Element(i, label) for i, label in _field(payload, "universe", list)),
-            (frozenset(s) for s in _field(payload, "feasible_sets", list)),
+            (Element(i, label) for i, label in _rows(payload, "universe", str)),
+            (frozenset(s) for s in _rows(payload, "feasible_sets", str)),
             _integers(payload, "weights"),
             _field(payload, "threshold", int),
             Sense(_field(payload, "sense", str)),
@@ -169,7 +187,7 @@ def encode_pricing(inst: PricingInstance) -> dict:
 def decode_pricing(payload: dict) -> PricingInstance:
     return PricingInstance(
         base=decode_problem(_field(payload, "base", dict)),
-        leader_ids=frozenset(_field(payload, "leader", list)),
+        leader_ids=frozenset(_strings(payload, "leader")),
         valuation=_integers(payload, "valuation"),
         ground=GroundChoice(_field(payload, "ground", str)),
         domain=Domain(_field(payload, "domain", str)),

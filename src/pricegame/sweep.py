@@ -38,15 +38,6 @@ class CorpusSpec:
     seed: int
     exhaustive_pair: bool = False  # prepend the full one-pair corpus
 
-    def as_dict(self) -> dict:
-        return {
-            "pairs": self.pairs,
-            "max_terms": self.max_terms,
-            "count": self.count,
-            "seed": self.seed,
-            "exhaustive_pair": self.exhaustive_pair,
-        }
-
 
 def one_pair_terms() -> list[frozenset[int]]:
     """All nonempty terms over one exists/forall pair (literals 1, -1, 2, -2)."""
@@ -163,7 +154,7 @@ def run_sweep(
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": "verification-report",
-        "corpus": spec.as_dict(),
+        "corpus": dataclasses.asdict(spec),
         "records": records,
         "summary": {
             "total": len(records),

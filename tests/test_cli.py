@@ -206,6 +206,38 @@ def test_wrong_json_types_name_the_field_and_the_type(tmp_path, capsys):
         assert err.startswith("error:") and message in err
 
 
+def test_nested_wrong_json_types_name_the_field(tmp_path, capsys):
+    explicit_base = {"problem": "explicit", "universe": [["a", ""]], "sense": "feasibility",
+                     "weights": {"a": 0}, "threshold": 0, "feasible_sets": [["a"]]}
+    pricing = {"base": explicit_base, "leader": [], "valuation": {"a": 1},
+               "domain": "free", "ground": "solutions", "threshold": "0/1"}
+    cases = (
+        ("oracle", "qdnf", {"pairs": 1, "terms": [1, 2]}, "'terms' must be a list of lists"),
+        ("oracle", "qdnf", {"pairs": 1, "terms": [[1, "x"]]}, "each item an integer"),
+        ("sat2vc", "cnf", {"num_vars": 1, "clauses": [1]}, "'clauses' must be a list of lists"),
+        ("sat2vc", "cnf", {"num_vars": 2, "clauses": [[1]], "var_names": "ab"},
+         "'var_names' must be a list"),
+        ("solve", "pricing", dict(pricing, base=dict(explicit_base, feasible_sets=[["a"], 1])),
+         "'feasible_sets' must be a list of lists"),
+        ("solve", "pricing", dict(pricing, leader=[["a"]]), "'leader' must be a list, each item"),
+        ("solve", "pricing", dict(pricing, base=dict(explicit_base, universe=["a"])),
+         "'universe' must be a list of lists"),
+        ("solve", "pricing", dict(pricing, valuation={"u": 1, "v": 1}, base={
+            "problem": "vertex-cover", "vertices": ["u", "v"], "edges": [1],
+            "weights": {"u": 1, "v": 1}, "threshold": 1}), "'edges' must be a list of lists"),
+    )
+    for k, (command, kind, payload, message) in enumerate(cases):
+        path = write_doc(tmp_path / f"nested-{k}.json", kind, payload)
+        argv = ["compile", path, "--pipeline", command] if command == "sat2vc" else [command, path]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+    lop = tmp_path / "lop.json"
+    lop.write_text(json.dumps({"schema_version": "1", "kind": "lop", "payload": {}}))
+    assert main(["solve", str(lop)]) == 1
+    assert "unknown document kind 'lop'" in capsys.readouterr().err
+
+
 def test_sweep_reports_are_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["--seed", "9", "verify-sweep", "--pairs", "1", "--max-terms", "2",

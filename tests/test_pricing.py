@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pricegame import pricing
 from pricegame.compilers import compile_qdnf_pricing
-from pricegame.core import Element, explicit_problem
+from pricegame.core import Element, Sense, explicit_problem
 from pricegame.linprog import LpOutcome, LpStatus
 from pricegame.pricing import (
     Domain,
@@ -290,3 +290,41 @@ def test_solves_over_a_shared_base_match_solves_over_fresh_bases(build):
                 assert solve_pricing(here) == solve_pricing(fresh)
                 prices = {e: Fraction(1) for e in leader}
                 assert evaluate_prices(here, prices) == evaluate_prices(fresh, prices)
+
+
+def positions(mask):
+    """Canonical order's defining key: the sorted bit positions of a mask."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def test_canon_before_is_the_sorted_positions_order():
+    for a in range(256):
+        for b in range(256):
+            assert pricing._canon_before(a, b) == (positions(a) < positions(b)), (a, b)
+
+
+@given(
+    st.sets(st.integers(min_value=0, max_value=63), max_size=24),
+    st.tuples(*[st.integers(min_value=0, max_value=1)] * 6),
+    st.integers(min_value=0, max_value=63),
+    st.sampled_from(GroundChoice),
+)
+@settings(max_examples=200, deadline=None)
+def test_best_by_pattern_matches_brute_force(members, gains, leader_mask, ground):
+    # Gains of 0 and 1 make many members tie on their pattern's best gain.
+    names = [f"e{i}" for i in range(6)]
+    family = [frozenset(n for i, n in enumerate(names) if m >> i & 1) for m in members]
+    base = explicit_problem(
+        [Element(n) for n in names], family, {n: 1 for n in names}, 3, Sense.MIN
+    )
+    if ground is GroundChoice.SOLUTIONS:
+        members = {m for m in members if len(positions(m)) <= 3}
+    by_pattern = {}
+    for m in members:
+        gain = sum(gains[i] for i in positions(m))
+        by_pattern.setdefault(m & leader_mask, []).append((gain, m))
+    expected = {}
+    for pattern, scored in by_pattern.items():
+        top = max(gain for gain, _ in scored)
+        expected[pattern] = (top, min((m for g, m in scored if g == top), key=positions))
+    assert pricing._best_by_pattern(base, ground, leader_mask, gains, 24) == expected
