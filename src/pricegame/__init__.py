@@ -18,6 +18,7 @@ from .core import (
     ReductionArtifact,
     ReductionReport,
     Sense,
+    best_by_pattern,
     check_reduction,
     explicit_problem,
     identity_reduction,

@@ -272,16 +272,23 @@ def _lift(
     mode, sign, ground = _LIFTS[sense]
     if artifact.target.sense is not sense:
         raise ValueError(f"lift_{mode} needs a {sense.value}-sense target")
-    report = check_reduction(sat_pricing.base, artifact, cap)
+    try:
+        report = check_reduction(sat_pricing.base, artifact, cap)
+    except CapExceededError as err:
+        raise err.staged(f"lift-{mode} ") from err
     if not report.passed:
         raise CertificationError(report)
     target = artifact.target
     image_ids = artifact.image_ids()
+    # Certified: the target has solutions iff the source does, and, being
+    # tight, every one of them weighs exactly the threshold.
+    optimum = target.threshold if sat_pricing.base.solution_masks(cap) else None
     if sense is Sense.MIN and any(target.weights[i] < 1 for i in image_ids):
         before = set(target.solution_masks(cap))
         target = weight_lift(target, image_ids)
         if set(target.solution_masks(cap)) != before:
             raise CompileAnomalyError("weight rescaling changed the target solution set")
+        optimum = _target_optimum(target, cap)
     scale = _weight_scale(sat_pricing)
     image = {v: k for k, v in artifact.embedding.items()}
     valuation = {}
@@ -299,7 +306,7 @@ def _lift(
         domain=sat_pricing.domain,
         threshold=sat_pricing.threshold,
     )
-    return lifted, LiftParameters(mode, scale, _target_optimum(target, cap))
+    return lifted, LiftParameters(mode, scale, optimum)
 
 
 def lift_max(

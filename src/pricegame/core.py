@@ -9,12 +9,20 @@ set is the family of feasible sets meeting the threshold:
     MAX          feasible and weight(S) >= threshold
     FEASIBILITY  all feasible sets (weights are zero, threshold is zero)
 
+best_by_pattern collapses a problem's ground family, its feasible sets or
+its solutions, to patterns over a given mask: for each pattern, the best gain
+of any member showing it and the canonical member with that gain.  By
+default it enumerates the family; a problem constructor may install a
+structured oracle that answers the same question without listing it (the
+follower as an optimization oracle, after Briest, Hoefer and Krysta).
+
 Reductions between such problems carry an injective embedding of the source
-universe into the target universe.  check_reduction certifies, by full
-enumeration at desk scale, that a reduction artifact has the defining
-properties: yes-instance equivalence, equality of the projected solution
-families, and tightness of the target threshold (no feasible set strictly
-better than the threshold).
+universe into the target universe.  check_reduction certifies that a
+reduction artifact has the defining properties: yes-instance equivalence,
+equality of the projected solution families, and tightness of the target
+threshold (no feasible set strictly better than the threshold).  It lists
+the source solutions and reads all three target checks off the target's
+patterns over the embedding image.
 
 Everything here is exact and deterministic.  Subsets are exposed as
 frozensets of element ids; internally they are bitmasks over the universe
@@ -25,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import ge, gt, le, lt
+from operator import ge, le
 from typing import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_CAP = 24
@@ -42,12 +50,22 @@ class CapExceededError(RuntimeError):
         super().__init__(f"{counted} exceeds the enumeration cap of {cap}")
         self.size = size
         self.cap = cap
+        self.counted = counted
+
+    def staged(self, stage: str) -> CapExceededError:
+        """The same error with the stage that hit the cap named in front."""
+        return CapExceededError(self.size, self.cap, stage + self.counted)
 
 
 class Sense(Enum):
     MIN = "min"
     MAX = "max"
     FEASIBILITY = "feasibility"
+
+
+class GroundChoice(Enum):
+    FEASIBLE = "feasible"
+    SOLUTIONS = "solutions"
 
 
 @dataclass(frozen=True)
@@ -67,13 +85,15 @@ class GroundProblem:
     subsets.  name is the kind tag documents are written under, and spec is
     the data its constructor was given beyond universe and weights: the
     CnfFormula of a "sat" problem, the tuple of sorted edges of a
-    "vertex-cover" problem, None for every other kind.
+    "vertex-cover" problem, None for every other kind.  pattern_oracle, when
+    given, is called as pattern_oracle(problem, ground, leader_mask, gains,
+    cap) and must return exactly what best_by_pattern's enumeration returns,
+    dict order included; without one, best_by_pattern enumerates.
 
-    The problem caches its feasible masks; its solutions, with the count of
-    feasible sets strictly better than the threshold, from one weighing pass
-    over them; and, for pricing, the follower signatures of each (ground,
-    leader mask, gains, cap) it was solved under.  dataclasses.replace starts
-    a copy with empty caches.
+    The problem caches its feasible masks; its solutions, from one weighing
+    pass over them; and the patterns of the last few (ground, leader mask, gains,
+    cap) that best_by_pattern was asked for, the least recently used
+    dropped first.  dataclasses.replace starts a copy with empty caches.
     """
 
     universe: tuple[Element, ...]
@@ -85,11 +105,12 @@ class GroundProblem:
     name: str = "custom"
     cost_bits: int | None = None
     spec: object = None
+    pattern_oracle: Callable[..., dict[int, tuple[int, int]]] | None = None
     _index: dict[str, int] = field(init=False, repr=False)
     _weight_bits: list[int] = field(init=False, repr=False)
     _mask_cache: list[int] | None = field(default=None, init=False, repr=False)
     _solution_cache: tuple | None = field(default=None, init=False, repr=False)
-    _signature_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _pattern_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         ids = [e.id for e in self.universe]
@@ -143,13 +164,7 @@ class GroundProblem:
         most 2^n assignments), the brute-force subset scan costs the full
         size.  The cap is checked on every call, cached or not.
         """
-        if self.mask_enumerator is None or self.cost_bits is None:
-            if self.size > cap:
-                raise CapExceededError(self.size, cap, f"a universe of {self.size} elements")
-        elif self.cost_bits > cap:
-            raise CapExceededError(
-                self.cost_bits, cap, f"a search over {self.cost_bits} binary choices"
-            )
+        self._check_cap(cap)
         if self._mask_cache is None:
             if self.mask_enumerator is not None:
                 masks = sorted(self.mask_enumerator())
@@ -160,26 +175,32 @@ class GroundProblem:
             self._mask_cache = masks
         return self._mask_cache
 
+    def _check_cap(self, cap: int) -> None:
+        """Raise CapExceededError if enumerating this problem costs over 2^cap."""
+        if self.mask_enumerator is None or self.cost_bits is None:
+            if self.size > cap:
+                raise CapExceededError(self.size, cap, f"a universe of {self.size} elements")
+        elif self.cost_bits > cap:
+            raise CapExceededError(
+                self.cost_bits, cap, f"a search over {self.cost_bits} binary choices"
+            )
+
     def solution_masks(self, cap: int = DEFAULT_CAP) -> list[int]:
         """The feasible sets meeting the threshold, as a fresh list."""
-        return list(self._weigh(cap)[0])
+        return list(self._weigh(cap))
 
-    def strictly_better_count(self, cap: int = DEFAULT_CAP) -> int:
-        """How many feasible sets beat the threshold strictly."""
-        return self._weigh(cap)[1]
-
-    def _weigh(self, cap: int) -> tuple[Sequence[int], int]:
-        # One pass weighs the feasible family; the strictly better sets are
-        # among the solutions.  Feasibility problems have nothing to weigh.
+    def _weigh(self, cap: int) -> Sequence[int]:
+        # One pass weighs the feasible family.  Feasibility problems have
+        # nothing to weigh.
         masks = self.feasible_masks(cap)
         if self.sense is Sense.FEASIBILITY:
-            return masks, 0
+            return masks
         if self._solution_cache is None:
-            meets, beats = (le, lt) if self.sense is Sense.MIN else (ge, gt)
+            meets = le if self.sense is Sense.MIN else ge
             t, bits = self.threshold, self._weight_bits
-            solutions = [m for m, w in zip(masks, mask_sums(bits, masks)) if meets(w, t)]
-            better = sum(1 for w in mask_sums(bits, solutions) if beats(w, t))
-            self._solution_cache = (tuple(solutions), better)
+            self._solution_cache = tuple(
+                m for m, w in zip(masks, mask_sums(bits, masks)) if meets(w, t)
+            )
         return self._solution_cache
 
 
@@ -205,6 +226,69 @@ def mask_sums(values: Sequence[int], masks: Iterable[int]) -> Iterator[int]:
         for shift, table in tables:
             total += table[mask >> shift & 255]
         yield total
+
+
+def _canon_before(a: int, b: int) -> bool:
+    """Whether member a strictly precedes member b in canonical order.
+
+    Members compare as the tuples of their sorted element positions, so a
+    member precedes its extensions.  At the lowest bit where the masks
+    differ, the mask holding it comes first, unless the other mask has no
+    higher bit and so is its prefix.
+    """
+    low = (a ^ b) & -(a ^ b)
+    return b > low if a & low else a < low
+
+
+# How many recent best_by_pattern answers each problem keeps.
+_PATTERN_MEMO = 8
+
+
+def best_by_pattern(
+    problem: GroundProblem, ground: GroundChoice, leader_mask: int,
+    gains: tuple[int, ...], cap: int = DEFAULT_CAP,
+) -> dict[int, tuple[int, int]]:
+    """{pattern: (best gain, canonical member with that gain)} of a ground family.
+
+    The ground family is the problem's feasible sets or its solutions.  A
+    member's pattern is its intersection with leader_mask and its gain the
+    sum of gains over its elements; the best is always the largest, so a
+    minimizing caller negates its values.  Patterns come in the order of
+    their numerically smallest member.  The problem's pattern_oracle answers
+    when it has one; otherwise the family is enumerated.  The cap is checked
+    on every call, and the last few answers are memoised on the problem.
+    """
+    problem._check_cap(cap)
+    key = (ground, leader_mask, gains, cap)
+    cache = problem._pattern_cache
+    patterns = cache.pop(key, None)
+    if patterns is None:
+        oracle = problem.pattern_oracle or best_by_enumeration
+        patterns = oracle(problem, ground, leader_mask, gains, cap)
+        if len(cache) >= _PATTERN_MEMO:
+            del cache[next(iter(cache))]
+    cache[key] = patterns
+    return patterns
+
+
+def best_by_enumeration(
+    problem: GroundProblem, ground: GroundChoice, leader_mask: int,
+    gains: tuple[int, ...], cap: int,
+) -> dict[int, tuple[int, int]]:
+    """best_by_pattern by listing the ground family: the default and the reference.
+
+    One pass keeps, per pattern, the best gain so far and the canonical
+    member among those tied at it.
+    """
+    masks = problem.feasible_masks(cap) if ground is GroundChoice.FEASIBLE \
+        else problem._weigh(cap)
+    best: dict[int, tuple[int, int]] = {}
+    for m, gain in zip(masks, mask_sums(gains, masks)):
+        pattern = m & leader_mask
+        held = best.get(pattern)
+        if held is None or gain > held[0] or (gain == held[0] and _canon_before(m, held[1])):
+            best[pattern] = (gain, m)
+    return best
 
 
 def solution_set(problem: GroundProblem, cap: int = DEFAULT_CAP) -> frozenset[frozenset[str]]:
@@ -283,36 +367,48 @@ class CertificationError(ValueError):
 def check_reduction(
     source: GroundProblem, artifact: ReductionArtifact, cap: int = DEFAULT_CAP
 ) -> ReductionReport:
-    """Certify an artifact by full enumeration of both solution families.
+    """Certify an artifact against its source.
 
     Three checks: (a) the source has a solution iff the target does, (b) the
     source solutions mapped through the embedding equal the target solutions
     intersected with the embedding image, as set families, and (c) the target
-    admits no feasible set strictly better than its threshold.
+    admits no feasible set strictly better than its threshold.  The source
+    solutions are listed; the target is asked only for the best weight of
+    each pattern over the embedding image (negated under MIN), which decides
+    all three: a pattern is the image of a target solution iff its best
+    meets the threshold, and no pattern's best may beat it.
     """
     if {e.id for e in artifact.source_universe} != {e.id for e in source.universe}:
         raise ValueError("artifact source universe does not match the given source problem")
-    src_solutions = solution_set(source, cap)
+    try:
+        src_solutions = solution_set(source, cap)
+    except CapExceededError as err:
+        raise err.staged(f"certification of the {source.name} source: ") from err
     target = artifact.target
-    image = artifact.image_ids()
-    image_mask = target.mask_of(image)
-
-    tgt_solution_masks = target.solution_masks(cap)
-    strictly_better = target.strictly_better_count(cap)
+    image_mask = target.mask_of(artifact.image_ids())
+    sign = -1 if target.sense is Sense.MIN else 1
+    gains = tuple(sign * target.weights[e.id] for e in target.universe)
+    try:
+        patterns = best_by_pattern(target, GroundChoice.FEASIBLE, image_mask, gains, cap)
+    except CapExceededError as err:
+        raise err.staged(f"certification of the {target.name} target: ") from err
+    threshold = sign * target.threshold
+    meeting = [p for p, (gain, _) in patterns.items() if gain >= threshold]
+    better = sum(1 for gain, _ in patterns.values() if gain > threshold)
 
     mapped = frozenset(artifact.map_set(s) for s in src_solutions)
-    projected = frozenset(target.ids_of(m & image_mask) for m in tgt_solution_masks)
+    projected = frozenset(target.ids_of(p) for p in meeting)
 
-    yes_eq = bool(src_solutions) == bool(tgt_solution_masks)
+    yes_eq = bool(src_solutions) == bool(meeting)
     family_match = mapped == projected
-    tight = strictly_better == 0
+    tight = better == 0
     detail = ""
     if not family_match:
         only_src = canonical_family(mapped - projected)
         only_tgt = canonical_family(projected - mapped)
         detail = f"mapped-only={only_src} projected-only={only_tgt}"
     elif not tight:
-        detail = f"{strictly_better} feasible sets strictly better than threshold"
+        detail = f"{better} image patterns hold a feasible set strictly better than threshold"
     return ReductionReport(yes_eq, family_match, tight, detail)
 
 

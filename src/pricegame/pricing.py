@@ -14,11 +14,13 @@ back under MIN.  Among follower-optimal responses the one best for the
 leader is selected (optimistic tie-breaking), with remaining ties resolved
 by canonical subset order over the universe: members compare as the
 tuples of their sorted element positions, so a member precedes its
-extensions.  `_canon_before` is the one definition of that order.
+extensions.  `core._canon_before` is the one definition of that order.
 
-The solver enumerates the ground family once and collapses it to leader
-patterns: each member's intersection with the leader set, kept with the
-best gain of any member on that pattern and the canonical such member.
+The solver reads the ground family only through `core.best_by_pattern`,
+its collapse to leader patterns: each member's intersection with the leader
+set, kept with the best gain of any member on that pattern and the
+canonical such member.  The problem enumerates its family for that, unless
+its constructor installed an oracle that answers without listing it.
 Every verdict is read off the patterns.  No pattern means the follower has
 no solution.  If the price domain allows arbitrarily high prices and no
 member avoids the leader's part (there is no pattern 0), revenue grows
@@ -42,7 +44,15 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_, sub
 
-from .core import DEFAULT_CAP, GroundProblem, Sense, mask_sums
+from .core import (
+    DEFAULT_CAP,
+    GroundChoice,
+    GroundProblem,
+    Sense,
+    _canon_before,
+    best_by_pattern,
+    mask_sums,
+)
 from .linprog import LinearProgram, LpStatus, solve_lp
 
 
@@ -64,11 +74,6 @@ _PRICE_BOUNDS = {
     Domain.BOX: (0, 1),
     Domain.LOWER_CAP: (-1, None),
 }
-
-
-class GroundChoice(Enum):
-    FEASIBLE = "feasible"
-    SOLUTIONS = "solutions"
 
 
 class SolveStatus(Enum):
@@ -144,46 +149,10 @@ def _bits(mask: int) -> list[int]:
     return bits
 
 
-def _canon_before(a: int, b: int) -> bool:
-    """Whether member a strictly precedes member b in canonical order.
-
-    At the lowest bit where the masks differ, the mask holding it comes
-    first, unless the other mask has no higher bit and so is its prefix.
-    """
-    low = (a ^ b) & -(a ^ b)
-    return b > low if a & low else a < low
-
-
-def _best_by_pattern(
-    base: GroundProblem, ground: GroundChoice, leader_mask: int,
-    gains: tuple[int, ...], cap: int,
-) -> dict[int, tuple[int, int]]:
-    """{leader pattern: (best follower gain, canonical member with that gain)}."""
-    # Memoised on the base problem under the other arguments, so fresh
-    # instances over one base share the collapse.
-    key = (ground, leader_mask, gains, cap)
-    cached = base._signature_cache.get(key)
-    if cached is not None:
-        return cached
-
-    if ground is GroundChoice.FEASIBLE:
-        masks = base.feasible_masks(cap)
-    else:
-        masks = base.solution_masks(cap)
-    best: dict[int, tuple[int, int]] = {}
-    for m, gain in zip(masks, mask_sums(gains, masks)):
-        pattern = m & leader_mask
-        held = best.get(pattern)
-        if held is None or gain > held[0] or (gain == held[0] and _canon_before(m, held[1])):
-            best[pattern] = (gain, m)
-    base._signature_cache[key] = best
-    return best
-
-
 def _collapse(inst: PricingInstance, ground: GroundChoice, cap: int) -> dict[int, tuple[int, int]]:
     sign = -1 if inst.minimizing else 1
     gains = tuple(sign * inst.valuation[e.id] for e in inst.base.universe)
-    return _best_by_pattern(inst.base, ground, inst.base.mask_of(inst.leader_ids), gains, cap)
+    return best_by_pattern(inst.base, ground, inst.base.mask_of(inst.leader_ids), gains, cap)
 
 
 def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolution:

@@ -19,9 +19,20 @@ feasible set), which is what the pricing lifts require:
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .core import Element, GroundProblem, ReductionArtifact, Sense, mask_sums, subset_sums
+from .core import (
+    Element,
+    GroundChoice,
+    GroundProblem,
+    ReductionArtifact,
+    Sense,
+    _canon_before,
+    best_by_enumeration,
+    mask_sums,
+    subset_sums,
+)
 
 
 class EmptyClauseError(ValueError):
@@ -203,7 +214,8 @@ def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> Ground
     """Subset sum as a maximization instance.
 
     Feasible sets are those of total weight at most the target; solutions
-    hit the target exactly.
+    hit the target exactly.  Patterns are found by meeting in the middle
+    (_subset_sum_patterns), without listing either family.
     """
     names = list(item_ids)
     elements = tuple(Element(i, i) for i in names)
@@ -223,6 +235,15 @@ def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> Ground
         masks = range(1 << len(w))
         return (m for m, total in zip(masks, mask_sums(w, masks)) if total <= target)
 
+    def patterns(problem, ground, leader_mask, gains, cap):
+        exact = ground is GroundChoice.SOLUTIONS
+        # A copy given another threshold or weights has other solutions
+        # than the subsets hitting this target.
+        if exact and (problem.threshold, problem.weights) != (target, weights):
+            return best_by_enumeration(problem, ground, leader_mask, gains, cap)
+        w = [weights[i] for i in names]
+        return _subset_sum_patterns(w, target, exact, leader_mask, gains)
+
     return GroundProblem(
         universe=elements,
         weights=weights,
@@ -231,7 +252,95 @@ def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> Ground
         feasible=feasible,
         mask_enumerator=enumerate_light,
         name="subset-sum",
+        pattern_oracle=patterns,
     )
+
+
+def _subset_sum_patterns(
+    values: list[int], target: int, exact: bool, leader_mask: int, gains: tuple[int, ...]
+) -> dict[int, tuple[int, int]]:
+    """best_by_pattern over the subsets of value at most, or exactly, target.
+
+    Meet in the middle (Horowitz and Sahni, JACM 1974).  The left side holds
+    the leader items and the lowest follower items, about half of all items;
+    the right side holds the other follower items, so a member's pattern is
+    its left part's.  Each side lists its parts once, as subset_sums tables
+    of bits, values and gains.  A left part A then finds its best right
+    parts: among those of value at most target - value(A), by bisecting the
+    right side sorted by value with a running maximum of gain and grouped
+    by gain, or among those of value exactly target - value(A).  Values are
+    nonnegative, so the empty right part always fits the first.  The
+    canonical member is sought only among the pairs tied at a pattern's
+    best gain.  Patterns come in the order of their numerically smallest
+    member: the pattern itself among feasible sets, which are closed under
+    subsets.
+    """
+    n = len(values)
+    followers = [i for i in range(n) if not leader_mask >> i & 1]
+    right = followers[max(0, n // 2 - (n - len(followers))):]
+    left = sorted(set(range(n)).difference(right))
+
+    def tables(side):
+        return (subset_sums([1 << i for i in side]), subset_sums([values[i] for i in side]),
+                subset_sums([gains[i] for i in side]))
+
+    left_bits, left_values, left_gains = tables(left)
+    right_bits, right_values, right_gains = tables(right)
+
+    # Per left part: (part, best total gain, right parts tied at it, how
+    # many of those fit, numerically smallest member).
+    found = []
+    if exact:
+        # Per right value: its best gain, the parts tied at it, its smallest part.
+        by_value: dict[int, list] = {}
+        for b, v, g in zip(right_bits, right_values, right_gains):
+            held = by_value.get(v)
+            if held is None:
+                by_value[v] = [g, [b], b]
+            elif g > held[0]:
+                held[0], held[1] = g, [b]
+            elif g == held[0]:
+                held[1].append(b)
+        for a, v, g in zip(left_bits, left_values, left_gains):
+            held = by_value.get(target - v)
+            if held is not None:
+                top, parts, smallest = held
+                found.append((a, g + top, parts, len(parts), a + smallest))
+    else:
+        order = sorted(range(len(right_bits)), key=right_values.__getitem__)
+        sorted_values = [right_values[j] for j in order]
+        running = list(itertools.accumulate((right_gains[j] for j in order), max))
+        by_gain: dict[int, tuple[list[int], list[int]]] = {}
+        for j in order:
+            group = by_gain.setdefault(right_gains[j], ([], []))
+            group[0].append(right_values[j])
+            group[1].append(right_bits[j])
+        for a, v, g in zip(left_bits, left_values, left_gains):
+            if v <= target:
+                budget = target - v
+                top = running[bisect_right(sorted_values, budget) - 1]
+                group_values, parts = by_gain[top]
+                found.append((a, g + top, parts, bisect_right(group_values, budget), a))
+
+    best: dict[int, int] = {}
+    first: dict[int, int] = {}
+    for a, total, _, _, smallest in found:
+        pattern = a & leader_mask
+        if pattern not in best:
+            best[pattern], first[pattern] = total, smallest
+        else:
+            best[pattern] = max(best[pattern], total)
+            first[pattern] = min(first[pattern], smallest)
+    member: dict[int, int] = {}
+    for a, total, parts, fits, _ in found:
+        pattern = a & leader_mask
+        if total == best[pattern]:
+            held = member.get(pattern)
+            for b in itertools.islice(parts, fits):
+                if held is None or _canon_before(a | b, held):
+                    held = a | b
+            member[pattern] = held
+    return {p: (best[p], member[p]) for p in sorted(best, key=first.__getitem__)}
 
 
 def sat_to_vertex_cover(formula: CnfFormula) -> ReductionArtifact:

@@ -80,6 +80,17 @@ def _rows(payload: dict, name: str, kind: type) -> list[list]:
     return rows
 
 
+def _pairs(payload: dict, name: str, shape: str) -> list[list[str]]:
+    """A required payload field that is a list of two-string rows."""
+    rows = _rows(payload, name, str)
+    for row in rows:
+        if len(row) != 2:
+            raise ValueError(
+                f"payload field {name!r} must be a list of {shape} pairs, not a row of {len(row)}"
+            )
+    return rows
+
+
 def _strings(payload: dict, name: str) -> list[str]:
     """A required payload field that is a list of strings."""
     names = _field(payload, name, list)
@@ -152,7 +163,7 @@ def decode_problem(payload: dict) -> GroundProblem:
     if flavor == "vertex-cover":
         return vertex_cover_problem(
             _field(payload, "vertices", list),
-            [tuple(e) for e in _rows(payload, "edges", str)],
+            [tuple(e) for e in _pairs(payload, "edges", "[vertex, vertex]")],
             _field(payload, "threshold", int),
             _integers(payload, "weights"),
         )
@@ -164,7 +175,7 @@ def decode_problem(payload: dict) -> GroundProblem:
         )
     if flavor == "explicit":
         return explicit_problem(
-            (Element(i, label) for i, label in _rows(payload, "universe", str)),
+            (Element(i, label) for i, label in _pairs(payload, "universe", "[id, label]")),
             (frozenset(s) for s in _rows(payload, "feasible_sets", str)),
             _integers(payload, "weights"),
             _field(payload, "threshold", int),

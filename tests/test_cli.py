@@ -238,6 +238,41 @@ def test_nested_wrong_json_types_name_the_field(tmp_path, capsys):
     assert "unknown document kind 'lop'" in capsys.readouterr().err
 
 
+def test_wrong_row_widths_name_the_field(tmp_path, capsys):
+    explicit_base = {"problem": "explicit", "universe": [["a", ""]], "sense": "feasibility",
+                     "weights": {"a": 0}, "threshold": 0, "feasible_sets": [["a"]]}
+    vc_base = {"problem": "vertex-cover", "vertices": ["u", "v"], "edges": [["u", "v"]],
+               "weights": {"u": 1, "v": 1}, "threshold": 1}
+    pricing = {"leader": [], "domain": "free", "ground": "solutions", "threshold": "0/1"}
+    universe = "payload field 'universe' must be a list of [id, label] pairs, not a row of"
+    edges = "payload field 'edges' must be a list of [vertex, vertex] pairs, not a row of"
+    cases = (
+        (dict(explicit_base, universe=[["a"]]), {"a": 1}, f"{universe} 1"),
+        (dict(explicit_base, universe=[["a", "", "b"]]), {"a": 1}, f"{universe} 3"),
+        (dict(vc_base, edges=[["u"]]), {"u": 1, "v": 1}, f"{edges} 1"),
+        (dict(vc_base, edges=[["u", "v"], ["u", "v", "u"]]), {"u": 1, "v": 1}, f"{edges} 3"),
+    )
+    for k, (base, valuation, message) in enumerate(cases):
+        payload = dict(pricing, base=base, valuation=valuation)
+        path = write_doc(tmp_path / f"row-{k}.json", "pricing", payload)
+        assert main(["solve", path]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_lift_past_the_cap_names_the_stage_on_stderr_only(tmp_path, capsys):
+    q = write_doc(tmp_path / "q.json", "qdnf", encode_qdnf(qdnf(1, [{1}])))
+    compiled = tmp_path / "thm2.json"
+    assert main(["--out", str(compiled), "compile", q, "--pipeline", "thm2"]) == 0
+    capsys.readouterr()
+    assert main(["compile", str(compiled), "--pipeline", "lift-min"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: lift-min certification of the vertex-cover target: a universe of 67 elements"
+        " exceeds the enumeration cap of 24\n"
+    )
+
+
 def test_sweep_reports_are_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["--seed", "9", "verify-sweep", "--pairs", "1", "--max-terms", "2",

@@ -51,6 +51,24 @@ def test_oracle_enumeration_bound():
         qdnf_holds(qdnf(13, [{1}]))
 
 
+def test_certification_cap_errors_name_the_lift_and_the_problem():
+    compiled = compile_qdnf_pricing(qdnf(1, [{1}]))
+    source = compiled.pricing
+    cases = (
+        (lift_min, sat_to_vertex_cover(compiled.formula), 24,
+         "lift-min certification of the vertex-cover target: a universe of 67 elements", 67),
+        (lift_max, sat_to_subset_sum(compiled.formula), 24,
+         "lift-max certification of the subset-sum target: a universe of 56 elements", 56),
+        (lift_feas, identity_reduction(source.base), 5,
+         "lift-feas certification of the sat source: a search over 9 binary choices", 9),
+    )
+    for lift, artifact, cap, stage, size in cases:
+        with pytest.raises(CapExceededError) as err:
+            lift(source, artifact, cap)
+        assert str(err.value) == f"{stage} exceeds the enumeration cap of {cap}"
+        assert (err.value.size, err.value.cap) == (size, cap)
+
+
 def test_formula_validation():
     with pytest.raises(ValueError):
         QdnfFormula(1, (frozenset({1, -1}),))

@@ -3,10 +3,12 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pricegame import core
 from pricegame.compilers import qdnf, qdnf_holds, weight_lift
 from pricegame.core import (
     CapExceededError,
     Element,
+    GroundChoice,
     GroundProblem,
     ReductionArtifact,
     Sense,
@@ -75,6 +77,22 @@ def test_cap_errors_name_what_they_counted():
     with pytest.raises(CapExceededError) as err:
         qdnf_holds(qdnf(13, [{1}]))
     assert str(err.value) == "a formula of 13 exists/forall pairs exceeds the enumeration cap of 12"
+
+
+def test_pattern_memo_keeps_the_answer_in_use(monkeypatch):
+    # One answer asked for between every two new ones stays cached while
+    # the new ones cycle out, least recently used first.
+    problem = _path_cover()
+    asked = []
+    enumerate_family = core.best_by_enumeration
+    monkeypatch.setattr(core, "best_by_enumeration",
+                        lambda *args: asked.append(args[3]) or enumerate_family(*args))
+    hot = (1,) * problem.size
+    for k in range(3 * core._PATTERN_MEMO):
+        core.best_by_pattern(problem, GroundChoice.FEASIBLE, 0b11, hot)
+        core.best_by_pattern(problem, GroundChoice.FEASIBLE, 0b11, (k + 2,) * problem.size)
+    assert asked.count(hot) == 1 and len(asked) == 1 + 3 * core._PATTERN_MEMO
+    assert len(problem._pattern_cache) == core._PATTERN_MEMO
 
 
 def test_solution_set_within_enumerator_output():
@@ -201,17 +219,16 @@ def weighed_problems(draw):
 
 
 def per_mask_oracle(problem):
-    """Solutions and strictly better count, one weight_of_mask per member."""
+    """Solutions, one weight_of_mask per member."""
     if problem.sense is Sense.FEASIBILITY:
-        return problem.feasible_masks(), 0
+        return problem.feasible_masks()
     minimizing, t = problem.sense is Sense.MIN, problem.threshold
-    solutions, better = [], 0
+    solutions = []
     for m in problem.feasible_masks():
         w = problem.weight_of_mask(m)
         if (w <= t) if minimizing else (w >= t):
             solutions.append(m)
-        better += (w < t) if minimizing else (w > t)
-    return solutions, better
+    return solutions
 
 
 @given(weighed_problems(), st.integers(0, 20))
@@ -219,14 +236,14 @@ def per_mask_oracle(problem):
 def test_weighing_cache_matches_a_per_mask_oracle(problem, other_threshold):
     expected = per_mask_oracle(problem)
     returned = problem.solution_masks()
-    assert (returned, problem.strictly_better_count()) == expected
+    assert returned == expected
     returned.append(-1)
     returned.reverse()
-    assert problem.solution_masks() == expected[0]
+    assert problem.solution_masks() == expected
     if problem.sense is not Sense.FEASIBILITY:
         copy = dataclasses.replace(problem, threshold=other_threshold)
-        assert (copy.solution_masks(), copy.strictly_better_count()) == per_mask_oracle(copy)
-        assert (problem.solution_masks(), problem.strictly_better_count()) == expected
+        assert copy.solution_masks() == per_mask_oracle(copy)
+        assert problem.solution_masks() == expected
 
 
 def test_weight_lift_copy_weighs_afresh():
@@ -238,5 +255,7 @@ def test_weight_lift_copy_weighs_afresh():
     assert len(problem.solution_masks()) == 3
     lifted = weight_lift(problem, {"a", "b"})
     assert solution_set(lifted) == {frozenset("a"), frozenset("cd")}
-    assert lifted.strictly_better_count() == 1
+    # {c, d} is the one feasible set strictly lighter than the threshold.
+    lighter = core.best_by_pattern(lifted, GroundChoice.FEASIBLE, 0b1111, (-1, -1, 0, 0))
+    assert [m for gain, m in lighter.values() if gain > -lifted.threshold] == [0b1100]
     assert len(problem.solution_masks()) == 3

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pricegame import pricing
+from pricegame import core, pricing
 from pricegame.compilers import compile_qdnf_pricing
-from pricegame.core import Element, Sense, explicit_problem
+from pricegame.core import Element, Sense, best_by_pattern, explicit_problem
 from pricegame.linprog import LpOutcome, LpStatus
 from pricegame.pricing import (
     Domain,
@@ -292,6 +292,38 @@ def test_solves_over_a_shared_base_match_solves_over_fresh_bases(build):
                 assert evaluate_prices(here, prices) == evaluate_prices(fresh, prices)
 
 
+def test_pattern_memo_stays_bounded_over_many_valuations():
+    vertices = [f"v{i}" for i in range(12)]
+    edges = list(zip(vertices, vertices[1:])) + [("v0", "v6"), ("v3", "v9")]
+    base = vertex_cover_problem(vertices, edges, threshold=6)
+    rng = random.Random(3)
+    for _ in range(3000):
+        valuation = {v: rng.randint(0, 9) for v in vertices}
+        solve_pricing(PricingInstance(base, frozenset(vertices[:3]), valuation,
+                                      GroundChoice.FEASIBLE))
+    assert 0 < len(base._pattern_cache) <= core._PATTERN_MEMO
+
+
+def test_solves_and_evaluations_under_every_domain_share_one_collapse(monkeypatch):
+    # As in the domain-resolve benchmark: fresh instances over one compiled
+    # base, one per domain, each solved and then evaluated at its prices.
+    template = compile_qdnf_pricing(random_formula(random.Random(1), 2, 3)).pricing
+    calls = []
+    enumerate_family = core.best_by_enumeration
+
+    def counted(*args):
+        calls.append(args[1])
+        return enumerate_family(*args)
+
+    monkeypatch.setattr(core, "best_by_enumeration", counted)
+    for domain in (Domain.FREE, Domain.NONNEG, Domain.CAPPED, Domain.BOX, Domain.CAPPED):
+        inst = dataclasses.replace(template, domain=domain)
+        solution = solve_pricing(inst)
+        if solution.status is SolveStatus.OPTIMAL:
+            evaluate_prices(inst, solution.prices)
+    assert calls == [template.ground]
+
+
 def positions(mask):
     """Canonical order's defining key: the sorted bit positions of a mask."""
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
@@ -327,4 +359,4 @@ def test_best_by_pattern_matches_brute_force(members, gains, leader_mask, ground
     for pattern, scored in by_pattern.items():
         top = max(gain for gain, _ in scored)
         expected[pattern] = (top, min((m for g, m in scored if g == top), key=positions))
-    assert pricing._best_by_pattern(base, ground, leader_mask, gains, 24) == expected
+    assert best_by_pattern(base, ground, leader_mask, gains, 24) == expected

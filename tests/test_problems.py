@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -5,7 +6,15 @@ import weakref
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pricegame.core import check_reduction, solution_set, subset_sums
+from pricegame.core import (
+    CapExceededError,
+    GroundChoice,
+    best_by_enumeration,
+    best_by_pattern,
+    check_reduction,
+    solution_set,
+    subset_sums,
+)
 from pricegame.problems import (
     CnfFormula,
     EmptyClauseError,
@@ -16,6 +25,8 @@ from pricegame.problems import (
     subset_sum_problem,
     vertex_cover_problem,
 )
+
+from reduction_oracle import listing_check_reduction
 
 
 def projected_family(artifact):
@@ -206,6 +217,79 @@ def test_subset_sum_past_the_table_size_matches_the_table():
     sums = subset_sums(list(weights.values()))
     assert problem.feasible_masks() == [m for m, total in enumerate(sums) if total <= 50]
     assert problem.solution_masks() == [m for m, total in enumerate(sums) if total == 50]
+
+
+@st.composite
+def subset_sum_pattern_queries(draw):
+    """A subset sum of up to 10 items, a leader mask and gains of either sign."""
+    size = draw(st.integers(min_value=0, max_value=10))
+    value = st.one_of(st.just(0), st.integers(0, 6), st.integers(0, 40))
+    weights = {f"i{k}": draw(value) for k in range(size)}
+    total = sum(weights.values())
+    target = draw(st.one_of(st.just(0), st.integers(0, total), st.integers(total + 1, total + 9)))
+    full = (1 << size) - 1
+    leader_mask = draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+    gains = tuple(draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size)))
+    return subset_sum_problem(list(weights), weights, target), leader_mask, gains
+
+
+@given(subset_sum_pattern_queries(), st.sampled_from(GroundChoice), st.integers(-3, 3))
+@settings(max_examples=300, deadline=None)
+def test_subset_sum_pattern_oracle_matches_the_enumeration(query, ground, moved):
+    # Values, members and pattern order all equal the enumeration's; a copy
+    # given another threshold keeps the feasible family but not the solutions.
+    problem, leader_mask, gains = query
+    expected = best_by_enumeration(problem, ground, leader_mask, gains, 24)
+    assert list(best_by_pattern(problem, ground, leader_mask, gains).items()) == \
+        list(expected.items())
+    copy = dataclasses.replace(problem, threshold=problem.threshold + moved)
+    expected = best_by_enumeration(copy, ground, leader_mask, gains, 24)
+    assert list(best_by_pattern(copy, ground, leader_mask, gains).items()) == \
+        list(expected.items())
+
+
+def test_subset_sum_pattern_oracle_keeps_the_cap():
+    weights = {f"i{k}": 1 for k in range(30)}
+    problem = subset_sum_problem(list(weights), weights, 5)
+    with pytest.raises(CapExceededError) as err:
+        best_by_pattern(problem, GroundChoice.FEASIBLE, 0, (1,) * 30)
+    assert str(err.value) == "a universe of 30 elements exceeds the enumeration cap of 24"
+
+
+def certification_cases(formula):
+    """Both reductions of a formula, as built, with the first two images
+    swapped, and with the threshold moved one step either way."""
+    for artifact in (sat_to_vertex_cover(formula), sat_to_subset_sum(formula)):
+        yield artifact
+        first, second = sorted(artifact.embedding)[:2]
+        swapped = dict(artifact.embedding, **{first: artifact.embedding[second],
+                                              second: artifact.embedding[first]})
+        yield dataclasses.replace(artifact, embedding=swapped)
+        for step in (-1, 1):
+            moved = artifact.target.threshold + step
+            if moved >= 0:
+                target = dataclasses.replace(artifact.target, threshold=moved)
+                yield dataclasses.replace(artifact, target=target)
+
+
+def test_certification_by_patterns_matches_the_listing_oracle():
+    # The criterion-2 corpus, its three-variable part thinned to every
+    # eighth formula to bound the listing oracle's time.
+    corpus = [f for n in (1, 2) for f in all_formulas(n, max_clauses=3)]
+    corpus += list(itertools.islice(all_formulas(3, max_clauses=3), 0, None, 8))
+    verdicts = set()
+    for formula in corpus:
+        source = sat_problem(formula)
+        for artifact in certification_cases(formula):
+            report = check_reduction(source, artifact)
+            expected = listing_check_reduction(source, artifact)
+            verdict = (report.yes_equivalence, report.family_match, report.threshold_tight)
+            assert verdict == (
+                expected.yes_equivalence, expected.family_match, expected.threshold_tight
+            ), (formula, artifact.target.name)
+            verdicts.add(verdict)
+    # Each of the three checks both passes and fails somewhere in the corpus.
+    assert all({v[k] for v in verdicts} == {True, False} for k in range(3))
 
 
 @st.composite
