@@ -186,22 +186,21 @@ class GroundProblem:
             )
 
     def solution_masks(self, cap: int = DEFAULT_CAP) -> list[int]:
-        """The feasible sets meeting the threshold, as a fresh list."""
-        return list(self._weigh(cap))
+        """The feasible sets meeting the threshold, as a fresh list.
 
-    def _weigh(self, cap: int) -> Sequence[int]:
-        # One pass weighs the feasible family.  Feasibility problems have
-        # nothing to weigh.
+        One pass weighs the feasible family and caches the solutions.
+        Feasibility problems have nothing to weigh.
+        """
         masks = self.feasible_masks(cap)
         if self.sense is Sense.FEASIBILITY:
-            return masks
+            return list(masks)
         if self._solution_cache is None:
             meets = le if self.sense is Sense.MIN else ge
             t, bits = self.threshold, self._weight_bits
             self._solution_cache = tuple(
                 m for m, w in zip(masks, mask_sums(bits, masks)) if meets(w, t)
             )
-        return self._solution_cache
+        return list(self._solution_cache)
 
 
 def subset_sums(values: Sequence[int]) -> list[int]:
@@ -281,7 +280,7 @@ def best_by_enumeration(
     member among those tied at it.
     """
     masks = problem.feasible_masks(cap) if ground is GroundChoice.FEASIBLE \
-        else problem._weigh(cap)
+        else problem.solution_masks(cap)
     best: dict[int, tuple[int, int]] = {}
     for m, gain in zip(masks, mask_sums(gains, masks)):
         pattern = m & leader_mask

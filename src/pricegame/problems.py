@@ -221,6 +221,7 @@ def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> Ground
     elements = tuple(Element(i, i) for i in names)
     if any(weights[i] < 0 for i in names):
         raise ValueError("item weights must be nonnegative")
+    w = [weights[i] for i in names]
 
     def feasible(subset: frozenset[str]) -> bool:
         if not subset <= set(names):
@@ -229,7 +230,6 @@ def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> Ground
 
     def enumerate_light():
         # One table of every subset's sum, while it fits in memory.
-        w = [weights[i] for i in names]
         if len(w) <= 20:
             return (m for m, total in enumerate(subset_sums(w)) if total <= target)
         masks = range(1 << len(w))
@@ -237,11 +237,11 @@ def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> Ground
 
     def patterns(problem, ground, leader_mask, gains, cap):
         exact = ground is GroundChoice.SOLUTIONS
-        # A copy given another threshold or weights has other solutions
-        # than the subsets hitting this target.
-        if exact and (problem.threshold, problem.weights) != (target, weights):
+        # A copy given another sense, threshold or weights has other
+        # solutions than the subsets hitting this target.
+        if exact and (problem.sense, problem.threshold, problem.weights) != \
+                (Sense.MAX, target, weights):
             return best_by_enumeration(problem, ground, leader_mask, gains, cap)
-        w = [weights[i] for i in names]
         return _subset_sum_patterns(w, target, exact, leader_mask, gains)
 
     return GroundProblem(

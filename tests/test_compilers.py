@@ -166,6 +166,22 @@ def test_lift_rejects_wrong_sense_and_uncertified_artifacts():
         lift_max(src, broken)
 
 
+def test_lifts_report_the_weight_of_every_target_solution():
+    # The lift takes the optimum from certification; listing the target's
+    # solutions agrees, and an unsatisfiable source gives no optimum.
+    unsatisfiable = cnf(1, [[1], [-1]])
+    sources = [(unsatisfiable, source_instance(unsatisfiable, set(), {"x1": 1, "~x1": 2}))]
+    sources += list(seeded_sat_sources(random.Random(5), 8))
+    for formula, src in sources:
+        for lift, artifact in ((lift_min, sat_to_vertex_cover(formula)),
+                               (lift_max, sat_to_subset_sum(formula)),
+                               (lift_feas, identity_reduction(src.base))):
+            _, params = lift(src, artifact)
+            target = artifact.target
+            weights = {target.weight_of_mask(m) for m in target.solution_masks()}
+            assert [params.target_optimum] == (sorted(weights) or [None])
+
+
 def test_lift_feas_through_identity_preserves_instance():
     formula, src = small_source()
     lifted, params = lift_feas(src, identity_reduction(src.base))

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from pricegame.core import (
     CapExceededError,
     GroundChoice,
+    Sense,
     best_by_enumeration,
     best_by_pattern,
     check_reduction,
@@ -233,16 +234,21 @@ def subset_sum_pattern_queries(draw):
     return subset_sum_problem(list(weights), weights, target), leader_mask, gains
 
 
-@given(subset_sum_pattern_queries(), st.sampled_from(GroundChoice), st.integers(-3, 3))
+@given(subset_sum_pattern_queries(), st.sampled_from(GroundChoice), st.integers(-3, 3),
+       st.sampled_from([Sense.MAX, Sense.MIN]))
 @settings(max_examples=300, deadline=None)
-def test_subset_sum_pattern_oracle_matches_the_enumeration(query, ground, moved):
+def test_subset_sum_pattern_oracle_matches_the_enumeration(query, ground, moved, sense):
     # Values, members and pattern order all equal the enumeration's; a copy
-    # given another threshold keeps the feasible family but not the solutions.
+    # given another threshold or sense keeps the feasible family but not the
+    # solutions.
     problem, leader_mask, gains = query
     expected = best_by_enumeration(problem, ground, leader_mask, gains, 24)
     assert list(best_by_pattern(problem, ground, leader_mask, gains).items()) == \
         list(expected.items())
-    copy = dataclasses.replace(problem, threshold=problem.threshold + moved)
+    threshold = problem.threshold + moved
+    if sense is Sense.MIN:
+        threshold = max(threshold, 0)
+    copy = dataclasses.replace(problem, threshold=threshold, sense=sense)
     expected = best_by_enumeration(copy, ground, leader_mask, gains, 24)
     assert list(best_by_pattern(copy, ground, leader_mask, gains).items()) == \
         list(expected.items())
