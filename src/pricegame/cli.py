@@ -59,8 +59,9 @@ PIPELINES = ("thm2", "sat2vc", "sat2ss", "lift-max", "lift-min", "lift-feas", "w
 def _add_global_flags(parser) -> None:
     # SUPPRESS keeps unprovided copies from clobbering the root defaults,
     # so the flags work both before and after the subcommand.
-    parser.add_argument("--cap", type=int, default=argparse.SUPPRESS,
-                        help="enumeration cap on universe size")
+    parser.add_argument("--cap", type=int, default=argparse.SUPPRESS, metavar="N",
+                        help="enumeration cap: bounds the walk at 2^N steps "
+                             f"(default {DEFAULT_CAP})")
     parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for generated corpora")
     parser.add_argument("--jobs", type=int, default=argparse.SUPPRESS,

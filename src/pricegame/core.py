@@ -141,9 +141,14 @@ class GroundProblem:
         return mask
 
     def ids_of(self, mask: int) -> frozenset[str]:
-        return frozenset(
-            self.universe[i].id for i in range(self.size) if mask >> i & 1
-        )
+        """The ids of a mask's elements, by walking its set bits."""
+        ids = []
+        universe = self.universe
+        while mask:
+            low = mask & -mask
+            ids.append(universe[low.bit_length() - 1].id)
+            mask ^= low
+        return frozenset(ids)
 
     def weight_of_mask(self, mask: int) -> int:
         """One mask's weight by walking its bits; the oracle for mask_sums."""

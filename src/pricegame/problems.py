@@ -159,6 +159,9 @@ def vertex_cover_problem(
 
     The enumerator emits covers as complements of independent sets, which
     keeps the walk far below 2^|V| on the gadget graphs built here.
+    Patterns over the feasible covers are found without listing them, by
+    a frontier DP (_cover_patterns) whose states never outnumber the
+    covers; patterns over the solutions are found by enumeration.
     """
     names = [v if isinstance(v, str) else str(v) for v in vertices]
     elements = tuple(Element(v, v) for v in names)
@@ -198,6 +201,13 @@ def vertex_cover_problem(
                 if not banned & bit:
                     stack.append((v + 1, chosen | bit, banned | bit | adjacency[v]))
 
+    def patterns(problem, ground, leader_mask, gains, cap):
+        # The solutions depend on weights and threshold, and a copy given
+        # other edges has other covers.
+        if ground is GroundChoice.SOLUTIONS or problem.spec != edge_pairs:
+            return best_by_enumeration(problem, ground, leader_mask, gains, cap)
+        return _cover_patterns(adjacency, leader_mask, gains)
+
     return GroundProblem(
         universe=elements,
         weights=weights,
@@ -207,7 +217,52 @@ def vertex_cover_problem(
         mask_enumerator=enumerate_covers,
         name="vertex-cover",
         spec=edge_pairs,
+        pattern_oracle=patterns,
     )
+
+
+def _cover_patterns(
+    adjacency: list[int], leader_mask: int, gains: tuple[int, ...]
+) -> dict[int, tuple[int, int]]:
+    """best_by_pattern over the vertex covers of a graph, without listing them.
+
+    The vertices are decided from the highest position down.  A state's key
+    is forced | pattern: forced holds the undecided vertices that an
+    excluded neighbour forces into the cover, pattern the leader bits
+    decided so far; the two lie in disjoint bit ranges.  Its value is the
+    best gain of the decided part, its canonical decided part and its
+    numerically smallest one.  A vertex may always be included; it may be
+    excluded only if not forced, and then forces its lower neighbours.
+    States with one key have the same completions, and every undecided bit
+    lies below every decided one, so _canon_before(L | H1, L | H2) equals
+    _canon_before(H1, H2) and the numeric minimum splits the same way: the
+    larger gain wins, ties go to the canonical part, and the smallest parts
+    merge by min.  Every state completes to a cover by including all the
+    vertices left, so no step holds more states than there are covers.
+    Final states force nothing, so each key is its pattern; patterns come
+    in the order of their numerically smallest member.
+    """
+    states = {0: (0, 0, 0)}
+    for v in range(len(adjacency) - 1, -1, -1):
+        bit = 1 << v
+        kept = bit & leader_mask
+        lower = adjacency[v] & (bit - 1)
+        gain = gains[v]
+        step: dict[int, tuple[int, int, int]] = {}
+        for key, (g, canon, small) in states.items():
+            moves = [((key & ~bit) | kept, g + gain, canon | bit, small | bit)]
+            if not key & bit:
+                moves.append((key | lower, g, canon, small))
+            for moved, g, canon, small in moves:
+                held = step.get(moved)
+                if held is not None:
+                    if g < held[0] or g == held[0] and not _canon_before(canon, held[1]):
+                        g, canon = held[0], held[1]
+                    small = min(small, held[2])
+                step[moved] = (g, canon, small)
+        states = step
+    return {key: (g, canon) for key, (g, canon, _) in
+            sorted(states.items(), key=lambda item: item[1][2])}
 
 
 def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> GroundProblem:

@@ -84,15 +84,23 @@ def test_pattern_memo_keeps_the_answer_in_use(monkeypatch):
     # the new ones cycle out, least recently used first.
     problem = _path_cover()
     asked = []
-    enumerate_family = core.best_by_enumeration
-    monkeypatch.setattr(core, "best_by_enumeration",
-                        lambda *args: asked.append(args[3]) or enumerate_family(*args))
+    oracle = problem.pattern_oracle
+    monkeypatch.setattr(problem, "pattern_oracle",
+                        lambda *args: asked.append(args[3]) or oracle(*args))
     hot = (1,) * problem.size
     for k in range(3 * core._PATTERN_MEMO):
         core.best_by_pattern(problem, GroundChoice.FEASIBLE, 0b11, hot)
         core.best_by_pattern(problem, GroundChoice.FEASIBLE, 0b11, (k + 2,) * problem.size)
     assert asked.count(hot) == 1 and len(asked) == 1 + 3 * core._PATTERN_MEMO
     assert len(problem._pattern_cache) == core._PATTERN_MEMO
+
+
+def test_ids_of_matches_the_scan_over_positions():
+    problem = _path_cover()
+    for mask in range(1 << problem.size):
+        assert problem.ids_of(mask) == frozenset(
+            problem.universe[i].id for i in range(problem.size) if mask >> i & 1
+        )
 
 
 def test_solution_set_within_enumerator_output():

@@ -6,6 +6,7 @@ import weakref
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pricegame.compilers import weight_lift
 from pricegame.core import (
     CapExceededError,
     GroundChoice,
@@ -317,6 +318,48 @@ def test_vertex_cover_enumerator_matches_brute_force_scan(graph):
     oracle.mask_enumerator = None
     assert problem.feasible_masks() == oracle.feasible_masks()
     assert problem.solution_masks() == oracle.solution_masks()
+
+
+@st.composite
+def vertex_cover_pattern_queries(draw):
+    """A graph of up to 10 vertices at one of five edge densities, a
+    threshold, a leader mask and gains of either sign or all zero."""
+    size = draw(st.integers(min_value=0, max_value=10))
+    vertices = [f"v{k}" for k in range(size)]
+    pairs = list(itertools.combinations(vertices, 2))
+    density = draw(st.integers(0, 4))
+    rolls = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    edges = [pair for pair, roll in zip(pairs, rolls) if roll < density]
+    full = (1 << size) - 1
+    leader_mask = draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+    gains = draw(st.one_of(st.just((0,) * size), st.tuples(*[st.integers(-4, 4)] * size)))
+    problem = vertex_cover_problem(vertices, edges, draw(st.integers(0, size)))
+    return problem, leader_mask, gains, draw(st.integers(0, size // 2))
+
+
+@given(vertex_cover_pattern_queries(), st.sampled_from(GroundChoice))
+# Pattern 0b1 (smallest member 0b0011) precedes pattern 0b100 (0b0110) only
+# if merging two states keeps the smaller of their smallest members.
+@example((vertex_cover_problem("abcd", [("a", "b"), ("b", "d")], 0), 0b101, (0,) * 4, 0),
+         GroundChoice.FEASIBLE)
+@settings(max_examples=300, deadline=None)
+def test_vertex_cover_pattern_oracle_matches_the_enumeration(query, ground):
+    # Values, members and pattern order all equal the enumeration's, on the
+    # problem, on a weight_lift copy, and on a copy given other edges along
+    # with their feasibility oracle and enumerator.
+    problem, leader_mask, gains, pairs = query
+    vertices = [e.id for e in problem.universe]
+    other = vertex_cover_problem(vertices, list(zip(vertices, vertices[1:])), 0)
+    copies = (
+        problem,
+        weight_lift(problem, vertices[:2 * pairs]),
+        dataclasses.replace(problem, spec=other.spec, feasible=other.feasible,
+                            mask_enumerator=other.mask_enumerator),
+    )
+    for copy in copies:
+        expected = best_by_enumeration(copy, ground, leader_mask, gains, 24)
+        assert list(best_by_pattern(copy, ground, leader_mask, gains).items()) == \
+            list(expected.items())
 
 
 @pytest.mark.parametrize("build", [
