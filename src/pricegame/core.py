@@ -11,10 +11,11 @@ set is the family of feasible sets meeting the threshold:
 
 best_by_pattern collapses a problem's ground family, its feasible sets or
 its solutions, to patterns over a given mask: for each pattern, the best gain
-of any member showing it and the canonical member with that gain.  By
-default it enumerates the family; a problem constructor may install a
-structured oracle that answers the same question without listing it (the
-follower as an optimization oracle, after Briest, Hoefer and Krysta).
+of any member showing it and the canonical member with that gain, optionally
+only for the patterns whose best reaches a floor.  By default it enumerates
+the family; a problem constructor may install a structured oracle that
+answers the same question without listing it (the follower as an
+optimization oracle, after Briest, Hoefer and Krysta).
 
 Reductions between such problems carry an injective embedding of the source
 universe into the target universe.  check_reduction certifies that a
@@ -22,7 +23,7 @@ reduction artifact has the defining properties: yes-instance equivalence,
 equality of the projected solution families, and tightness of the target
 threshold (no feasible set strictly better than the threshold).  It lists
 the source solutions and reads all three target checks off the target's
-patterns over the embedding image.
+patterns over the embedding image that reach the threshold.
 
 Everything here is exact and deterministic.  Subsets are exposed as
 frozensets of element ids; internally they are bitmasks over the universe
@@ -87,13 +88,15 @@ class GroundProblem:
     CnfFormula of a "sat" problem, the tuple of sorted edges of a
     "vertex-cover" problem, None for every other kind.  pattern_oracle, when
     given, is called as pattern_oracle(problem, ground, leader_mask, gains,
-    cap) and must return exactly what best_by_pattern's enumeration returns,
-    dict order included; without one, best_by_pattern enumerates.
+    cap, floor) and must return exactly what best_by_enumeration returns for
+    the same arguments: its dict order too when floor is None, its items
+    alone otherwise.  Without one, best_by_pattern enumerates.
 
     The problem caches its feasible masks; its solutions, from one weighing
-    pass over them; and the patterns of the last few (ground, leader mask, gains,
-    cap) that best_by_pattern was asked for, the least recently used
-    dropped first.  dataclasses.replace starts a copy with empty caches.
+    pass over them; and the patterns of the last few (ground, leader mask,
+    gains, cap, floor) that best_by_pattern was asked for, the least
+    recently used dropped first.  dataclasses.replace starts a copy with
+    empty caches.
     """
 
     universe: tuple[Element, ...]
@@ -250,7 +253,7 @@ _PATTERN_MEMO = 8
 
 def best_by_pattern(
     problem: GroundProblem, ground: GroundChoice, leader_mask: int,
-    gains: tuple[int, ...], cap: int = DEFAULT_CAP,
+    gains: tuple[int, ...], cap: int = DEFAULT_CAP, floor: int | None = None,
 ) -> dict[int, tuple[int, int]]:
     """{pattern: (best gain, canonical member with that gain)} of a ground family.
 
@@ -258,17 +261,20 @@ def best_by_pattern(
     member's pattern is its intersection with leader_mask and its gain the
     sum of gains over its elements; the best is always the largest, so a
     minimizing caller negates its values.  Patterns come in the order of
-    their numerically smallest member.  The problem's pattern_oracle answers
+    their numerically smallest member.  With a floor, only the patterns
+    whose best gain is at least the floor are returned, with the same
+    values and members, in no promised order; an oracle may then skip the
+    members that cannot reach it.  The problem's pattern_oracle answers
     when it has one; otherwise the family is enumerated.  The cap is checked
     on every call, and the last few answers are memoised on the problem.
     """
     problem._check_cap(cap)
-    key = (ground, leader_mask, gains, cap)
+    key = (ground, leader_mask, gains, cap, floor)
     cache = problem._pattern_cache
     patterns = cache.pop(key, None)
     if patterns is None:
         oracle = problem.pattern_oracle or best_by_enumeration
-        patterns = oracle(problem, ground, leader_mask, gains, cap)
+        patterns = oracle(problem, ground, leader_mask, gains, cap, floor)
         if len(cache) >= _PATTERN_MEMO:
             del cache[next(iter(cache))]
     cache[key] = patterns
@@ -277,12 +283,12 @@ def best_by_pattern(
 
 def best_by_enumeration(
     problem: GroundProblem, ground: GroundChoice, leader_mask: int,
-    gains: tuple[int, ...], cap: int,
+    gains: tuple[int, ...], cap: int, floor: int | None = None,
 ) -> dict[int, tuple[int, int]]:
     """best_by_pattern by listing the ground family: the default and the reference.
 
     One pass keeps, per pattern, the best gain so far and the canonical
-    member among those tied at it.
+    member among those tied at it; a floor then filters the answer.
     """
     masks = problem.feasible_masks(cap) if ground is GroundChoice.FEASIBLE \
         else problem.solution_masks(cap)
@@ -292,6 +298,8 @@ def best_by_enumeration(
         held = best.get(pattern)
         if held is None or gain > held[0] or (gain == held[0] and _canon_before(m, held[1])):
             best[pattern] = (gain, m)
+    if floor is not None:
+        return {p: held for p, held in best.items() if held[0] >= floor}
     return best
 
 
@@ -378,9 +386,10 @@ def check_reduction(
     intersected with the embedding image, as set families, and (c) the target
     admits no feasible set strictly better than its threshold.  The source
     solutions are listed; the target is asked only for the best weight of
-    each pattern over the embedding image (negated under MIN), which decides
-    all three: a pattern is the image of a target solution iff its best
-    meets the threshold, and no pattern's best may beat it.
+    each pattern over the embedding image (negated under MIN), floored at
+    the threshold, which decides all three: a pattern is the image of a
+    target solution iff its best meets the threshold, so the answer holds
+    exactly those patterns, and no pattern's best may beat it.
     """
     if {e.id for e in artifact.source_universe} != {e.id for e in source.universe}:
         raise ValueError("artifact source universe does not match the given source problem")
@@ -392,13 +401,13 @@ def check_reduction(
     image_mask = target.mask_of(artifact.image_ids())
     sign = -1 if target.sense is Sense.MIN else 1
     gains = tuple(sign * target.weights[e.id] for e in target.universe)
+    threshold = sign * target.threshold
     try:
-        patterns = best_by_pattern(target, GroundChoice.FEASIBLE, image_mask, gains, cap)
+        meeting = best_by_pattern(target, GroundChoice.FEASIBLE, image_mask, gains, cap,
+                                  floor=threshold)
     except CapExceededError as err:
         raise err.staged(f"certification of the {target.name} target: ") from err
-    threshold = sign * target.threshold
-    meeting = [p for p, (gain, _) in patterns.items() if gain >= threshold]
-    better = sum(1 for gain, _ in patterns.values() if gain > threshold)
+    better = sum(1 for gain, _ in meeting.values() if gain > threshold)
 
     mapped = frozenset(artifact.map_set(s) for s in src_solutions)
     projected = frozenset(target.ids_of(p) for p in meeting)

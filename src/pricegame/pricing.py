@@ -29,11 +29,12 @@ revenue bound first, maximizes the pattern's price revenue subject to its
 price lead over every other pattern staying within its gain lead, plus the
 price-domain restriction.  The bilevel optimum is the best LP value.  An
 infeasible candidate LP just means that pattern is never an optimal
-response; candidates stop once the bound falls below the incumbent.
-Candidates are taken in bound order alone: every candidate whose bound
-reaches the optimum is solved whatever the order among equal bounds, and
-equal LP values go to the canonically first member, so that order changes
-neither the LPs solved nor the result.
+response.  Equal LP values go to the canonically first member, so
+candidates are taken by bound, highest first, and among equal bounds in
+canonical order of their members.  They stop at the first bound below the
+incumbent's value, or equal to it with a member that does not precede the
+incumbent's: no candidate from there on can win, so the result is the one
+that solving every candidate would give.
 """
 
 from __future__ import annotations
@@ -186,10 +187,13 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
     best_value: Fraction | None = None
     best_pattern: int | None = None
     best_witness: tuple[Fraction, ...] | None = None
-    for pattern in sorted(patterns, key=bound.__getitem__, reverse=True):
-        if best_value is not None and bound[pattern] < best_value:
-            break  # bounds only fall from here on
+    for pattern in sorted(patterns, key=lambda p: (-bound[p], _bits(patterns[p][1]))):
         gain, member = patterns[pattern]
+        if best_value is not None and (bound[pattern] < best_value or (
+            bound[pattern] == best_value
+            and not _canon_before(member, patterns[best_pattern][1])
+        )):
+            break  # no candidate from here on can win
         if not var_bits:
             # The one pattern is 0, which earns nothing.
             value, witness = Fraction(0), ()

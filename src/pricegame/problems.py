@@ -81,20 +81,25 @@ def cnf(num_vars: int, clauses, var_names=None) -> CnfFormula:
     )
 
 
+def _literal_universe(formula: CnfFormula) -> tuple[Element, ...]:
+    """A formula's 2n literals, the pairs interleaved: x1, ~x1, x2, ~x2, ..."""
+    universe = []
+    for v in range(1, formula.num_vars + 1):
+        universe.append(Element(formula.literal_id(v), formula.name_of(v)))
+        universe.append(Element(formula.literal_id(-v), "not " + formula.name_of(v)))
+    return tuple(universe)
+
+
 def sat_problem(formula: CnfFormula) -> GroundProblem:
     """The satisfiability problem of a formula as a feasibility-sense instance.
 
-    Universe order interleaves the pairs: x1, ~x1, x2, ~x2, ...  The
-    enumerator searches assignments depth first rather than scanning
-    arbitrary literal subsets, and declares its cost as the 2^n assignments
-    it could visit at worst.
+    Its universe is the formula's _literal_universe.  The enumerator
+    searches assignments depth first rather than scanning arbitrary literal
+    subsets, and declares its cost as the 2^n assignments it could visit at
+    worst.
     """
     n = formula.num_vars
-    universe = []
-    for v in range(1, n + 1):
-        universe.append(Element(formula.literal_id(v), formula.name_of(v)))
-        universe.append(Element(formula.literal_id(-v), "not " + formula.name_of(v)))
-    elements = tuple(universe)
+    elements = _literal_universe(formula)
     bit = {e.id: 1 << i for i, e in enumerate(elements)}
     true_bit = [1 << (2 * v) for v in range(n)]
     false_bit = [1 << (2 * v + 1) for v in range(n)]
@@ -161,7 +166,8 @@ def vertex_cover_problem(
     keeps the walk far below 2^|V| on the gadget graphs built here.
     Patterns over the feasible covers are found without listing them, by
     a frontier DP (_cover_patterns) whose states never outnumber the
-    covers; patterns over the solutions are found by enumeration.
+    covers and which drops, under a floor, the states that cannot reach
+    it; patterns over the solutions are found by enumeration.
     """
     names = [v if isinstance(v, str) else str(v) for v in vertices]
     elements = tuple(Element(v, v) for v in names)
@@ -201,12 +207,12 @@ def vertex_cover_problem(
                 if not banned & bit:
                     stack.append((v + 1, chosen | bit, banned | bit | adjacency[v]))
 
-    def patterns(problem, ground, leader_mask, gains, cap):
+    def patterns(problem, ground, leader_mask, gains, cap, floor):
         # The solutions depend on weights and threshold, and a copy given
         # other edges has other covers.
         if ground is GroundChoice.SOLUTIONS or problem.spec != edge_pairs:
-            return best_by_enumeration(problem, ground, leader_mask, gains, cap)
-        return _cover_patterns(adjacency, leader_mask, gains)
+            return best_by_enumeration(problem, ground, leader_mask, gains, cap, floor)
+        return _cover_patterns(adjacency, leader_mask, gains, floor)
 
     return GroundProblem(
         universe=elements,
@@ -221,8 +227,40 @@ def vertex_cover_problem(
     )
 
 
+def _cover_bounds(adjacency: list[int], gains: tuple[int, ...]) -> list[int]:
+    """Entry v bounds from above the gain that the vertices below v add to a cover.
+
+    The vertices are split greedily into disjoint cliques, each the lowest
+    vertex left extended by the lowest vertex left adjacent to all of it
+    (in sat_to_vertex_cover's order: the literal pairs and the clause
+    gadgets).  A cover keeps all of a clique's vertices but at most one, so
+    a clique wholly below v adds at most the sum of its gains minus its most
+    negative gain; any other vertex below v adds at most max(gain, 0).
+    """
+    size = len(adjacency)
+    # Per clique's highest vertex, what the clique adds beyond its positive
+    # gains: every negative gain but the most negative.
+    correction = {}
+    free = (1 << size) - 1
+    for u in range(size):
+        if free >> u & 1:
+            clique, common = [u], adjacency[u] & free
+            while common:
+                w = (common & -common).bit_length() - 1
+                clique.append(w)
+                common &= adjacency[w]
+            for w in clique:
+                free ^= 1 << w
+            negatives = sorted(gains[w] for w in clique if gains[w] < 0)
+            correction[clique[-1]] = sum(negatives[1:])
+    rest = [0]
+    for v in range(size):
+        rest.append(rest[v] + max(gains[v], 0) + correction.get(v, 0))
+    return rest
+
+
 def _cover_patterns(
-    adjacency: list[int], leader_mask: int, gains: tuple[int, ...]
+    adjacency: list[int], leader_mask: int, gains: tuple[int, ...], floor: int | None
 ) -> dict[int, tuple[int, int]]:
     """best_by_pattern over the vertex covers of a graph, without listing them.
 
@@ -241,19 +279,32 @@ def _cover_patterns(
     vertices left, so no step holds more states than there are covers.
     Final states force nothing, so each key is its pattern; patterns come
     in the order of their numerically smallest member.
+
+    A state is dropped once its gain plus _cover_bounds' bound on the
+    vertices left falls below the floor.  The parts of a pattern's best
+    members, and so their merges, are never dropped, which keeps values and
+    canonical members exact; smallest members, and so the order, are not.
     """
-    states = {0: (0, 0, 0)}
-    for v in range(len(adjacency) - 1, -1, -1):
+    size = len(adjacency)
+    if floor is None:
+        # Every cover gains more than this, so no state is dropped.
+        floor = -sum(map(abs, gains)) - 1
+    rest = _cover_bounds(adjacency, gains)
+    states = {0: (0, 0, 0)} if rest[size] >= floor else {}
+    for v in range(size - 1, -1, -1):
         bit = 1 << v
         kept = bit & leader_mask
         lower = adjacency[v] & (bit - 1)
         gain = gains[v]
+        need = floor - rest[v]
         step: dict[int, tuple[int, int, int]] = {}
         for key, (g, canon, small) in states.items():
             moves = [((key & ~bit) | kept, g + gain, canon | bit, small | bit)]
             if not key & bit:
                 moves.append((key | lower, g, canon, small))
             for moved, g, canon, small in moves:
+                if g < need:
+                    continue
                 held = step.get(moved)
                 if held is not None:
                     if g < held[0] or g == held[0] and not _canon_before(canon, held[1]):
@@ -290,14 +341,14 @@ def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> Ground
         masks = range(1 << len(w))
         return (m for m, total in zip(masks, mask_sums(w, masks)) if total <= target)
 
-    def patterns(problem, ground, leader_mask, gains, cap):
+    def patterns(problem, ground, leader_mask, gains, cap, floor):
         exact = ground is GroundChoice.SOLUTIONS
         # A copy given another sense, threshold or weights has other
         # solutions than the subsets hitting this target.
         if exact and (problem.sense, problem.threshold, problem.weights) != \
                 (Sense.MAX, target, weights):
-            return best_by_enumeration(problem, ground, leader_mask, gains, cap)
-        return _subset_sum_patterns(w, target, exact, leader_mask, gains)
+            return best_by_enumeration(problem, ground, leader_mask, gains, cap, floor)
+        return _subset_sum_patterns(w, target, exact, leader_mask, gains, floor)
 
     return GroundProblem(
         universe=elements,
@@ -312,7 +363,8 @@ def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> Ground
 
 
 def _subset_sum_patterns(
-    values: list[int], target: int, exact: bool, leader_mask: int, gains: tuple[int, ...]
+    values: list[int], target: int, exact: bool, leader_mask: int, gains: tuple[int, ...],
+    floor: int | None,
 ) -> dict[int, tuple[int, int]]:
     """best_by_pattern over the subsets of value at most, or exactly, target.
 
@@ -328,7 +380,9 @@ def _subset_sum_patterns(
     canonical member is sought only among the pairs tied at a pattern's
     best gain.  Patterns come in the order of their numerically smallest
     member: the pattern itself among feasible sets, which are closed under
-    subsets.
+    subsets.  Under a floor, a left part whose best total falls below it is
+    dropped before the member search; that leaves every part that reaches a
+    pattern's best, but not the order.
     """
     n = len(values)
     followers = [i for i in range(n) if not leader_mask >> i & 1]
@@ -376,6 +430,8 @@ def _subset_sum_patterns(
                 top = running[bisect_right(sorted_values, budget) - 1]
                 group_values, parts = by_gain[top]
                 found.append((a, g + top, parts, bisect_right(group_values, budget), a))
+    if floor is not None:
+        found = [part for part in found if part[1] >= floor]
 
     best: dict[int, int] = {}
     first: dict[int, int] = {}
@@ -438,9 +494,8 @@ def sat_to_vertex_cover(formula: CnfFormula) -> ReductionArtifact:
         budget += len(gadget) - 1
 
     target = vertex_cover_problem(vertices, edges, budget)
-    source = sat_problem(formula)
     return ReductionArtifact(
-        source_universe=source.universe,
+        source_universe=_literal_universe(formula),
         target=target,
         embedding=embedding,
         provenance=(
@@ -499,9 +554,8 @@ def sat_to_subset_sum(formula: CnfFormula) -> ReductionArtifact:
         target_value += len(clause) * digit[n + j]
 
     target = subset_sum_problem(item_ids, weights, target_value)
-    source = sat_problem(formula)
     return ReductionArtifact(
-        source_universe=source.universe,
+        source_universe=_literal_universe(formula),
         target=target,
         embedding=embedding,
         provenance=(

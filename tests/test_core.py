@@ -95,6 +95,18 @@ def test_pattern_memo_keeps_the_answer_in_use(monkeypatch):
     assert len(problem._pattern_cache) == core._PATTERN_MEMO
 
 
+def test_pattern_memo_keys_the_floor():
+    # The floored answer drops the patterns whose lightest cover weighs
+    # over five, so sharing one entry would hand one query the other's answer.
+    problem = _path_cover()
+    gains = (-1,) * problem.size
+    whole = core.best_by_pattern(problem, GroundChoice.FEASIBLE, 0b111, gains)
+    floored = core.best_by_pattern(problem, GroundChoice.FEASIBLE, 0b111, gains, floor=-5)
+    assert floored == {p: best for p, best in whole.items() if best[0] >= -5} != whole
+    assert core.best_by_pattern(problem, GroundChoice.FEASIBLE, 0b111, gains) == whole
+    assert len(problem._pattern_cache) == 2
+
+
 def test_ids_of_matches_the_scan_over_positions():
     problem = _path_cover()
     for mask in range(1 << problem.size):

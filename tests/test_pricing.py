@@ -260,6 +260,26 @@ def test_compiled_two_pair_vertices_are_pinned():
     assert digest == PINNED_VERTEX_DIGEST
 
 
+def test_tie_stop_solves_fewer_lps_for_the_same_solution(monkeypatch):
+    # Four candidates' bounds reach the optimum of 10; a walk that solved
+    # each of them would take four LPs.  The first in canonical order wins,
+    # so the tie stop needs only its LP.
+    inst = compile_qdnf_pricing(random_formula(random.Random(0), 2, 3)).pricing
+    patterns = pricing._collapse(inst, inst.ground, 24)
+    reaching = [p for p, (gain, _) in patterns.items() if gain - patterns[0][0] >= 10]
+    solved = []
+    solve_lp = pricing.solve_lp
+    monkeypatch.setattr(pricing, "solve_lp", lambda lp: solved.append(lp) or solve_lp(lp))
+    assert pricing_summary(inst, solve_pricing(inst)) == [
+        "status: optimal", "leader_value: 10/1", "follower_value: 2/1",
+        "price sel_false1 = 7/1", "price sel_false2 = 4/1", "price sel_true1 = 3/1",
+        "price sel_true2 = 0/1", "price toll = 7/1",
+        "response: engage exists1 exists2 forall1 forall2 sel_true1 sel_true2 toll"
+        " ~dodge ~fallback ~sel_false1 ~sel_false2 ~sel_skip1 ~sel_skip2",
+    ]
+    assert len(reaching) == 4 and len(solved) == 1
+
+
 def test_instances_are_frozen_and_replace_revalidates():
     inst = two_item_instance()
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -340,10 +360,12 @@ def test_canon_before_is_the_sorted_positions_order():
     st.tuples(*[st.integers(min_value=0, max_value=1)] * 6),
     st.integers(min_value=0, max_value=63),
     st.sampled_from(GroundChoice),
+    st.integers(min_value=-1, max_value=7),
 )
 @settings(max_examples=200, deadline=None)
-def test_best_by_pattern_matches_brute_force(members, gains, leader_mask, ground):
-    # Gains of 0 and 1 make many members tie on their pattern's best gain.
+def test_best_by_pattern_matches_brute_force(members, gains, leader_mask, ground, floor):
+    # Gains of 0 and 1 make many members tie on their pattern's best gain;
+    # the floor runs from below every gain to above every gain.
     names = [f"e{i}" for i in range(6)]
     family = [frozenset(n for i, n in enumerate(names) if m >> i & 1) for m in members]
     base = explicit_problem(
@@ -360,3 +382,5 @@ def test_best_by_pattern_matches_brute_force(members, gains, leader_mask, ground
         top = max(gain for gain, _ in scored)
         expected[pattern] = (top, min((m for g, m in scored if g == top), key=positions))
     assert best_by_pattern(base, ground, leader_mask, gains, 24) == expected
+    assert best_by_pattern(base, ground, leader_mask, gains, 24, floor) == \
+        {p: best for p, best in expected.items() if best[0] >= floor}

@@ -235,17 +235,28 @@ def subset_sum_pattern_queries(draw):
     return subset_sum_problem(list(weights), weights, target), leader_mask, gains
 
 
+def assert_floored_answers_filter(problem, ground, leader_mask, gains, expected, pick):
+    """Floored at, below and above the picked pattern's best gain, at and
+    just above the lowest and highest, the seam returns expected filtered."""
+    bests = sorted({gain for gain, _ in expected.values()}) or [0]
+    picked = bests[pick % len(bests)]
+    for floor in (bests[0] - 1, bests[0], picked, picked + 1, bests[-1], bests[-1] + 1):
+        floored = best_by_pattern(problem, ground, leader_mask, gains, floor=floor)
+        assert floored == {p: best for p, best in expected.items() if best[0] >= floor}
+
+
 @given(subset_sum_pattern_queries(), st.sampled_from(GroundChoice), st.integers(-3, 3),
-       st.sampled_from([Sense.MAX, Sense.MIN]))
+       st.sampled_from([Sense.MAX, Sense.MIN]), st.integers(0, 63))
 @settings(max_examples=300, deadline=None)
-def test_subset_sum_pattern_oracle_matches_the_enumeration(query, ground, moved, sense):
+def test_subset_sum_pattern_oracle_matches_the_enumeration(query, ground, moved, sense, pick):
     # Values, members and pattern order all equal the enumeration's; a copy
     # given another threshold or sense keeps the feasible family but not the
-    # solutions.
+    # solutions.  Floored answers equal the enumeration's filtered.
     problem, leader_mask, gains = query
     expected = best_by_enumeration(problem, ground, leader_mask, gains, 24)
     assert list(best_by_pattern(problem, ground, leader_mask, gains).items()) == \
         list(expected.items())
+    assert_floored_answers_filter(problem, ground, leader_mask, gains, expected, pick)
     threshold = problem.threshold + moved
     if sense is Sense.MIN:
         threshold = max(threshold, 0)
@@ -253,6 +264,7 @@ def test_subset_sum_pattern_oracle_matches_the_enumeration(query, ground, moved,
     expected = best_by_enumeration(copy, ground, leader_mask, gains, 24)
     assert list(best_by_pattern(copy, ground, leader_mask, gains).items()) == \
         list(expected.items())
+    assert_floored_answers_filter(copy, ground, leader_mask, gains, expected, pick)
 
 
 def test_subset_sum_pattern_oracle_keeps_the_cap():
@@ -337,16 +349,20 @@ def vertex_cover_pattern_queries(draw):
     return problem, leader_mask, gains, draw(st.integers(0, size // 2))
 
 
-@given(vertex_cover_pattern_queries(), st.sampled_from(GroundChoice))
+@given(vertex_cover_pattern_queries(), st.sampled_from(GroundChoice), st.integers(0, 63))
 # Pattern 0b1 (smallest member 0b0011) precedes pattern 0b100 (0b0110) only
 # if merging two states keeps the smaller of their smallest members.
 @example((vertex_cover_problem("abcd", [("a", "b"), ("b", "d")], 0), 0b101, (0,) * 4, 0),
-         GroundChoice.FEASIBLE)
+         GroundChoice.FEASIBLE, 0)
+# Floored at 2, the cover {a, b} is lost unless the bound counts what the
+# positive gains left can still add.
+@example((vertex_cover_problem("ab", [("a", "b")], 0), 0, (1, 1), 0), GroundChoice.FEASIBLE, 0)
 @settings(max_examples=300, deadline=None)
-def test_vertex_cover_pattern_oracle_matches_the_enumeration(query, ground):
+def test_vertex_cover_pattern_oracle_matches_the_enumeration(query, ground, pick):
     # Values, members and pattern order all equal the enumeration's, on the
     # problem, on a weight_lift copy, and on a copy given other edges along
-    # with their feasibility oracle and enumerator.
+    # with their feasibility oracle and enumerator.  Floored answers equal
+    # the enumeration's filtered.
     problem, leader_mask, gains, pairs = query
     vertices = [e.id for e in problem.universe]
     other = vertex_cover_problem(vertices, list(zip(vertices, vertices[1:])), 0)
@@ -360,6 +376,7 @@ def test_vertex_cover_pattern_oracle_matches_the_enumeration(query, ground):
         expected = best_by_enumeration(copy, ground, leader_mask, gains, 24)
         assert list(best_by_pattern(copy, ground, leader_mask, gains).items()) == \
             list(expected.items())
+        assert_floored_answers_filter(copy, ground, leader_mask, gains, expected, pick)
 
 
 @pytest.mark.parametrize("build", [
