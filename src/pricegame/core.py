@@ -389,16 +389,20 @@ def check_reduction(
     each pattern over the embedding image (negated under MIN), floored at
     the threshold, which decides all three: a pattern is the image of a
     target solution iff its best meets the threshold, so the answer holds
-    exactly those patterns, and no pattern's best may beat it.
+    exactly those patterns, and no pattern's best may beat it.  Both families
+    are compared as masks over the target universe; ids are built only for
+    the detail of a failed comparison.
     """
     if {e.id for e in artifact.source_universe} != {e.id for e in source.universe}:
         raise ValueError("artifact source universe does not match the given source problem")
     try:
-        src_solutions = solution_set(source, cap)
+        src_masks = source.solution_masks(cap)
     except CapExceededError as err:
         raise err.staged(f"certification of the {source.name} source: ") from err
     target = artifact.target
-    image_mask = target.mask_of(artifact.image_ids())
+    # The embedding is injective, so summing image bits maps a mask.
+    image_bits = [target.mask_of((artifact.embedding[e.id],)) for e in source.universe]
+    image_mask = sum(image_bits)
     sign = -1 if target.sense is Sense.MIN else 1
     gains = tuple(sign * target.weights[e.id] for e in target.universe)
     threshold = sign * target.threshold
@@ -409,16 +413,15 @@ def check_reduction(
         raise err.staged(f"certification of the {target.name} target: ") from err
     better = sum(1 for gain, _ in meeting.values() if gain > threshold)
 
-    mapped = frozenset(artifact.map_set(s) for s in src_solutions)
-    projected = frozenset(target.ids_of(p) for p in meeting)
+    mapped = set(mask_sums(image_bits, src_masks))
 
-    yes_eq = bool(src_solutions) == bool(meeting)
-    family_match = mapped == projected
+    yes_eq = bool(src_masks) == bool(meeting)
+    family_match = mapped == meeting.keys()
     tight = better == 0
     detail = ""
     if not family_match:
-        only_src = canonical_family(mapped - projected)
-        only_tgt = canonical_family(projected - mapped)
+        only_src = canonical_family(map(target.ids_of, mapped - meeting.keys()))
+        only_tgt = canonical_family(map(target.ids_of, meeting.keys() - mapped))
         detail = f"mapped-only={only_src} projected-only={only_tgt}"
     elif not tight:
         detail = f"{better} image patterns hold a feasible set strictly better than threshold"

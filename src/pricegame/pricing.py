@@ -46,6 +46,7 @@ from functools import reduce
 from operator import or_, sub
 
 from .core import (
+    CapExceededError,
     DEFAULT_CAP,
     GroundChoice,
     GroundProblem,
@@ -151,9 +152,14 @@ def _bits(mask: int) -> list[int]:
 
 
 def _collapse(inst: PricingInstance, ground: GroundChoice, cap: int) -> dict[int, tuple[int, int]]:
+    """The base's patterns for a solve or an evaluation; a cap error names the stage."""
+    base = inst.base
     sign = -1 if inst.minimizing else 1
-    gains = tuple(sign * inst.valuation[e.id] for e in inst.base.universe)
-    return best_by_pattern(inst.base, ground, inst.base.mask_of(inst.leader_ids), gains, cap)
+    gains = tuple(sign * inst.valuation[e.id] for e in base.universe)
+    try:
+        return best_by_pattern(base, ground, base.mask_of(inst.leader_ids), gains, cap)
+    except CapExceededError as err:
+        raise err.staged(f"solve of the {base.name} ground: ") from err
 
 
 def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolution:

@@ -341,6 +341,8 @@ def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> Ground
         masks = range(1 << len(w))
         return (m for m, total in zip(masks, mask_sums(w, masks)) if total <= target)
 
+    weight_gains = tuple(w)
+
     def patterns(problem, ground, leader_mask, gains, cap, floor):
         exact = ground is GroundChoice.SOLUTIONS
         # A copy given another sense, threshold or weights has other
@@ -348,6 +350,10 @@ def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> Ground
         if exact and (problem.sense, problem.threshold, problem.weights) != \
                 (Sense.MAX, target, weights):
             return best_by_enumeration(problem, ground, leader_mask, gains, cap, floor)
+        # No feasible set weighs more than the target, so when gains are the
+        # weights only the exact hits can reach a floor at the target.
+        if floor is not None and floor >= target and gains == weight_gains:
+            exact = True
         return _subset_sum_patterns(w, target, exact, leader_mask, gains, floor)
 
     return GroundProblem(
@@ -382,7 +388,9 @@ def _subset_sum_patterns(
     member: the pattern itself among feasible sets, which are closed under
     subsets.  Under a floor, a left part whose best total falls below it is
     dropped before the member search; that leaves every part that reaches a
-    pattern's best, but not the order.
+    pattern's best, but not the order.  The exact search also answers a
+    feasible query whose gains are the values and whose floor is at least
+    the target: only the members hitting the target can reach that floor.
     """
     n = len(values)
     followers = [i for i in range(n) if not leader_mask >> i & 1]

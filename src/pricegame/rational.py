@@ -27,6 +27,8 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"decimal notation is not accepted: {text!r}")
     if "/" in text:
         num, _, den = text.partition("/")
+        if int(den) == 0:
+            raise ValueError(f"a rational needs a nonzero denominator: {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 

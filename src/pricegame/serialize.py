@@ -56,7 +56,13 @@ def encode_qdnf(q: QdnfFormula) -> dict:
     return {"pairs": q.num_pairs, "terms": [sorted(t) for t in q.terms]}
 
 
-_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+               bool: "a boolean"}
+
+
+def _is(value, kind: type) -> bool:
+    """Whether a JSON value has one type; a boolean is not an integer here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _field(payload: dict, name: str, kind: type):
@@ -64,7 +70,7 @@ def _field(payload: dict, name: str, kind: type):
     if not isinstance(payload, dict) or name not in payload:
         raise ValueError(f"payload is missing the {name!r} field")
     value = payload[name]
-    if not isinstance(value, kind):
+    if not _is(value, kind):
         found = _JSON_TYPES.get(type(value), type(value).__name__)
         raise ValueError(f"payload field {name!r} must be {_JSON_TYPES[kind]}, not {found}")
     return value
@@ -73,7 +79,7 @@ def _field(payload: dict, name: str, kind: type):
 def _rows(payload: dict, name: str, kind: type) -> list[list]:
     """A required payload field that is a list of lists of one JSON type."""
     rows = _field(payload, name, list)
-    if not all(isinstance(row, list) and all(isinstance(x, kind) for x in row) for row in rows):
+    if not all(isinstance(row, list) and all(_is(x, kind) for x in row) for row in rows):
         raise ValueError(
             f"payload field {name!r} must be a list of lists, each item {_JSON_TYPES[kind]}"
         )
@@ -151,7 +157,7 @@ def encode_problem(p: GroundProblem) -> dict:
 
 def _integers(payload: dict, name: str) -> dict[str, int]:
     mapping = _field(payload, name, dict)
-    if not all(isinstance(v, int) for v in mapping.values()):
+    if not all(_is(v, int) for v in mapping.values()):
         raise ValueError(f"payload field {name!r} must map ids to integers")
     return dict(mapping)
 

@@ -273,6 +273,31 @@ def test_lift_past_the_cap_names_the_stage_on_stderr_only(tmp_path, capsys):
     )
 
 
+def test_solve_past_the_cap_names_the_stage_on_stderr_only(tmp_path, capsys):
+    q = write_doc(tmp_path / "q.json", "qdnf", encode_qdnf(qdnf(1, [{1}])))
+    compiled = tmp_path / "thm2.json"
+    assert main(["--out", str(compiled), "compile", q, "--pipeline", "thm2"]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(compiled), "--cap", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: solve of the sat ground: a search over 9 binary choices"
+        " exceeds the enumeration cap of 8\n"
+    )
+
+
+def test_zero_denominators_are_one_line_errors(tmp_path, capsys):
+    path = two_item_pricing_doc(tmp_path)
+    payload = load_document((tmp_path / "two.json").read_text())["payload"]
+    zero = write_doc(tmp_path / "zero.json", "pricing", dict(payload, threshold="1/0"))
+    for argv in (["solve", zero], ["solve", path, "--threshold", "1/0"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a rational needs a nonzero denominator: '1/0'\n"
+
+
 def test_sweep_reports_are_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["--seed", "9", "verify-sweep", "--pairs", "1", "--max-terms", "2",

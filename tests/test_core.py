@@ -151,6 +151,10 @@ def test_corrupted_embedding_fails_family_check():
     report = check_reduction(sat_problem(formula), broken)
     assert not report.family_match
     assert "projected-family-equality" in report.failing_checks()
+    assert report.detail == (
+        "mapped-only=(('v:x1', 'v:~x1'), ('v:x2', 'v:~x2'))"
+        " projected-only=(('v:x1', 'v:~x2'), ('v:x2', 'v:~x1'))"
+    )
 
 
 def test_embedding_must_be_injective():

@@ -10,6 +10,7 @@ from pricegame.compilers import weight_lift
 from pricegame.core import (
     CapExceededError,
     GroundChoice,
+    GroundProblem,
     Sense,
     best_by_enumeration,
     best_by_pattern,
@@ -223,7 +224,8 @@ def test_subset_sum_past_the_table_size_matches_the_table():
 
 @st.composite
 def subset_sum_pattern_queries(draw):
-    """A subset sum of up to 10 items, a leader mask and gains of either sign."""
+    """A subset sum of up to 10 items, a leader mask and gains of either sign,
+    or gains equal to the item weights."""
     size = draw(st.integers(min_value=0, max_value=10))
     value = st.one_of(st.just(0), st.integers(0, 6), st.integers(0, 40))
     weights = {f"i{k}": draw(value) for k in range(size)}
@@ -231,16 +233,19 @@ def subset_sum_pattern_queries(draw):
     target = draw(st.one_of(st.just(0), st.integers(0, total), st.integers(total + 1, total + 9)))
     full = (1 << size) - 1
     leader_mask = draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
-    gains = tuple(draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size)))
+    gains = draw(st.one_of(st.just(tuple(weights.values())), st.lists(
+        st.integers(-4, 4), min_size=size, max_size=size).map(tuple)))
     return subset_sum_problem(list(weights), weights, target), leader_mask, gains
 
 
-def assert_floored_answers_filter(problem, ground, leader_mask, gains, expected, pick):
+def assert_floored_answers_filter(problem, ground, leader_mask, gains, expected, pick,
+                                  also=()):
     """Floored at, below and above the picked pattern's best gain, at and
-    just above the lowest and highest, the seam returns expected filtered."""
+    just above the lowest and highest, and at each floor in also, the seam
+    returns expected filtered."""
     bests = sorted({gain for gain, _ in expected.values()}) or [0]
     picked = bests[pick % len(bests)]
-    for floor in (bests[0] - 1, bests[0], picked, picked + 1, bests[-1], bests[-1] + 1):
+    for floor in (bests[0] - 1, bests[0], picked, picked + 1, bests[-1], bests[-1] + 1, *also):
         floored = best_by_pattern(problem, ground, leader_mask, gains, floor=floor)
         assert floored == {p: best for p, best in expected.items() if best[0] >= floor}
 
@@ -251,12 +256,16 @@ def assert_floored_answers_filter(problem, ground, leader_mask, gains, expected,
 def test_subset_sum_pattern_oracle_matches_the_enumeration(query, ground, moved, sense, pick):
     # Values, members and pattern order all equal the enumeration's; a copy
     # given another threshold or sense keeps the feasible family but not the
-    # solutions.  Floored answers equal the enumeration's filtered.
+    # solutions.  Floored answers equal the enumeration's filtered, also at
+    # and above the target, where gains equal to the weights take the exact
+    # search.
     problem, leader_mask, gains = query
+    at_target = (problem.threshold, problem.threshold + 1)
     expected = best_by_enumeration(problem, ground, leader_mask, gains, 24)
     assert list(best_by_pattern(problem, ground, leader_mask, gains).items()) == \
         list(expected.items())
-    assert_floored_answers_filter(problem, ground, leader_mask, gains, expected, pick)
+    assert_floored_answers_filter(problem, ground, leader_mask, gains, expected, pick,
+                                  at_target)
     threshold = problem.threshold + moved
     if sense is Sense.MIN:
         threshold = max(threshold, 0)
@@ -264,7 +273,8 @@ def test_subset_sum_pattern_oracle_matches_the_enumeration(query, ground, moved,
     expected = best_by_enumeration(copy, ground, leader_mask, gains, 24)
     assert list(best_by_pattern(copy, ground, leader_mask, gains).items()) == \
         list(expected.items())
-    assert_floored_answers_filter(copy, ground, leader_mask, gains, expected, pick)
+    assert_floored_answers_filter(copy, ground, leader_mask, gains, expected, pick,
+                                  at_target)
 
 
 def test_subset_sum_pattern_oracle_keeps_the_cap():
@@ -309,6 +319,32 @@ def test_certification_by_patterns_matches_the_listing_oracle():
             verdicts.add(verdict)
     # Each of the three checks both passes and fails somewhere in the corpus.
     assert all({v[k] for v in verdicts} == {True, False} for k in range(3))
+
+
+@pytest.mark.parametrize("step, verdict, detail", [
+    (-1, (True, False, False), "mapped-only=() projected-only=(('x2',),)"),
+    (1, (False, False, True),
+     "mapped-only=(('x1', 'x2'), ('x1', '~x2'), ('x2', '~x1')) projected-only=()"),
+])
+def test_moved_subset_sum_threshold_reports_the_families_apart(step, verdict, detail):
+    formula = cnf(2, [[1, 2]])
+    artifact = sat_to_subset_sum(formula)
+    target = dataclasses.replace(artifact.target, threshold=artifact.target.threshold + step)
+    report = check_reduction(sat_problem(formula), dataclasses.replace(artifact, target=target))
+    assert (report.yes_equivalence, report.family_match, report.threshold_tight) == verdict
+    assert report.detail == detail
+
+
+def test_passing_certification_builds_no_id_sets(monkeypatch):
+    # Both families are compared as masks; ids are only for a failure's detail.
+    calls = []
+    ids_of = GroundProblem.ids_of
+    monkeypatch.setattr(GroundProblem, "ids_of",
+                        lambda self, mask: calls.append(mask) or ids_of(self, mask))
+    formula = cnf(3, [[1, -2], [2, 3], [-1, -3]])
+    for artifact in (sat_to_vertex_cover(formula), sat_to_subset_sum(formula)):
+        assert check_reduction(sat_problem(formula), artifact).passed
+    assert calls == []
 
 
 @st.composite

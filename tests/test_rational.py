@@ -31,3 +31,9 @@ rationals = st.fractions(
 @given(rationals)
 def test_format_parse_identity(x):
     assert parse_rational(format_rational(x)) == x
+
+
+def test_zero_denominator_rejected_naming_the_text():
+    for text in ("1/0", " -3/0 ", "0/0"):
+        with pytest.raises(ValueError, match="nonzero denominator: '"):
+            parse_rational(text)

@@ -138,3 +138,35 @@ def test_replace_copy_encodes_like_the_original(build):
     copy = dataclasses.replace(problem)
     assert encode_problem(copy) == encode_problem(problem)
     assert encode_problem(decode_problem(encode_problem(copy))) == encode_problem(problem)
+
+
+_SUBSET_SUM = {"problem": "subset-sum", "items": ["a"], "weights": {"a": 1}, "target": 1}
+_VERTEX_COVER = {"problem": "vertex-cover", "vertices": ["u", "v"], "edges": [["u", "v"]],
+                 "weights": {"u": 1, "v": 1}, "threshold": 1}
+_PRICING = {"base": _SUBSET_SUM, "leader": [], "valuation": {"a": 1}, "domain": "free",
+            "ground": "feasible", "threshold": "0/1"}
+
+
+@pytest.mark.parametrize("decode, payload, message", [
+    (decode_qdnf, {"pairs": True, "terms": [[1]]},
+     "payload field 'pairs' must be an integer, not a boolean"),
+    (decode_qdnf, {"pairs": 1, "terms": [[1, True]]},
+     "payload field 'terms' must be a list of lists, each item an integer"),
+    (decode_cnf, {"num_vars": False, "clauses": [[1]]},
+     "payload field 'num_vars' must be an integer, not a boolean"),
+    (decode_cnf, {"num_vars": 1, "clauses": [[True]]},
+     "payload field 'clauses' must be a list of lists, each item an integer"),
+    (decode_problem, dict(_VERTEX_COVER, threshold=True),
+     "payload field 'threshold' must be an integer, not a boolean"),
+    (decode_pricing, dict(_PRICING, base=dict(_SUBSET_SUM, target=True)),
+     "payload field 'target' must be an integer, not a boolean"),
+    (decode_problem, dict(_SUBSET_SUM, weights={"a": True}),
+     "payload field 'weights' must map ids to integers"),
+    (decode_pricing, dict(_PRICING, valuation={"a": False}),
+     "payload field 'valuation' must map ids to integers"),
+], ids=["pairs", "terms", "num_vars", "clauses", "threshold", "target", "weights",
+        "valuation"])
+def test_booleans_are_not_integers(decode, payload, message):
+    with pytest.raises(ValueError) as err:
+        decode(payload)
+    assert str(err.value) == message
