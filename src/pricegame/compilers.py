@@ -40,7 +40,6 @@ from .core import (
     ReductionArtifact,
     Sense,
     check_reduction,
-    mask_sums,
 )
 from .pricing import Domain, GroundChoice, PricingInstance
 from .problems import CnfFormula, sat_problem
@@ -242,16 +241,6 @@ def _weight_scale(sat_pricing: PricingInstance) -> int:
     return 4 * n * sum(sat_pricing.valuation.values())
 
 
-def _target_optimum(target: GroundProblem, cap: int) -> int | None:
-    solutions = target.solution_masks(cap)
-    if not solutions:
-        return None
-    values = set(mask_sums([target.weights[e.id] for e in target.universe], solutions))
-    if len(values) != 1:
-        raise CompileAnomalyError("target solutions do not share a common weight")
-    return values.pop()
-
-
 # The lifted valuation is scale * w plus the source value on embedded
 # elements, minus it for a minimization target; the ground is the feasible
 # family, except for a feasibility target, whose feasible sets are already
@@ -280,15 +269,14 @@ def _lift(
         raise CertificationError(report)
     target = artifact.target
     image_ids = artifact.image_ids()
+    if sense is Sense.MIN and any(target.weights[i] < 1 for i in image_ids):
+        target = weight_lift(target, image_ids)
+        rescaled = dataclasses.replace(artifact, target=target)
+        if not check_reduction(sat_pricing.base, rescaled, cap).passed:
+            raise CompileAnomalyError("weight rescaling changed the target solution set")
     # Certified: the target has solutions iff the source does, and, being
     # tight, every one of them weighs exactly the threshold.
     optimum = target.threshold if sat_pricing.base.solution_masks(cap) else None
-    if sense is Sense.MIN and any(target.weights[i] < 1 for i in image_ids):
-        before = set(target.solution_masks(cap))
-        target = weight_lift(target, image_ids)
-        if set(target.solution_masks(cap)) != before:
-            raise CompileAnomalyError("weight rescaling changed the target solution set")
-        optimum = _target_optimum(target, cap)
     scale = _weight_scale(sat_pricing)
     image = {v: k for k, v in artifact.embedding.items()}
     valuation = {}
@@ -332,8 +320,8 @@ def lift_min(
 
     Costs become scale * weight minus the source profit on embedded
     elements.  If any embedded element has weight zero the target is first
-    rescaled by weight_lift, which leaves the solution set untouched; the
-    lifted instance's base is then the rescaled target.
+    rescaled by weight_lift, and the rescaled artifact is certified again;
+    the lifted instance's base is then the rescaled target.
     """
     return _lift(sat_pricing, artifact, cap, Sense.MIN)
 

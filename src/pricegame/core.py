@@ -88,9 +88,8 @@ class GroundProblem:
     CnfFormula of a "sat" problem, the tuple of sorted edges of a
     "vertex-cover" problem, None for every other kind.  pattern_oracle, when
     given, is called as pattern_oracle(problem, ground, leader_mask, gains,
-    cap, floor) and must return exactly what best_by_enumeration returns for
-    the same arguments: its dict order too when floor is None, its items
-    alone otherwise.  Without one, best_by_pattern enumerates.
+    cap, floor) and must return the same items as best_by_enumeration for
+    the same arguments.  Without one, best_by_pattern enumerates.
 
     The problem caches its feasible masks; its solutions, from one weighing
     pass over them; and the patterns of the last few (ground, leader mask,
@@ -260,13 +259,14 @@ def best_by_pattern(
     The ground family is the problem's feasible sets or its solutions.  A
     member's pattern is its intersection with leader_mask and its gain the
     sum of gains over its elements; the best is always the largest, so a
-    minimizing caller negates its values.  Patterns come in the order of
-    their numerically smallest member.  With a floor, only the patterns
-    whose best gain is at least the floor are returned, with the same
-    values and members, in no promised order; an oracle may then skip the
-    members that cannot reach it.  The problem's pattern_oracle answers
-    when it has one; otherwise the family is enumerated.  The cap is checked
-    on every call, and the last few answers are memoised on the problem.
+    minimizing caller negates its values.  The patterns come in no promised
+    order.  With a floor, only the patterns whose best gain is at least the
+    floor are returned, with the same values and members; an oracle may
+    then skip the members that cannot reach it.  The problem's
+    pattern_oracle answers when it has one, with the same items as
+    best_by_enumeration; otherwise the family is enumerated.  The cap is
+    checked on every call, and the last few answers are memoised on the
+    problem.
     """
     problem._check_cap(cap)
     key = (ground, leader_mask, gains, cap, floor)

@@ -181,6 +181,10 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
     upper = {} if high_bound is None else {k: high_bound * c for k, c in enumerate(caps)}
     # Each pattern's 0/1 price vector over var_bits, built once per solve.
     vector = {p: tuple(p >> b & 1 for b in var_bits) for p in patterns}
+    # Bland's rule can reach another vertex of a degenerate LP when the rows
+    # come in another order, so every candidate's rows follow the patterns
+    # by value: the solve is a function of the answer's items alone.
+    ordered = sorted(patterns.items())
 
     # A pattern's revenue is at most its gain lead over pattern 0, or, with
     # no all-follower member (only under price caps), the sum of its caps.
@@ -208,7 +212,7 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
             # difference is at most the gain gap.
             objective = vector[pattern]
             rows = []
-            for other, (other_gain, _) in patterns.items():
+            for other, (other_gain, _) in ordered:
                 if other != pattern:
                     gap = gain - other_gain
                     rows.append((tuple(map(sub, objective, vector[other])), "<=", gap))

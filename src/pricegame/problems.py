@@ -268,52 +268,46 @@ def _cover_patterns(
     is forced | pattern: forced holds the undecided vertices that an
     excluded neighbour forces into the cover, pattern the leader bits
     decided so far; the two lie in disjoint bit ranges.  Its value is the
-    best gain of the decided part, its canonical decided part and its
-    numerically smallest one.  A vertex may always be included; it may be
-    excluded only if not forced, and then forces its lower neighbours.
-    States with one key have the same completions, and every undecided bit
-    lies below every decided one, so _canon_before(L | H1, L | H2) equals
-    _canon_before(H1, H2) and the numeric minimum splits the same way: the
-    larger gain wins, ties go to the canonical part, and the smallest parts
-    merge by min.  Every state completes to a cover by including all the
-    vertices left, so no step holds more states than there are covers.
-    Final states force nothing, so each key is its pattern; patterns come
-    in the order of their numerically smallest member.
+    best gain of the decided part and its canonical decided part.  A vertex
+    may always be included; it may be excluded only if not forced, and then
+    forces its lower neighbours.  States with one key have the same
+    completions, and every undecided bit lies below every decided one, so
+    _canon_before(L | H1, L | H2) equals _canon_before(H1, H2): the larger
+    gain wins and ties go to the canonical part.  Every state completes to
+    a cover by including all the vertices left, so no step holds more
+    states than there are covers.  Final states force nothing, so each key
+    is its pattern.
 
     A state is dropped once its gain plus _cover_bounds' bound on the
     vertices left falls below the floor.  The parts of a pattern's best
     members, and so their merges, are never dropped, which keeps values and
-    canonical members exact; smallest members, and so the order, are not.
+    canonical members exact.
     """
     size = len(adjacency)
     if floor is None:
         # Every cover gains more than this, so no state is dropped.
         floor = -sum(map(abs, gains)) - 1
     rest = _cover_bounds(adjacency, gains)
-    states = {0: (0, 0, 0)} if rest[size] >= floor else {}
+    states = {0: (0, 0)} if rest[size] >= floor else {}
     for v in range(size - 1, -1, -1):
         bit = 1 << v
         kept = bit & leader_mask
         lower = adjacency[v] & (bit - 1)
         gain = gains[v]
         need = floor - rest[v]
-        step: dict[int, tuple[int, int, int]] = {}
-        for key, (g, canon, small) in states.items():
-            moves = [((key & ~bit) | kept, g + gain, canon | bit, small | bit)]
+        step: dict[int, tuple[int, int]] = {}
+        for key, (g, canon) in states.items():
+            moves = [((key & ~bit) | kept, g + gain, canon | bit)]
             if not key & bit:
-                moves.append((key | lower, g, canon, small))
-            for moved, g, canon, small in moves:
+                moves.append((key | lower, g, canon))
+            for moved, g, canon in moves:
                 if g < need:
                     continue
                 held = step.get(moved)
-                if held is not None:
-                    if g < held[0] or g == held[0] and not _canon_before(canon, held[1]):
-                        g, canon = held[0], held[1]
-                    small = min(small, held[2])
-                step[moved] = (g, canon, small)
+                if held is None or g > held[0] or g == held[0] and _canon_before(canon, held[1]):
+                    step[moved] = (g, canon)
         states = step
-    return {key: (g, canon) for key, (g, canon, _) in
-            sorted(states.items(), key=lambda item: item[1][2])}
+    return states
 
 
 def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> GroundProblem:
@@ -325,6 +319,8 @@ def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> Ground
     """
     names = list(item_ids)
     elements = tuple(Element(i, i) for i in names)
+    if set(weights) != set(names):
+        raise ValueError("weights must cover exactly the universe")
     if any(weights[i] < 0 for i in names):
         raise ValueError("item weights must be nonnegative")
     w = [weights[i] for i in names]
@@ -384,13 +380,11 @@ def _subset_sum_patterns(
     by gain, or among those of value exactly target - value(A).  Values are
     nonnegative, so the empty right part always fits the first.  The
     canonical member is sought only among the pairs tied at a pattern's
-    best gain.  Patterns come in the order of their numerically smallest
-    member: the pattern itself among feasible sets, which are closed under
-    subsets.  Under a floor, a left part whose best total falls below it is
-    dropped before the member search; that leaves every part that reaches a
-    pattern's best, but not the order.  The exact search also answers a
-    feasible query whose gains are the values and whose floor is at least
-    the target: only the members hitting the target can reach that floor.
+    best gain.  Under a floor, a left part whose best total falls below it
+    is dropped before the member search; that leaves every part that
+    reaches a pattern's best.  The exact search also answers a feasible
+    query whose gains are the values and whose floor is at least the
+    target: only the members hitting the target can reach that floor.
     """
     n = len(values)
     followers = [i for i in range(n) if not leader_mask >> i & 1]
@@ -405,24 +399,22 @@ def _subset_sum_patterns(
     right_bits, right_values, right_gains = tables(right)
 
     # Per left part: (part, best total gain, right parts tied at it, how
-    # many of those fit, numerically smallest member).
+    # many of those fit).
     found = []
     if exact:
-        # Per right value: its best gain, the parts tied at it, its smallest part.
-        by_value: dict[int, list] = {}
+        # Per right value: its best gain and the parts tied at it.
+        by_value: dict[int, tuple[int, list[int]]] = {}
         for b, v, g in zip(right_bits, right_values, right_gains):
             held = by_value.get(v)
-            if held is None:
-                by_value[v] = [g, [b], b]
-            elif g > held[0]:
-                held[0], held[1] = g, [b]
+            if held is None or g > held[0]:
+                by_value[v] = (g, [b])
             elif g == held[0]:
                 held[1].append(b)
         for a, v, g in zip(left_bits, left_values, left_gains):
             held = by_value.get(target - v)
             if held is not None:
-                top, parts, smallest = held
-                found.append((a, g + top, parts, len(parts), a + smallest))
+                top, parts = held
+                found.append((a, g + top, parts, len(parts)))
     else:
         order = sorted(range(len(right_bits)), key=right_values.__getitem__)
         sorted_values = [right_values[j] for j in order]
@@ -437,21 +429,16 @@ def _subset_sum_patterns(
                 budget = target - v
                 top = running[bisect_right(sorted_values, budget) - 1]
                 group_values, parts = by_gain[top]
-                found.append((a, g + top, parts, bisect_right(group_values, budget), a))
+                found.append((a, g + top, parts, bisect_right(group_values, budget)))
     if floor is not None:
         found = [part for part in found if part[1] >= floor]
 
     best: dict[int, int] = {}
-    first: dict[int, int] = {}
-    for a, total, _, _, smallest in found:
+    for a, total, _, _ in found:
         pattern = a & leader_mask
-        if pattern not in best:
-            best[pattern], first[pattern] = total, smallest
-        else:
-            best[pattern] = max(best[pattern], total)
-            first[pattern] = min(first[pattern], smallest)
+        best[pattern] = max(best.get(pattern, total), total)
     member: dict[int, int] = {}
-    for a, total, parts, fits, _ in found:
+    for a, total, parts, fits in found:
         pattern = a & leader_mask
         if total == best[pattern]:
             held = member.get(pattern)
@@ -459,7 +446,7 @@ def _subset_sum_patterns(
                 if held is None or _canon_before(a | b, held):
                     held = a | b
             member[pattern] = held
-    return {p: (best[p], member[p]) for p in sorted(best, key=first.__getitem__)}
+    return {p: (best[p], member[p]) for p in best}
 
 
 def sat_to_vertex_cover(formula: CnfFormula) -> ReductionArtifact:

@@ -155,11 +155,16 @@ def encode_problem(p: GroundProblem) -> dict:
     }
 
 
-def _integers(payload: dict, name: str) -> dict[str, int]:
+def _mapping(payload: dict, name: str, kind: type, values: str) -> dict:
+    """A required payload field that maps ids to values of one JSON type."""
     mapping = _field(payload, name, dict)
-    if not all(_is(v, int) for v in mapping.values()):
-        raise ValueError(f"payload field {name!r} must map ids to integers")
+    if not all(_is(v, kind) for v in mapping.values()):
+        raise ValueError(f"payload field {name!r} must map ids to {values}")
     return dict(mapping)
+
+
+def _integers(payload: dict, name: str) -> dict[str, int]:
+    return _mapping(payload, name, int, "integers")
 
 
 def decode_problem(payload: dict) -> GroundProblem:
@@ -168,14 +173,14 @@ def decode_problem(payload: dict) -> GroundProblem:
         return sat_problem(decode_cnf(_field(payload, "cnf", dict)))
     if flavor == "vertex-cover":
         return vertex_cover_problem(
-            _field(payload, "vertices", list),
+            _strings(payload, "vertices"),
             [tuple(e) for e in _pairs(payload, "edges", "[vertex, vertex]")],
             _field(payload, "threshold", int),
             _integers(payload, "weights"),
         )
     if flavor == "subset-sum":
         return subset_sum_problem(
-            _field(payload, "items", list),
+            _strings(payload, "items"),
             _integers(payload, "weights"),
             _field(payload, "target", int),
         )
@@ -225,7 +230,7 @@ def decode_artifact(payload: dict) -> tuple[GroundProblem, ReductionArtifact]:
     artifact = ReductionArtifact(
         source_universe=source.universe,
         target=decode_problem(_field(payload, "target", dict)),
-        embedding=dict(_field(payload, "embedding", dict)),
+        embedding=_mapping(payload, "embedding", str, "strings"),
     )
     return source, artifact
 

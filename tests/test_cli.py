@@ -410,3 +410,38 @@ def test_every_pipeline_writes_the_pinned_bytes(tmp_path, capsys):
                              out=f"{pipeline}-{k}.json"))
     run("compile", ss, "--pipeline", "weight-lift", out="wl-ss.json")
     assert digest.hexdigest() == PIPELINE_DIGEST
+
+
+def test_ids_must_be_strings_and_weights_must_cover_the_items(tmp_path, capsys):
+    pricing = {"leader": [], "domain": "free", "ground": "solutions", "threshold": "0/1"}
+    vc_base = {"problem": "vertex-cover", "vertices": ["a", ["b"]], "edges": [],
+               "weights": {"a": 1, "['b']": 1}, "threshold": 1}
+    ss_base = {"problem": "subset-sum", "items": ["a", 3], "weights": {"a": 1, "3": 1},
+               "target": 1}
+    cases = [
+        (dict(pricing, base=vc_base, valuation={"a": 1, "['b']": 1}),
+         "payload field 'vertices' must be a list, each item a string"),
+        (dict(pricing, base=ss_base, valuation={"a": 1, "3": 1}),
+         "payload field 'items' must be a list, each item a string"),
+        (dict(pricing, base=dict(ss_base, items=["a", "b"], weights={"a": 1}),
+              valuation={"a": 1, "b": 1}),
+         "weights must cover exactly the universe"),
+    ]
+    runs = [(["solve", write_doc(tmp_path / f"ids-{k}.json", "pricing", payload)], message)
+            for k, (payload, message) in enumerate(cases)]
+    src = write_doc(tmp_path / "f.json", "cnf", encode_cnf(cnf(1, [[1]])))
+    built = tmp_path / "vc.json"
+    assert main(["--out", str(built), "compile", src, "--pipeline", "sat2vc"]) == 0
+    payload = load_document(built.read_text())["payload"]
+    for k, image in enumerate((["v:x1"], 3)):
+        embedding = dict(payload["embedding"], x1=image)
+        path = write_doc(tmp_path / f"embedding-{k}.json", "reduction-artifact",
+                         dict(payload, embedding=embedding))
+        runs.append((["compile", path, "--pipeline", "weight-lift"],
+                     "payload field 'embedding' must map ids to strings"))
+    capsys.readouterr()
+    for argv, message in runs:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"

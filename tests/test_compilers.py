@@ -5,6 +5,7 @@ import random
 import pytest
 
 from pricegame.compilers import (
+    CompileAnomalyError,
     QdnfFormula,
     compile_qdnf_pricing,
     lift_feas,
@@ -17,7 +18,11 @@ from pricegame.compilers import (
 from pricegame.core import (
     CapExceededError,
     CertificationError,
+    Element,
+    GroundProblem,
     ReductionArtifact,
+    Sense,
+    explicit_problem,
     identity_reduction,
     solution_set,
 )
@@ -28,7 +33,13 @@ from pricegame.pricing import (
     decide_pricing,
     solve_pricing,
 )
-from pricegame.problems import cnf, sat_problem, sat_to_subset_sum, sat_to_vertex_cover
+from pricegame.problems import (
+    cnf,
+    sat_problem,
+    sat_to_subset_sum,
+    sat_to_vertex_cover,
+    vertex_cover_problem,
+)
 from pricegame.serialize import (
     decode_pricing,
     dump_document,
@@ -180,6 +191,43 @@ def test_lifts_report_the_weight_of_every_target_solution():
             target = artifact.target
             weights = {target.weight_of_mask(m) for m in target.solution_masks()}
             assert [params.target_optimum] == (sorted(weights) or [None])
+
+
+def test_lift_min_of_a_zero_weight_image_lists_no_target_family(monkeypatch):
+    # With the image weighing nothing, a cover may add any image vertex for
+    # free, so only an unsatisfiable source certifies against it.  The lift
+    # rescales the target and certifies the rescaled artifact by patterns.
+    formula = cnf(1, [[1], [-1]])
+    built = sat_to_vertex_cover(formula)
+    vertices = [e.id for e in built.target.universe]
+    weights = {v: 0 if v in built.image_ids() else 1 for v in vertices}
+    artifact = dataclasses.replace(
+        built, target=vertex_cover_problem(vertices, built.target.spec, 1, weights))
+    src = source_instance(formula, {"x1"}, {"x1": 1, "~x1": 2})
+    listed = []
+    for method in ("feasible_masks", "solution_masks"):
+        def recording(problem, *args, _listing=getattr(GroundProblem, method), _name=method):
+            if problem is not src.base:
+                listed.append((problem.name, _name))
+            return _listing(problem, *args)
+        monkeypatch.setattr(GroundProblem, method, recording)
+    lifted, params = lift_min(src, artifact)
+    assert listed == []
+    assert params.target_optimum is None
+    assert all(lifted.base.weights[i] == 1 for i in artifact.image_ids())
+
+
+def test_lift_min_rejects_a_rescaling_that_changes_the_solutions():
+    # Solutions {a} and {a, b} weigh 0; rescaled, {a, b} weighs 2 > 1.
+    universe = [Element("a"), Element("b")]
+    family = [frozenset({"a"}), frozenset({"a", "b"})]
+    source = explicit_problem(universe, family)
+    target = explicit_problem(universe, family, {"a": 0, "b": 0}, 0, Sense.MIN)
+    artifact = ReductionArtifact(source.universe, target, {"a": "a", "b": "b"})
+    src = PricingInstance(source, frozenset({"a"}), {"a": 1, "b": 1}, GroundChoice.SOLUTIONS)
+    with pytest.raises(CompileAnomalyError) as err:
+        lift_min(src, artifact)
+    assert str(err.value) == "weight rescaling changed the target solution set"
 
 
 def test_lift_feas_through_identity_preserves_instance():

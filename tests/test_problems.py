@@ -145,6 +145,13 @@ def test_subset_sum_problem_feasibility():
     assert not problem.feasible(frozenset({"a", "b"}))
 
 
+def test_subset_sum_weights_must_cover_the_items():
+    for weights in ({"a": 1}, {"a": 1, "b": 2, "c": 3}):
+        with pytest.raises(ValueError) as err:
+            subset_sum_problem(["a", "b"], weights, 2)
+        assert str(err.value) == "weights must cover exactly the universe"
+
+
 def all_formulas(num_vars, max_clauses, max_width=3):
     """Every clause set with the given bounds, used by the exhaustive sweeps."""
     literals = [v for i in range(1, num_vars + 1) for v in (i, -i)]
@@ -254,16 +261,14 @@ def assert_floored_answers_filter(problem, ground, leader_mask, gains, expected,
        st.sampled_from([Sense.MAX, Sense.MIN]), st.integers(0, 63))
 @settings(max_examples=300, deadline=None)
 def test_subset_sum_pattern_oracle_matches_the_enumeration(query, ground, moved, sense, pick):
-    # Values, members and pattern order all equal the enumeration's; a copy
-    # given another threshold or sense keeps the feasible family but not the
-    # solutions.  Floored answers equal the enumeration's filtered, also at
-    # and above the target, where gains equal to the weights take the exact
-    # search.
+    # Values and members equal the enumeration's; a copy given another
+    # threshold or sense keeps the feasible family but not the solutions.
+    # Floored answers equal the enumeration's filtered, also at and above the
+    # target, where gains equal to the weights take the exact search.
     problem, leader_mask, gains = query
     at_target = (problem.threshold, problem.threshold + 1)
     expected = best_by_enumeration(problem, ground, leader_mask, gains, 24)
-    assert list(best_by_pattern(problem, ground, leader_mask, gains).items()) == \
-        list(expected.items())
+    assert best_by_pattern(problem, ground, leader_mask, gains) == expected
     assert_floored_answers_filter(problem, ground, leader_mask, gains, expected, pick,
                                   at_target)
     threshold = problem.threshold + moved
@@ -271,8 +276,7 @@ def test_subset_sum_pattern_oracle_matches_the_enumeration(query, ground, moved,
         threshold = max(threshold, 0)
     copy = dataclasses.replace(problem, threshold=threshold, sense=sense)
     expected = best_by_enumeration(copy, ground, leader_mask, gains, 24)
-    assert list(best_by_pattern(copy, ground, leader_mask, gains).items()) == \
-        list(expected.items())
+    assert best_by_pattern(copy, ground, leader_mask, gains) == expected
     assert_floored_answers_filter(copy, ground, leader_mask, gains, expected, pick,
                                   at_target)
 
@@ -386,8 +390,8 @@ def vertex_cover_pattern_queries(draw):
 
 
 @given(vertex_cover_pattern_queries(), st.sampled_from(GroundChoice), st.integers(0, 63))
-# Pattern 0b1 (smallest member 0b0011) precedes pattern 0b100 (0b0110) only
-# if merging two states keeps the smaller of their smallest members.
+# Patterns 0b1 and 0b100 are each reached by several covers, so their
+# states merge, and each merge must keep the best gain and canonical part.
 @example((vertex_cover_problem("abcd", [("a", "b"), ("b", "d")], 0), 0b101, (0,) * 4, 0),
          GroundChoice.FEASIBLE, 0)
 # Floored at 2, the cover {a, b} is lost unless the bound counts what the
@@ -395,10 +399,10 @@ def vertex_cover_pattern_queries(draw):
 @example((vertex_cover_problem("ab", [("a", "b")], 0), 0, (1, 1), 0), GroundChoice.FEASIBLE, 0)
 @settings(max_examples=300, deadline=None)
 def test_vertex_cover_pattern_oracle_matches_the_enumeration(query, ground, pick):
-    # Values, members and pattern order all equal the enumeration's, on the
-    # problem, on a weight_lift copy, and on a copy given other edges along
-    # with their feasibility oracle and enumerator.  Floored answers equal
-    # the enumeration's filtered.
+    # Values and members equal the enumeration's, on the problem, on a
+    # weight_lift copy, and on a copy given other edges along with their
+    # feasibility oracle and enumerator.  Floored answers equal the
+    # enumeration's filtered.
     problem, leader_mask, gains, pairs = query
     vertices = [e.id for e in problem.universe]
     other = vertex_cover_problem(vertices, list(zip(vertices, vertices[1:])), 0)
@@ -410,8 +414,7 @@ def test_vertex_cover_pattern_oracle_matches_the_enumeration(query, ground, pick
     )
     for copy in copies:
         expected = best_by_enumeration(copy, ground, leader_mask, gains, 24)
-        assert list(best_by_pattern(copy, ground, leader_mask, gains).items()) == \
-            list(expected.items())
+        assert best_by_pattern(copy, ground, leader_mask, gains) == expected
         assert_floored_answers_filter(copy, ground, leader_mask, gains, expected, pick)
 
 
