@@ -44,7 +44,6 @@ from .pricing import (
     SolveStatus,
     decide_pricing,
     evaluate_prices,
-    incentive_to_price,
     solve_pricing,
 )
 from .compilers import (

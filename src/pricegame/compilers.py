@@ -121,7 +121,6 @@ class CompiledSatPricing:
     pricing: PricingInstance
     decision_threshold: int
     price_unit: int
-    atlas: dict[str, str]
     formula: CnfFormula
     provenance: tuple[dict, ...]
 
@@ -225,13 +224,11 @@ def compile_qdnf_pricing(q: QdnfFormula) -> CompiledSatPricing:
             },
         },
     )
-    atlas = {name: name for name in names}
-    return CompiledSatPricing(pricing, threshold, unit, atlas, formula, provenance)
+    return CompiledSatPricing(pricing, threshold, unit, formula, provenance)
 
 
 @dataclass(frozen=True)
 class LiftParameters:
-    mode: str
     weight_scale: int
     target_optimum: int | None
 
@@ -294,7 +291,7 @@ def _lift(
         domain=sat_pricing.domain,
         threshold=sat_pricing.threshold,
     )
-    return lifted, LiftParameters(mode, scale, optimum)
+    return lifted, LiftParameters(scale, optimum)
 
 
 def lift_max(

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from operator import ge, le
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -75,7 +76,7 @@ class Element:
     label: str = ""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GroundProblem:
     """A combinatorial problem over an explicit finite universe.
 
@@ -91,11 +92,9 @@ class GroundProblem:
     cap, floor) and must return the same items as best_by_enumeration for
     the same arguments.  Without one, best_by_pattern enumerates.
 
-    The problem caches its feasible masks; its solutions, from one weighing
-    pass over them; and the patterns of the last few (ground, leader mask,
-    gains, cap, floor) that best_by_pattern was asked for, the least
-    recently used dropped first.  dataclasses.replace starts a copy with
-    empty caches.
+    A problem is a frozen value.  It lists its feasible family once, on
+    first use, and remembers the last answer best_by_pattern gave for it;
+    dataclasses.replace makes a copy with neither.
     """
 
     universe: tuple[Element, ...]
@@ -110,9 +109,7 @@ class GroundProblem:
     pattern_oracle: Callable[..., dict[int, tuple[int, int]]] | None = None
     _index: dict[str, int] = field(init=False, repr=False)
     _weight_bits: list[int] = field(init=False, repr=False)
-    _mask_cache: list[int] | None = field(default=None, init=False, repr=False)
-    _solution_cache: tuple | None = field(default=None, init=False, repr=False)
-    _pattern_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _last_answer: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         ids = [e.id for e in self.universe]
@@ -163,24 +160,22 @@ class GroundProblem:
         return total
 
     def feasible_masks(self, cap: int = DEFAULT_CAP) -> list[int]:
-        """All feasible sets as bitmasks, cached after the first enumeration.
+        """All feasible sets as sorted bitmasks, listed once per problem.
 
         The cap bounds the enumeration effort at 2^cap: a problem with a
         pruned enumerator may declare a smaller cost_bits than its universe
         size (a satisfiability universe of 2n literals is searched over at
         most 2^n assignments), the brute-force subset scan costs the full
-        size.  The cap is checked on every call, cached or not.
+        size.  The cap is checked on every call, listed or not.
         """
         self._check_cap(cap)
-        if self._mask_cache is None:
-            if self.mask_enumerator is not None:
-                masks = sorted(self.mask_enumerator())
-            else:
-                masks = [
-                    m for m in range(1 << self.size) if self.feasible(self.ids_of(m))
-                ]
-            self._mask_cache = masks
-        return self._mask_cache
+        return self._family
+
+    @cached_property
+    def _family(self) -> list[int]:
+        if self.mask_enumerator is not None:
+            return sorted(self.mask_enumerator())
+        return [m for m in range(1 << self.size) if self.feasible(self.ids_of(m))]
 
     def _check_cap(self, cap: int) -> None:
         """Raise CapExceededError if enumerating this problem costs over 2^cap."""
@@ -193,21 +188,16 @@ class GroundProblem:
             )
 
     def solution_masks(self, cap: int = DEFAULT_CAP) -> list[int]:
-        """The feasible sets meeting the threshold, as a fresh list.
+        """The feasible sets meeting the threshold, weighed afresh into a new list.
 
-        One pass weighs the feasible family and caches the solutions.
         Feasibility problems have nothing to weigh.
         """
         masks = self.feasible_masks(cap)
         if self.sense is Sense.FEASIBILITY:
             return list(masks)
-        if self._solution_cache is None:
-            meets = le if self.sense is Sense.MIN else ge
-            t, bits = self.threshold, self._weight_bits
-            self._solution_cache = tuple(
-                m for m, w in zip(masks, mask_sums(bits, masks)) if meets(w, t)
-            )
-        return list(self._solution_cache)
+        meets = le if self.sense is Sense.MIN else ge
+        t = self.threshold
+        return [m for m, w in zip(masks, mask_sums(self._weight_bits, masks)) if meets(w, t)]
 
 
 def subset_sums(values: Sequence[int]) -> list[int]:
@@ -246,10 +236,6 @@ def _canon_before(a: int, b: int) -> bool:
     return b > low if a & low else a < low
 
 
-# How many recent best_by_pattern answers each problem keeps.
-_PATTERN_MEMO = 8
-
-
 def best_by_pattern(
     problem: GroundProblem, ground: GroundChoice, leader_mask: int,
     gains: tuple[int, ...], cap: int = DEFAULT_CAP, floor: int | None = None,
@@ -265,19 +251,17 @@ def best_by_pattern(
     then skip the members that cannot reach it.  The problem's
     pattern_oracle answers when it has one, with the same items as
     best_by_enumeration; otherwise the family is enumerated.  The cap is
-    checked on every call, and the last few answers are memoised on the
-    problem.
+    checked on every call.  The problem remembers its last answer, so asking
+    the same question again in a row costs one comparison of the arguments.
     """
     problem._check_cap(cap)
     key = (ground, leader_mask, gains, cap, floor)
-    cache = problem._pattern_cache
-    patterns = cache.pop(key, None)
-    if patterns is None:
-        oracle = problem.pattern_oracle or best_by_enumeration
-        patterns = oracle(problem, ground, leader_mask, gains, cap, floor)
-        if len(cache) >= _PATTERN_MEMO:
-            del cache[next(iter(cache))]
-    cache[key] = patterns
+    last = problem._last_answer
+    if last is not None and last[0] == key:
+        return last[1]
+    oracle = problem.pattern_oracle or best_by_enumeration
+    patterns = oracle(problem, ground, leader_mask, gains, cap, floor)
+    object.__setattr__(problem, "_last_answer", (key, patterns))
     return patterns
 
 
@@ -444,7 +428,6 @@ def explicit_problem(
     weights: dict[str, int] | None = None,
     threshold: int = 0,
     sense: Sense = Sense.FEASIBILITY,
-    name: str = "explicit",
 ) -> GroundProblem:
     """A problem given by listing its feasible family outright."""
     elements = tuple(universe)
@@ -462,6 +445,6 @@ def explicit_problem(
         sense=sense,
         feasible=lambda s: frozenset(s) in family,
         mask_enumerator=lambda: masks,
-        name=name,
+        name="explicit",
         cost_bits=0,
     )

@@ -134,13 +134,6 @@ class PriceEvaluation:
     response: frozenset[str]
 
 
-def incentive_to_price(gross_profit: dict, incentive: dict) -> dict[str, Fraction]:
-    """Convert per-element incentives into prices: d(e) = profit(e) - incentive(e)."""
-    if set(gross_profit) != set(incentive):
-        raise ValueError("profit and incentive maps must share the same key set")
-    return {e: Fraction(gross_profit[e]) - Fraction(incentive[e]) for e in gross_profit}
-
-
 def _bits(mask: int) -> list[int]:
     """The positions of a mask's set bits, lowest first."""
     bits = []

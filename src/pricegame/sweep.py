@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import random
 import time
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from .compilers import QdnfFormula, compile_qdnf_pricing, qdnf, qdnf_holds
 from .core import DEFAULT_CAP, CapExceededError
 from .pricing import PricingInstance, meets_threshold, solve_pricing
 from .rational import format_rational
+from .serialize import dump_document
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -139,12 +139,13 @@ def run_sweep(
         (instance_id, q, cap, inject_fault == idx, timed)
         for idx, (instance_id, q) in enumerate(items)
     ]
-    if jobs > 1:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         # Imported here, so importing the package does not load it (about
         # 0.7 MB of resident memory) for callers that never fan out.
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             records = pool.starmap(check_one, tasks)
     else:
         records = [check_one(*t) for t in tasks]
@@ -170,4 +171,4 @@ def run_sweep(
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return dump_document(report)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import random
 
 from pricegame.cli import main
@@ -15,7 +16,7 @@ from pricegame.serialize import (
     make_document,
 )
 from pricegame.problems import cnf
-from pricegame.sweep import random_formula
+from pricegame.sweep import CorpusSpec, random_formula, render_report, run_sweep
 
 
 def write_doc(path, kind, payload, provenance=()):
@@ -341,6 +342,31 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert main(["--out", str(serial)] + base) == 0
     assert main(["--out", str(parallel), "--jobs", "2"] + base) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_sweep_pool_is_sized_by_its_corpus(monkeypatch):
+    # The fake pool records its size and runs the tasks in this process.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, tasks):
+            return [func(*task) for task in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    three = CorpusSpec(pairs=1, max_terms=2, count=3, seed=4)
+    assert render_report(run_sweep(three, jobs=64)) == render_report(run_sweep(three))
+    assert sizes == [3]
+    run_sweep(CorpusSpec(pairs=1, max_terms=2, count=1, seed=4), jobs=64)
+    assert sizes == [3]
 
 
 # sha256 over every run below: its argv (paths as file names), exit code,

@@ -102,7 +102,7 @@ def test_compile_shape_for_one_pair():
     assert compiled.pricing.valuation["fallback"] == 1
     assert compiled.pricing.valuation["dodge"] == 1
     assert compiled.pricing.valuation["sel_skip1"] == 1
-    assert set(compiled.atlas) >= {"fallback", "engage", "toll", "dodge"}
+    assert set(compiled.formula.var_names) >= {"fallback", "engage", "toll", "dodge"}
 
 
 def test_compile_decides_like_the_oracle_on_the_examples():

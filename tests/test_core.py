@@ -1,8 +1,12 @@
 import dataclasses
+import importlib
+import inspect
+import pkgutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pricegame
 from pricegame import core
 from pricegame.compilers import qdnf, qdnf_holds, weight_lift
 from pricegame.core import (
@@ -39,9 +43,8 @@ def test_empty_clause_set_keeps_both_assignments():
 
 def test_cap_is_enforced_and_names_the_cap():
     universe = [Element(f"e{i}") for i in range(6)]
-    problem = explicit_problem(universe, [frozenset({"e0"})])
-    problem.mask_enumerator = None
-    problem.cost_bits = None
+    problem = dataclasses.replace(explicit_problem(universe, [frozenset({"e0"})]),
+                                  mask_enumerator=None, cost_bits=None)
     with pytest.raises(CapExceededError) as err:
         solution_set(problem, cap=5)
     assert "cap of 5" in str(err.value)
@@ -79,20 +82,20 @@ def test_cap_errors_name_what_they_counted():
     assert str(err.value) == "a formula of 13 exists/forall pairs exceeds the enumeration cap of 12"
 
 
-def test_pattern_memo_keeps_the_answer_in_use(monkeypatch):
-    # One answer asked for between every two new ones stays cached while
-    # the new ones cycle out, least recently used first.
-    problem = _path_cover()
+def test_pattern_memo_keeps_the_answer_in_use():
+    # A question asked again in a row is answered from the memo; any other
+    # question replaces it.
     asked = []
-    oracle = problem.pattern_oracle
-    monkeypatch.setattr(problem, "pattern_oracle",
-                        lambda *args: asked.append(args[3]) or oracle(*args))
-    hot = (1,) * problem.size
-    for k in range(3 * core._PATTERN_MEMO):
-        core.best_by_pattern(problem, GroundChoice.FEASIBLE, 0b11, hot)
-        core.best_by_pattern(problem, GroundChoice.FEASIBLE, 0b11, (k + 2,) * problem.size)
-    assert asked.count(hot) == 1 and len(asked) == 1 + 3 * core._PATTERN_MEMO
-    assert len(problem._pattern_cache) == core._PATTERN_MEMO
+    base = _path_cover()
+    problem = dataclasses.replace(
+        base, pattern_oracle=lambda *args: asked.append(args[3]) or base.pattern_oracle(*args)
+    )
+    hot, cold = (1,) * problem.size, (2,) * problem.size
+    answers = [core.best_by_pattern(problem, GroundChoice.FEASIBLE, 0b11, gains)
+               for gains in (hot, hot, cold, cold, hot)]
+    assert asked == [hot, cold, hot]
+    assert answers[0] is answers[1] and answers[2] is answers[3]
+    assert answers[4] == answers[0]
 
 
 def test_pattern_memo_keys_the_floor():
@@ -104,7 +107,6 @@ def test_pattern_memo_keys_the_floor():
     floored = core.best_by_pattern(problem, GroundChoice.FEASIBLE, 0b111, gains, floor=-5)
     assert floored == {p: best for p, best in whole.items() if best[0] >= -5} != whole
     assert core.best_by_pattern(problem, GroundChoice.FEASIBLE, 0b111, gains) == whole
-    assert len(problem._pattern_cache) == 2
 
 
 def test_ids_of_matches_the_scan_over_positions():
@@ -187,6 +189,28 @@ def test_sense_invariants_are_validated():
         GroundProblem(universe, {"e": 0}, -1, Sense.MIN, lambda s: True)
 
 
+def test_problems_are_frozen_and_a_replaced_copy_weighs_afresh():
+    universe = [Element("a"), Element("b")]
+    family = [frozenset({"a"}), frozenset({"a", "b"})]
+    problem = explicit_problem(universe, family, {"a": 1, "b": 1}, 1, Sense.MIN)
+    assert problem.solution_masks() == [0b01]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.threshold = 2
+    assert dataclasses.replace(problem, threshold=2).solution_masks() == [0b01, 0b11]
+    assert problem.solution_masks() == [0b01]
+
+
+def test_every_dataclass_in_the_package_is_frozen():
+    classes = [
+        obj
+        for info in pkgutil.iter_modules(pricegame.__path__)
+        for _, obj in inspect.getmembers(importlib.import_module(f"pricegame.{info.name}"))
+        if dataclasses.is_dataclass(obj) and obj.__module__.startswith("pricegame.")
+    ]
+    assert core.GroundProblem in classes
+    assert [c.__name__ for c in classes if not c.__dataclass_params__.frozen] == []
+
+
 families = st.sets(
     st.frozensets(st.sampled_from(["a", "b", "c", "d"]), max_size=4),
     min_size=0,
@@ -199,9 +223,7 @@ families = st.sets(
 def test_explicit_problem_solution_set_matches_threshold_filter(family, threshold):
     universe = [Element(x) for x in "abcd"]
     weights = {x: 1 for x in "abcd"}
-    problem = explicit_problem(
-        universe, family, weights, threshold, Sense.MIN, name="random"
-    )
+    problem = explicit_problem(universe, family, weights, threshold, Sense.MIN)
     expected = {frozenset(s) for s in family if len(s) <= threshold}
     assert solution_set(problem) == expected
 

@@ -25,7 +25,6 @@ from pricegame.pricing import (
     SolveStatus,
     decide_pricing,
     evaluate_prices,
-    incentive_to_price,
     solve_pricing,
 )
 from pricegame.problems import cnf, sat_problem, subset_sum_problem, vertex_cover_problem
@@ -127,14 +126,6 @@ def test_no_feasible_candidate_is_a_runtime_error(monkeypatch):
         solve_pricing(two_item_instance())
 
 
-def test_incentive_to_price_examples():
-    assert incentive_to_price({"e": 5}, {"e": 3}) == {"e": Fraction(2)}
-    assert incentive_to_price({"e": 4}, {"e": 4}) == {"e": Fraction(0)}
-    assert incentive_to_price({"e": 4}, {"e": 0}) == {"e": Fraction(4)}
-    with pytest.raises(ValueError):
-        incentive_to_price({"e": 1}, {"f": 1})
-
-
 def test_lower_cap_requires_minimization():
     inst = two_item_instance(domain=Domain.LOWER_CAP)
     with pytest.raises(ValueError):
@@ -221,7 +212,7 @@ def test_incentive_route_matches_direct_objective(seed):
     leader = sorted(inst.leader_ids)
     incentives = {e: Fraction(rng.randint(-3, 6)) for e in leader}
     gross = {e: Fraction(inst.valuation[e]) for e in leader}
-    prices = incentive_to_price(gross, incentives)
+    prices = {e: gross[e] - incentives[e] for e in leader}
     try:
         check = evaluate_prices(inst, prices)
     except NoFollowerSolutionError:
@@ -358,7 +349,10 @@ def test_pattern_memo_stays_bounded_over_many_valuations():
         valuation = {v: rng.randint(0, 9) for v in vertices}
         solve_pricing(PricingInstance(base, frozenset(vertices[:3]), valuation,
                                       GroundChoice.FEASIBLE))
-    assert 0 < len(base._pattern_cache) <= core._PATTERN_MEMO
+    # The problem remembers one answer, the last one asked for.
+    key, answer = base._last_answer
+    assert key[2] == tuple(-valuation[v] for v in vertices)
+    assert core.best_by_pattern(base, *key) is answer
 
 
 def test_solves_and_evaluations_under_every_domain_share_one_collapse(monkeypatch):
