@@ -8,7 +8,7 @@ lifts, and a batch verification harness.
 """
 
 from .rational import Rational, format_rational, parse_rational
-from .linprog import LinearProgram, LpOutcome, LpStatus, make_lp, solve_lp
+from .linprog import LinearProgram, LpOutcome, LpStatus, solve_lp
 from .core import (
     CapExceededError,
     CertificationError,

@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import ge, le
-from typing import Callable, Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_CAP = 24
 
@@ -92,13 +93,14 @@ class GroundProblem:
     cap, floor) and must return the same items as best_by_enumeration for
     the same arguments.  Without one, best_by_pattern enumerates.
 
-    A problem is a frozen value.  It lists its feasible family once, on
-    first use, and remembers the last answer best_by_pattern gave for it;
+    A problem is a frozen value, and weights is a read-only copy of the
+    mapping given.  A problem lists its feasible family once, on first use,
+    and remembers the last answer best_by_pattern gave for it;
     dataclasses.replace makes a copy with neither.
     """
 
     universe: tuple[Element, ...]
-    weights: dict[str, int]
+    weights: Mapping[str, int]
     threshold: int
     sense: Sense
     feasible: Callable[[frozenset[str]], bool]
@@ -112,6 +114,7 @@ class GroundProblem:
     _last_answer: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
         ids = [e.id for e in self.universe]
         if len(set(ids)) != len(ids):
             raise ValueError("universe element ids must be unique")

@@ -2,16 +2,14 @@
 
 A small two-phase simplex used by the per-candidate leader optimization.
 Variables are free unless bounds are given; constraints may be <=, >= or =.
-LP data are Python ints or Fractions, and the solver works in integers
-from end to end: each row is scaled to integers by the lcm of its
-denominators (an int has denominator 1, so integral data is not scaled),
+LP data are Python ints, and the solver works in integers from end to end:
 the tableau holds Python integers over one common denominator, and pivots
 are fraction-free (Edmonds/Bareiss), so every division is exact.  The
-witness is read back as integers over a common denominator ``D`` and
-checked in integer arithmetic against every constraint (``a.(x D) <= b D``)
-and every bound.  Fractions are built only for the returned witness and
-value.  Pivot selection follows Bland's rule, so with exact arithmetic the
-method always terminates.
+witness is read back as integers over that denominator ``d`` and checked
+in integer arithmetic against every constraint (``a.(x d) <= b d``) and
+every bound.  Fractions are built only for the returned witness and value.
+Pivot selection follows Bland's rule, so with exact arithmetic the method
+always terminates.
 
 Not built for scale: instances here have a handful of variables and at most
 a few hundred constraints.
@@ -22,14 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from operator import add, mul, neg, sub
-from typing import Sequence
 
 Relation = str  # "<=", ">=", "="
 
 _RELATIONS = ("<=", ">=", "=")
-_EXACT_TYPES = frozenset({int, Fraction})
+_INT = frozenset({int})
 
 
 class LpStatus(Enum):
@@ -39,27 +35,27 @@ class LpStatus(Enum):
 
 
 def _require_exact(values, what: str) -> None:
-    """Raise TypeError unless every value is an int (not a bool) or a Fraction."""
-    if _EXACT_TYPES.issuperset(map(type, values)):
+    """Raise TypeError unless every value is an int (not a bool)."""
+    if _INT.issuperset(map(type, values)):
         return
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-            raise TypeError(f"{what} {v!r} is not an int or a Fraction")
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise TypeError(f"{what} {v!r} is not an int")
 
 
 @dataclass(frozen=True)
 class LinearProgram:
     """Maximize objective . x subject to constraints and optional bounds.
 
-    Every coefficient, right-hand side and bound is an int or a Fraction;
-    ``make_lp`` coerces other numbers.
+    Every coefficient, right-hand side and bound is an int; anything else,
+    a Fraction included, is a TypeError.
     """
 
     num_vars: int
-    objective: tuple[int | Fraction, ...]
-    constraints: tuple[tuple[tuple[int | Fraction, ...], Relation, int | Fraction], ...]
-    lower: dict[int, int | Fraction] = field(default_factory=dict)
-    upper: dict[int, int | Fraction] = field(default_factory=dict)
+    objective: tuple[int, ...]
+    constraints: tuple[tuple[tuple[int, ...], Relation, int], ...]
+    lower: dict[int, int] = field(default_factory=dict)
+    upper: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.num_vars < 1:
@@ -90,22 +86,6 @@ class LpOutcome:
     status: LpStatus
     optimal_value: Fraction | None = None
     witness: tuple[Fraction, ...] | None = None
-
-
-def make_lp(objective: Sequence, constraints: Sequence, lower=None, upper=None) -> LinearProgram:
-    """Convenience constructor coercing all numeric data to Fraction."""
-    # Tuples are built from lists, at their final length.  tuple() of a
-    # generator starts at a guessed length and is resized, so each one moves
-    # a free tuple of CPython's from one size class to another; over many
-    # thousand solves that grew the free lists by megabytes.
-    obj = tuple([Fraction(c) for c in objective])
-    rows = tuple([
-        (tuple([Fraction(a) for a in coeffs]), rel, Fraction(rhs))
-        for coeffs, rel, rhs in constraints
-    ])
-    lo = {j: Fraction(v) for j, v in (lower or {}).items()}
-    up = {j: Fraction(v) for j, v in (upper or {}).items()}
-    return LinearProgram(len(obj), obj, rows, lo, up)
 
 
 class _Tableau:
@@ -191,29 +171,14 @@ def _eliminate(row, prow, p, d, j):
     return [(p * a - f * b) // d for a, b in zip(row, prow)]
 
 
-def _integer_row(values) -> tuple[int, list[int]]:
-    """Scale ints and Fractions by the lcm of their denominators; return (lcm, ints)."""
-    scale = lcm(*[v.denominator for v in values])
-    if scale == 1:
-        return 1, [v.numerator for v in values]
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
+def _standardize(lp: LinearProgram):
+    """Rewrite the constraints over nonnegative standard columns u.
 
-
-def _integer_rows(lp: LinearProgram) -> list[tuple[int, list[int], Relation]]:
-    """Each constraint as (scale, integer coefficients then rhs, relation)."""
-    return [(*_integer_row([*coeffs, rhs]), rel) for coeffs, rel, rhs in lp.constraints]
-
-
-def _standardize(lp: LinearProgram, rows):
-    """Rewrite integer rows over nonnegative standard columns u.
-
-    Returns (plan, offsets, den, std_rows): plan[col] is the (variable,
-    sign) of standard column col, and original variable j equals
-    offsets[j] / den plus the signed sum of its columns, with integer
-    offsets over the lcm ``den`` of their denominators.  Each std row is
-    (integer coefficients over u, relation, integer rhs, scale): the
-    original constraint multiplied by the positive scale, with rhs >= 0
-    still to be arranged by the caller.
+    Returns (plan, offsets, std_rows): plan[col] is the (variable, sign) of
+    standard column col, and original variable j equals offsets[j] plus the
+    signed sum of its columns.  Each std row is (coefficients over u,
+    relation, rhs): the original constraint shifted by the offsets, with
+    rhs >= 0 still to be arranged by the caller.
     """
     plan: list[tuple[int, int]] = []
     offsets = []
@@ -232,42 +197,33 @@ def _standardize(lp: LinearProgram, rows):
         else:
             plan += [(j, 1), (j, -1)]
             offsets.append(0)
-    den, offsets = _integer_row(offsets)
 
-    # Multiplying a row by den keeps it integral after the offsets shift it.
-    unit = [(j, sign * den) for j, sign in plan]
     shifts = [(j, o) for j, o in enumerate(offsets) if o]
     std_rows = []
-    for scale, ints, rel in rows:
-        rhs = ints[-1] * den
+    for coeffs, rel, rhs in lp.constraints:
         for j, o in shifts:
-            rhs -= ints[j] * o
-        std_rows.append(([f * ints[j] for j, f in unit], rel, rhs, scale * den))
+            rhs -= coeffs[j] * o
+        std_rows.append(([sign * coeffs[j] for j, sign in plan], rel, rhs))
     for col, width in box:
-        scale, (a, rhs) = _integer_row([1, width])
         coeffs = [0] * len(plan)
-        coeffs[col] = a
-        std_rows.append((coeffs, "<=", rhs, scale))
-    return plan, offsets, den, std_rows
+        coeffs[col] = 1
+        std_rows.append((coeffs, "<=", width))
+    return plan, offsets, std_rows
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
-    """Exact optimum of a rational LP, with status and witness point."""
-    int_rows = _integer_rows(lp)
-    plan, offsets, den, std_rows = _standardize(lp, int_rows)
+    """Exact optimum of an integer LP, with status and witness point."""
+    plan, offsets, std_rows = _standardize(lp)
     m = len(std_rows)
     nstd = len(plan)
 
-    # Equality rows with slack or surplus columns, rhs made nonnegative.  A
-    # row's slack keeps coefficient +-1 whatever the row's scale, which only
-    # rescales that column.
-    nslack = sum(1 for _, rel, _, _ in std_rows if rel != "=")
+    # Equality rows with slack or surplus columns, rhs made nonnegative.
+    nslack = sum(1 for _, rel, _ in std_rows if rel != "=")
     ncols = nstd + nslack
     rows = []
-    row_scale = []
     slack_col = nstd
     slack_of_row = []
-    for coeffs, rel, rhs, scale in std_rows:
+    for coeffs, rel, rhs in std_rows:
         row = coeffs + [0] * nslack + [rhs]
         if rel == "<=":
             row[slack_col] = 1
@@ -282,7 +238,6 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         if rhs < 0:
             row = list(map(neg, row))
         rows.append(row)
-        row_scale.append(scale)
 
     # Initial basis: a slack column with coefficient +1, else an artificial.
     basis = [-1] * m
@@ -305,16 +260,12 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     tab = _Tableau(rows, basis, total)
 
     if nart:
-        # Phase 1: minimize the sum of the unscaled rows' artificials.  A row
-        # scaled by s has an artificial worth s of them, so it is weighted
-        # lcm / s: the objective stays a positive multiple of the unscaled
-        # one, and the pivot path does not change.
-        weight = lcm(*[row_scale[i] for i in artificial_rows])
+        # Phase 1: minimize the sum of the artificials, priced out against
+        # the rows they start basic in.
         cost = [0] * (total + 1)
         for k, i in enumerate(artificial_rows):
-            w = weight // row_scale[i]
-            cost[ncols + k] = w
-            cost = [c - w * v for c, v in zip(cost, tab.rows[i])]
+            cost[ncols + k] = 1
+            cost = list(map(sub, cost, tab.rows[i]))
         outcome = tab.run(cost)
         if outcome != "optimal":
             raise RuntimeError("phase 1 cannot be unbounded")
@@ -336,10 +287,9 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         tab.rows = [tab.rows[i][:ncols] + [tab.rows[i][-1]] for i in keep]
         tab.basis = [tab.basis[i] for i in keep]
         tab.ncols = ncols
-    # Phase 2: minimize the negated objective, scaled to integers, over the
-    # standard columns, priced out against the basis.
-    obj_scale, obj_ints = _integer_row(lp.objective)
-    objective = [-sign * obj_ints[j] for j, sign in plan] + [0] * nslack
+    # Phase 2: minimize the negated objective over the standard columns,
+    # priced out against the basis.
+    objective = [-sign * lp.objective[j] for j, sign in plan] + [0] * nslack
     cost = [tab.d * c for c in objective] + [0]
     # Basic columns are unit columns, so each basic row is subtracted once,
     # times the objective coefficient of its basic variable.
@@ -351,8 +301,8 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     if outcome == "unbounded":
         return LpOutcome(LpStatus.UNBOUNDED)
 
-    # The witness over the common denominator D = den * d: variable j is
-    # scaled[j] / D, where the standard column of basic row i is rhs_i / d.
+    # The witness over the tableau's denominator d: variable j is
+    # scaled[j] / d, where the standard column of basic row i is rhs_i / d.
     d = tab.d
     std_values = [0] * ncols
     for i, b in enumerate(tab.basis):
@@ -360,30 +310,27 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     totals = [0] * lp.num_vars
     for (j, sign), u in zip(plan, std_values):
         totals[j] += sign * u
-    scaled = [offset * d + den * t for offset, t in zip(offsets, totals)]
-    common = den * d
-    _check_witness(lp, int_rows, scaled, common)
-    value = Fraction(sum(map(mul, obj_ints, scaled)), obj_scale * common)
-    witness = tuple([Fraction(x, common) for x in scaled])
+    scaled = [offset * d + t for offset, t in zip(offsets, totals)]
+    _check_witness(lp, scaled, d)
+    value = Fraction(sum(map(mul, lp.objective, scaled)), d)
+    witness = tuple([Fraction(x, d) for x in scaled])
     return LpOutcome(LpStatus.OPTIMAL, value, witness)
 
 
-def _check_witness(lp: LinearProgram, int_rows, scaled, common: int) -> None:
-    """Raise unless the point scaled / common meets every row and bound of lp.
+def _check_witness(lp: LinearProgram, scaled, d: int) -> None:
+    """Raise unless the point scaled / d meets every row and bound of lp.
 
-    int_rows are the constraints as integers (``_integer_rows``), each a
-    positive multiple of the original, so a row a.x <= b is checked as
-    a.scaled <= b * common, all in integers.
+    A row a.x <= b is checked as a.scaled <= b * d, all in integers.
     """
-    for _, ints, rel in int_rows:
-        lhs = sum(map(mul, ints, scaled))
-        rhs = ints[-1] * common
+    for coeffs, rel, rhs in lp.constraints:
+        lhs = sum(map(mul, coeffs, scaled))
+        rhs *= d
         ok = lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
         if not ok:
             raise RuntimeError("simplex produced a witness violating a constraint")
     for j, lo in lp.lower.items():
-        if scaled[j] * lo.denominator < lo.numerator * common:
+        if scaled[j] < lo * d:
             raise RuntimeError("simplex witness violates a lower bound")
     for j, up in lp.upper.items():
-        if scaled[j] * up.denominator > up.numerator * common:
+        if scaled[j] > up * d:
             raise RuntimeError("simplex witness violates an upper bound")

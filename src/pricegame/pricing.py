@@ -44,6 +44,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from operator import or_, sub
+from types import MappingProxyType
+from typing import Mapping
 
 from .core import (
     CapExceededError,
@@ -90,16 +92,20 @@ class NoFollowerSolutionError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class PricingInstance:
-    """One pricing game over a base problem; derive variants with dataclasses.replace."""
+    """One pricing game over a base problem; derive variants with dataclasses.replace.
+
+    valuation is a read-only copy of the mapping given.
+    """
 
     base: GroundProblem
     leader_ids: frozenset[str]
-    valuation: dict[str, int]
+    valuation: Mapping[str, int]
     ground: GroundChoice
     domain: Domain = Domain.FREE
     threshold: Fraction = Fraction(0)
 
     def __post_init__(self):
+        object.__setattr__(self, "valuation", MappingProxyType(dict(self.valuation)))
         ids = {e.id for e in self.base.universe}
         if not self.leader_ids <= ids:
             raise ValueError("leader elements must belong to the base universe")

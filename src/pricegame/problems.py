@@ -319,6 +319,7 @@ def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> Ground
     """
     names = list(item_ids)
     elements = tuple(Element(i, i) for i in names)
+    weights = dict(weights)  # the oracles below must not see later edits
     if set(weights) != set(names):
         raise ValueError("weights must cover exactly the universe")
     if any(weights[i] < 0 for i in names):

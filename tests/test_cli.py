@@ -3,6 +3,8 @@ import json
 import multiprocessing
 import random
 
+import pytest
+
 from pricegame.cli import main
 from pricegame.compilers import qdnf
 from pricegame.core import Element, explicit_problem
@@ -15,7 +17,7 @@ from pricegame.serialize import (
     load_document,
     make_document,
 )
-from pricegame.problems import cnf
+from pricegame.problems import cnf, vertex_cover_problem
 from pricegame.sweep import CorpusSpec, random_formula, render_report, run_sweep
 
 
@@ -160,6 +162,40 @@ def test_parse_error_is_exit_one(tmp_path, capsys):
     assert main(["solve", str(bad)]) == 1
     bad.write_text(dump_document(make_document("cnf", encode_cnf(cnf(1, [[1]])))))
     assert main(["solve", str(bad)]) == 1
+
+
+def vertex_cover_pricing_doc(tmp_path):
+    base = vertex_cover_problem("uv", [("u", "v")], threshold=1)
+    inst = PricingInstance(base, frozenset({"u"}), {"u": 1, "v": 1}, GroundChoice.SOLUTIONS)
+    return write_doc(tmp_path / "vc.json", "pricing", encode_pricing(inst))
+
+
+WRONG_INPUTS = {
+    "cnf": lambda tmp_path: write_doc(tmp_path / "f.json", "cnf", encode_cnf(cnf(1, [[1]]))),
+    "qdnf": lambda tmp_path: write_doc(tmp_path / "q.json", "qdnf", encode_qdnf(qdnf(1, [{1}]))),
+    "pricing": two_item_pricing_doc,
+    "pricing-over-vc": vertex_cover_pricing_doc,
+}
+
+
+@pytest.mark.parametrize("command, document, message", [
+    (["compile", "--pipeline", "thm2"], "cnf", "thm2 expects a qdnf document"),
+    (["compile", "--pipeline", "sat2vc"], "qdnf", "sat2vc expects a cnf document"),
+    (["compile", "--pipeline", "sat2ss"], "qdnf", "sat2ss expects a cnf document"),
+    (["compile", "--pipeline", "weight-lift"], "pricing",
+     "weight-lift expects a reduction-artifact document"),
+    (["compile", "--pipeline", "lift-min"], "cnf", "lift-min expects a pricing document"),
+    (["compile", "--pipeline", "lift-max"], "pricing-over-vc",
+     "this pipeline needs a pricing document over a sat base"),
+    (["oracle"], "cnf", "oracle expects a qdnf document"),
+], ids=["thm2-cnf", "sat2vc-qdnf", "sat2ss-qdnf", "weight-lift-pricing", "lift-min-cnf",
+        "lift-max-vc-base", "oracle-cnf"])
+def test_wrong_document_kinds_are_one_line_errors(tmp_path, capsys, command, document, message):
+    path = WRONG_INPUTS[document](tmp_path)
+    assert main([command[0], path, *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_malformed_documents_say_what_is_wrong(tmp_path, capsys):
@@ -310,6 +346,18 @@ def test_sweep_reports_are_deterministic(tmp_path):
     assert report["summary"] == {"total": 6, "matches": 6, "mismatches": 0, "errors": 0}
     ids = [r["instance_id"] for r in report["records"]]
     assert ids == sorted(ids)
+
+
+def test_sweep_timings_add_elapsed_ms_to_every_record(tmp_path):
+    plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+    args = ["--seed", "9", "verify-sweep", "--pairs", "1", "--max-terms", "2",
+            "--count", "3", "--exhaustive-pair"]
+    assert main(["--out", str(plain)] + args) == 0
+    assert main(["--out", str(timed)] + args + ["--timings"]) == 0
+    plain_records = json.loads(plain.read_text())["records"]
+    timed_records = json.loads(timed.read_text())["records"]
+    assert all(r.pop("elapsed_ms") >= 0 for r in timed_records)
+    assert timed_records == plain_records
 
 
 def test_sweep_fault_injection_yields_exactly_one_mismatch(tmp_path):

@@ -200,6 +200,20 @@ def test_problems_are_frozen_and_a_replaced_copy_weighs_afresh():
     assert problem.solution_masks() == [0b01]
 
 
+def test_weights_are_a_read_only_copy_of_the_given_dict():
+    universe = [Element("a"), Element("b")]
+    family = [frozenset({"a"}), frozenset({"a", "b"})]
+    given_weights = {"a": 1, "b": 1}
+    problem = explicit_problem(universe, family, given_weights, 1, Sense.MIN)
+    with pytest.raises(TypeError):
+        problem.weights["a"] = 2
+    given_weights["a"] = 2
+    assert problem.weights == {"a": 1, "b": 1}
+    assert problem.solution_masks() == [0b01]
+    # Weighed afresh, the new weight leaves no solution.
+    assert dataclasses.replace(problem, weights=given_weights).solution_masks() == []
+
+
 def test_every_dataclass_in_the_package_is_frozen():
     classes = [
         obj

@@ -1,6 +1,8 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +12,6 @@ from pricegame.linprog import (
     LpStatus,
     _check_witness,
     _eliminate,
-    _integer_rows,
-    make_lp,
     solve_lp,
 )
 
@@ -26,44 +26,42 @@ from lp_oracle import (
 
 
 def test_single_constraint_optimum():
-    out = solve_lp(make_lp([1], [([1], "<=", Fraction(3, 2))]))
+    out = solve_lp(LinearProgram(1, (1,), (((2,), "<=", 3),)))
     assert out.status is LpStatus.OPTIMAL
     assert out.optimal_value == Fraction(3, 2)
 
 
 def test_free_ray_is_unbounded():
-    out = solve_lp(make_lp([1], []))
+    out = solve_lp(LinearProgram(1, (1,), ()))
     assert out.status is LpStatus.UNBOUNDED
 
 
 def test_separable_box_optimum():
-    out = solve_lp(make_lp([1, 1], [([1, 0], "<=", 1), ([0, 1], "<=", 2)]))
+    out = solve_lp(LinearProgram(2, (1, 1), (((1, 0), "<=", 1), ((0, 1), "<=", 2))))
     assert out.status is LpStatus.OPTIMAL
     assert out.optimal_value == 3
 
 
 def test_infeasible_system():
-    out = solve_lp(make_lp([1], [([1], "<=", 0), ([1], ">=", 1)]))
+    out = solve_lp(LinearProgram(1, (1,), (((1,), "<=", 0), ((1,), ">=", 1))))
     assert out.status is LpStatus.INFEASIBLE
 
 
 def test_equality_and_bounds():
-    out = solve_lp(
-        make_lp([2, 1], [([1, 1], "=", 4)], lower={0: 0}, upper={0: 3, 1: 10})
-    )
+    out = solve_lp(LinearProgram(2, (2, 1), (((1, 1), "=", 4),), {0: 0}, {0: 3, 1: 10}))
     assert out.status is LpStatus.OPTIMAL
     assert out.optimal_value == 2 * 3 + 1  # x0 at its cap, x1 takes the rest
 
 
 def test_malformed_dimensions_rejected():
     with pytest.raises(ValueError):
-        LinearProgram(2, (Fraction(1),), ())
+        LinearProgram(2, (1,), ())
     with pytest.raises(ValueError):
-        make_lp([1, 1], [([1], "<=", 0)])
+        LinearProgram(2, (1, 1), (((1,), "<=", 0),))
     with pytest.raises(ValueError):
-        make_lp([1], [([1], "<<", 0)])
+        LinearProgram(1, (1,), (((1,), "<<", 0),))
     with pytest.raises(ValueError):
-        make_lp([1], [], lower={0: 2}, upper={0: 1})
+        LinearProgram(1, (1,), (), {0: 2}, {0: 1})
 
 
 @pytest.mark.parametrize("build, what", [
@@ -74,22 +72,21 @@ def test_malformed_dimensions_rejected():
     (lambda: LinearProgram(1, (1,), (), {}, {0: True}), "upper bound"),
     (lambda: LinearProgram(1, (False,), ()), "objective coefficient"),
     (lambda: LinearProgram(1, (1,), (((1,), "<=", "3"),)), "right-hand side"),
+    (lambda: LinearProgram(1, (Fraction(1, 2),), ()), "objective coefficient"),
+    (lambda: LinearProgram(1, (1,), (((Fraction(2),), "<=", 1),)), "constraint coefficient"),
+    (lambda: LinearProgram(1, (1,), (((1,), "<=", Fraction(3, 2)),)), "right-hand side"),
+    (lambda: LinearProgram(1, (1,), (), {0: Fraction(-1, 3)}), "lower bound"),
+    (lambda: LinearProgram(1, (1,), (), {}, {0: Fraction(5, 2)}), "upper bound"),
 ], ids=["float-objective", "float-coefficient", "float-rhs", "float-lower",
-        "bool-upper", "bool-objective", "string-rhs"])
+        "bool-upper", "bool-objective", "string-rhs", "fraction-objective",
+        "fraction-coefficient", "fraction-rhs", "fraction-lower", "fraction-upper"])
 def test_inexact_lp_data_is_rejected(build, what):
     with pytest.raises(TypeError, match=what):
         build()
 
 
-def test_make_lp_still_coerces_to_fractions():
-    lp = make_lp([0.5], [([True], "<=", 1.5)], lower={0: 0}, upper={0: 2.0})
-    assert lp.objective == (Fraction(1, 2),)
-    assert lp.constraints == (((Fraction(1),), "<=", Fraction(3, 2)),)
-    assert solve_lp(lp).optimal_value == Fraction(3, 4)
-
-
 def test_negative_rhs_needs_artificial():
-    out = solve_lp(make_lp([-1], [([1], ">=", -2)], lower={0: -10}))
+    out = solve_lp(LinearProgram(1, (-1,), (((1,), ">=", -2),), {0: -10}))
     assert out.status is LpStatus.OPTIMAL
     assert out.optimal_value == 2
     assert out.witness == (Fraction(-2),)
@@ -98,7 +95,7 @@ def test_negative_rhs_needs_artificial():
 def test_phase_one_drives_out_an_artificial_on_a_negative_entry():
     # -x >= 0 with x >= 0 starts on an artificial that phase 1 leaves basic
     # at zero; driving it out pivots on the entry -1.
-    out = solve_lp(make_lp([1], [([-1], ">=", 0)], lower={0: 0}))
+    out = solve_lp(LinearProgram(1, (1,), (((-1,), ">=", 0),), {0: 0}))
     assert out.status is LpStatus.OPTIMAL
     assert out.optimal_value == 0
     assert out.witness == (Fraction(0),)
@@ -112,13 +109,13 @@ def random_lp(rng: random.Random) -> LinearProgram:
     for _ in range(m):
         coeffs = [rng.randint(-5, 5) for _ in range(n)]
         rel = rng.choice(["<=", ">=", "="])
-        constraints.append((coeffs, rel, rng.randint(-5, 5)))
+        constraints.append((tuple(coeffs), rel, rng.randint(-5, 5)))
     lower, upper = {}, {}
     for j in range(n):
         if rng.random() < 0.25:
             a, b = rng.randint(-5, 5), rng.randint(-5, 5)
             lower[j], upper[j] = min(a, b), max(a, b)
-    return make_lp(objective, constraints, lower=lower, upper=upper)
+    return LinearProgram(n, tuple(objective), tuple(constraints), lower, upper)
 
 
 def assert_matches_oracle(lp: LinearProgram):
@@ -155,62 +152,58 @@ def test_solver_is_deterministic(seed):
     assert first.witness == second.witness
 
 
-RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+INTEGERS = st.integers(-5, 5)
 
 
 @st.composite
 def degenerate_rational_lp(draw) -> LinearProgram:
-    """Rational data plus duplicate, parallel and concurrent rows.
+    """Integer data plus duplicate, parallel and concurrent rows.
 
-    Concurrent rows all pass through one drawn point, often a corner of the
-    variable bounds, so several of them are tight at one vertex; duplicates
-    and parallels make redundant rows.  Phase 1 then ends with artificials
-    at zero that it must drive out (on entries of either sign) or drop.
+    Concurrent rows all pass through one drawn integer point, often a corner
+    of the variable bounds, so several of them are tight at one vertex;
+    duplicates and parallels make redundant rows.  Phase 1 then ends with
+    artificials at zero that it must drive out (on entries of either sign)
+    or drop.
     """
     n = draw(st.integers(1, 3))
-    vector = st.lists(RATIONALS, min_size=n, max_size=n)
+    vector = st.lists(INTEGERS, min_size=n, max_size=n).map(tuple)
     relation = st.sampled_from(["<=", ">=", "="])
     lower, upper = {}, {}
     for j in range(n):
         kind = draw(st.sampled_from(["free", "lower", "upper", "box"]))
-        a, b = sorted([draw(RATIONALS), draw(RATIONALS)])
+        a, b = sorted([draw(INTEGERS), draw(INTEGERS)])
         if kind in ("lower", "box"):
             lower[j] = a
         if kind in ("upper", "box"):
             upper[j] = b
     point = [
         draw(st.sampled_from([v for v in (lower.get(j), upper.get(j)) if v is not None])
-             if (j in lower or j in upper) and draw(st.booleans()) else RATIONALS)
+             if (j in lower or j in upper) and draw(st.booleans()) else INTEGERS)
         for j in range(n)
     ]
-    rows = draw(st.lists(st.tuples(vector, relation, RATIONALS), min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(vector, relation, INTEGERS), min_size=1, max_size=4))
     for _ in range(draw(st.integers(0, 2))):
         coeffs, rel, rhs = draw(st.sampled_from(rows))
-        factor = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-1)]))
+        factor = draw(st.sampled_from([1, 2, 3, -1]))
         flipped = {"<=": ">=", ">=": "<=", "=": "="}[rel] if factor < 0 else rel
-        rows.append(([factor * a for a in coeffs], flipped, factor * rhs))
+        rows.append((tuple([factor * a for a in coeffs]), flipped, factor * rhs))
     for _ in range(draw(st.integers(0, 3))):
         coeffs = draw(vector)
-        rhs = sum((a * x for a, x in zip(coeffs, point)), Fraction(0))
-        rows.append((coeffs, draw(relation), rhs))
+        rows.append((coeffs, draw(relation), sum(map(mul, coeffs, point))))
     order = draw(st.permutations(range(len(rows))))
-    return make_lp(draw(vector), [rows[i] for i in order], lower=lower, upper=upper)
+    return LinearProgram(n, draw(vector), tuple([rows[i] for i in order]), lower, upper)
 
 
-@given(degenerate_rational_lp(), st.lists(st.fractions(min_value=Fraction(1, 4),
-                                                        max_value=4), min_size=12, max_size=12))
+@given(degenerate_rational_lp(), st.lists(st.integers(1, 4), min_size=12, max_size=12))
 @settings(max_examples=100, deadline=None)
 def test_rational_degenerate_lps_against_oracle(lp, scales):
     assert_matches_oracle(lp)
     # Scaling constraints by positive factors keeps the pivot path, so the
     # reported vertex must not move.
-    scaled = make_lp(
-        lp.objective,
-        [([s * a for a in coeffs], rel, s * rhs)
-         for s, (coeffs, rel, rhs) in zip(scales, lp.constraints)],
-        lower=lp.lower,
-        upper=lp.upper,
-    )
+    scaled = dataclasses.replace(lp, constraints=tuple([
+        (tuple([s * a for a in coeffs]), rel, s * rhs)
+        for s, (coeffs, rel, rhs) in zip(scales, lp.constraints)
+    ]))
     assert solve_lp(scaled) == solve_lp(lp)
 
 
@@ -251,7 +244,6 @@ def test_integer_lps_match_their_fraction_copies(data):
     objective, rows, lower, upper = data
     native = LinearProgram(len(objective), tuple(objective), tuple(rows), lower, upper)
     out = solve_lp(native)
-    assert out == solve_lp(make_lp(objective, rows, lower=lower, upper=upper))
     if out.status is LpStatus.OPTIMAL:
         assert type(out.optimal_value) is Fraction
         assert all(type(x) is Fraction for x in out.witness)
@@ -286,31 +278,29 @@ def _tight(lp):
     return [x.numerator * (common // x.denominator) for x in out.witness], common
 
 
+HALF_PLANE = LinearProgram(2, (1, 1), (((2, 1), "=", 1),), {1: 0}, {1: 1})
+
+
 @pytest.mark.parametrize("lp, j, step, message", [
     # max x s.t. 2x <= 3: tight at x = 3/2.
-    (make_lp([1], [([2], "<=", 3)]), 0, 1, "constraint"),
+    (LinearProgram(1, (1,), (((2,), "<=", 3),)), 0, 1, "constraint"),
     # max -x s.t. 3x >= 2: tight at x = 2/3.
-    (make_lp([-1], [([3], ">=", 2)]), 0, -1, "constraint"),
+    (LinearProgram(1, (-1,), (((3,), ">=", 2),)), 0, -1, "constraint"),
     # max x + y s.t. 2x + y = 1, y in [0, 1]: x = 1/2, y = 0.
-    (make_lp([1, 1], [([2, 1], "=", 1)], lower={1: 0}, upper={1: 1}), 0, 1, "constraint"),
-    (make_lp([1, 1], [([2, 1], "=", 1)], lower={1: 0}, upper={1: 1}), 0, -1, "constraint"),
-    # max -x with x >= -1/3.
-    (make_lp([-1], [], lower={0: Fraction(-1, 3)}), 0, -1, "lower bound"),
-    # max x with x <= 5/2.
-    (make_lp([1], [], upper={0: Fraction(5, 2)}), 0, 1, "upper bound"),
+    (HALF_PLANE, 0, 1, "constraint"),
+    (HALF_PLANE, 0, -1, "constraint"),
     (LinearProgram(2, (1, 0), (((1, -1), "<=", 2),), {0: 0, 1: -3}, {0: 4, 1: 0}),
      0, 1, "constraint"),
     (LinearProgram(2, (1, 1), (), {0: -2, 1: 0}, {0: 4, 1: 3}), 1, 1, "upper bound"),
     (LinearProgram(1, (-1,), (((1,), ">=", 2),)), 0, -1, "constraint"),
     (LinearProgram(2, (1, 0), (((1, 1), "=", 3),), {1: 1}), 0, 1, "constraint"),
     (LinearProgram(1, (-1,), (), {0: -2}), 0, -1, "lower bound"),
-], ids=["le-row", "ge-row", "eq-row-up", "eq-row-down", "lower", "upper",
-        "int-le-row", "int-upper", "int-ge-row", "int-eq-row", "int-lower"])
+], ids=["le-row", "ge-row", "eq-row-up", "eq-row-down", "int-le-row", "int-upper",
+        "int-ge-row", "int-eq-row", "int-lower"])
 def test_witness_moved_by_one_unit_past_a_tight_row_or_bound_fails(lp, j, step, message):
     scaled, common = _tight(lp)
-    rows = _integer_rows(lp)
-    _check_witness(lp, rows, scaled, common)
+    _check_witness(lp, scaled, common)
     moved = list(scaled)
     moved[j] += step
     with pytest.raises(RuntimeError, match=message):
-        _check_witness(lp, rows, moved, common)
+        _check_witness(lp, moved, common)

@@ -116,6 +116,8 @@ def test_no_follower_solution_is_a_distinguished_error():
     assert solve_pricing(inst).status is SolveStatus.NO_FOLLOWER_SOLUTION
     with pytest.raises(NoFollowerSolutionError):
         decide_pricing(inst)
+    with pytest.raises(NoFollowerSolutionError):
+        evaluate_prices(inst, {"x1": Fraction(0)})
 
 
 def test_no_feasible_candidate_is_a_runtime_error(monkeypatch):
@@ -317,6 +319,24 @@ def test_instances_are_frozen_and_replace_revalidates():
     with pytest.raises(ValueError):
         dataclasses.replace(inst, threshold=-1)
     assert dataclasses.replace(inst, threshold=3).threshold == Fraction(3)
+
+
+def test_valuation_is_a_read_only_copy_of_the_given_dict():
+    inst = two_item_instance()
+    with pytest.raises(TypeError):
+        inst.valuation["eL"] = 1
+    given = {"eL": 5, "eF": 3}
+    inst = dataclasses.replace(inst, valuation=given)
+    given["eF"] = 0
+    assert inst.valuation == {"eL": 5, "eF": 3}
+    assert solve_pricing(inst).leader_value == 2
+
+
+def test_evaluate_prices_on_the_wrong_ids_is_a_value_error():
+    inst = two_item_instance()
+    for prices in ({}, {"eF": Fraction(1)}, {"eL": Fraction(1), "eF": Fraction(1)}):
+        with pytest.raises(ValueError, match="exactly the leader elements"):
+            evaluate_prices(inst, prices)
 
 
 @pytest.mark.parametrize("build", [
