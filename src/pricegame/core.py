@@ -15,7 +15,10 @@ of any member showing it and the canonical member with that gain, optionally
 only for the patterns whose best reaches a floor.  By default it enumerates
 the family; a problem constructor may install a structured oracle that
 answers the same question without listing it (the follower as an
-optimization oracle, after Briest, Hoefer and Krysta).
+optimization oracle, after Briest, Hoefer and Krysta).  Every constructor
+in problems.py does: satisfiability and vertex cover by frontier DPs,
+subset sum by meeting in the middle.  best_by_enumeration stays the
+reference they are checked against.
 
 Reductions between such problems carry an injective embedding of the source
 universe into the target universe.  check_reduction certifies that a
@@ -322,13 +325,6 @@ class ReductionArtifact:
 
     def image_ids(self) -> frozenset[str]:
         return frozenset(self.embedding.values())
-
-    def map_set(self, source_set: Iterable[str]) -> frozenset[str]:
-        return frozenset(self.embedding[i] for i in source_set)
-
-    def pull_back(self, target_set: Iterable[str]) -> frozenset[str]:
-        inverse = {v: k for k, v in self.embedding.items()}
-        return frozenset(inverse[i] for i in target_set if i in inverse)
 
 
 @dataclass(frozen=True)

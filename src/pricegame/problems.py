@@ -96,19 +96,26 @@ def sat_problem(formula: CnfFormula) -> GroundProblem:
     Its universe is the formula's _literal_universe.  The enumerator
     searches assignments depth first rather than scanning arbitrary literal
     subsets, and declares its cost as the 2^n assignments it could visit at
-    worst.
+    worst.  Patterns over the assignments are found without listing them,
+    by a clause-frontier DP (_sat_patterns) that holds at most one state per
+    partial assignment, so never more than the declared 2^n; the enumerator
+    stays the reference and lists the assignments where they are needed.
     """
     n = formula.num_vars
     elements = _literal_universe(formula)
     bit = {e.id: 1 << i for i, e in enumerate(elements)}
     true_bit = [1 << (2 * v) for v in range(n)]
     false_bit = [1 << (2 * v + 1) for v in range(n)]
+    # Per clause, the mask of its literals; per literal, the clauses holding
+    # it as bits, for the pattern oracle.
     clause_masks = []
-    for clause in formula.clauses:
+    literal_clauses = [0] * (2 * n)
+    for j, clause in enumerate(formula.clauses):
         mask = 0
         for lit in clause:
-            v = abs(lit) - 1
-            mask |= true_bit[v] if lit > 0 else false_bit[v]
+            b = 2 * (abs(lit) - 1) + (lit < 0)
+            mask |= 1 << b
+            literal_clauses[b] |= 1 << j
         clause_masks.append(mask)
 
     def feasible(subset: frozenset[str]) -> bool:
@@ -121,11 +128,15 @@ def sat_problem(formula: CnfFormula) -> GroundProblem:
         return all(mask & cm for cm in clause_masks)
 
     # Each clause is checked once its highest variable is set; an empty
-    # clause has no highest variable and rules out every assignment.
+    # clause has no highest variable and rules out every assignment.  The
+    # pattern oracle reads the clauses each variable closes as bits.
     closing = [[] for _ in range(n)]
-    for clause, cm in zip(formula.clauses, clause_masks):
+    closing_clauses = [0] * n
+    for j, (clause, cm) in enumerate(zip(formula.clauses, clause_masks)):
         if clause:
-            closing[max(abs(lit) for lit in clause) - 1].append(cm)
+            last = max(abs(lit) for lit in clause) - 1
+            closing[last].append(cm)
+            closing_clauses[last] |= 1 << j
     has_empty_clause = not all(formula.clauses)
 
     def enumerate_assignments():
@@ -144,6 +155,15 @@ def sat_problem(formula: CnfFormula) -> GroundProblem:
                 if all(extended & cm for cm in closing[v]):
                     stack.append((v + 1, extended))
 
+    def patterns(problem, ground, leader_mask, gains, cap, floor):
+        # A copy given another formula has other assignments, and one given
+        # another sense may have other solutions.
+        if problem.spec != formula or problem.sense is not Sense.FEASIBILITY:
+            return best_by_enumeration(problem, ground, leader_mask, gains, cap, floor)
+        if has_empty_clause:
+            return {}
+        return _sat_patterns(literal_clauses, closing_clauses, leader_mask, gains, floor)
+
     return GroundProblem(
         universe=elements,
         weights={e.id: 0 for e in elements},
@@ -154,7 +174,67 @@ def sat_problem(formula: CnfFormula) -> GroundProblem:
         name="sat",
         cost_bits=n,
         spec=formula,
+        pattern_oracle=patterns,
     )
+
+
+def _sat_patterns(
+    literal_clauses: list[int], closing: list[int], leader_mask: int,
+    gains: tuple[int, ...], floor: int | None,
+) -> dict[int, tuple[int, int]]:
+    """best_by_pattern over the satisfying assignments, without listing them.
+
+    The variables are decided from the first up, each by its true literal
+    (bit 2v) or its false one (bit 2v + 1).  A state's key is pattern |
+    open << 2n: pattern the leader bits decided so far, open the clauses
+    already satisfied among those whose lowest variable is decided and
+    whose highest is not.  A clause must be satisfied when its highest
+    variable is decided, and then leaves the key.  Its value is the best
+    gain of the decided part and its canonical decided part.  States with
+    one key have the same completions, and every assignment holds exactly
+    one literal of each variable, so two assignments first differ at a
+    variable decided in both parts: _canon_before(L1 | H, L2 | H) equals
+    _canon_before(L1, L2), and one candidate per key is exact.  Keys are
+    functions of partial assignments, so no step holds more than 2^n states.
+    Final states hold no open clause, so each key is its pattern.
+
+    A state is dropped once its gain plus the best gain of each variable
+    left falls below the floor.  The parts of a pattern's best members, and
+    so their merges, are never dropped, which keeps values and canonical
+    members exact.  The order matters: decided from the last variable down,
+    the clauses that span the whole formula stay open at every step.
+    """
+    n = len(closing)
+    shift = 2 * n
+    rest = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        rest[v] = rest[v + 1] + max(gains[2 * v], gains[2 * v + 1])
+    if floor is None:
+        # Every assignment gains more than this, so no state is dropped.
+        floor = -sum(map(abs, gains)) - 1
+    states = {0: (0, 0)} if rest[0] >= floor else {}
+    for v in range(n):
+        need = floor - rest[v + 1]
+        done = closing[v] << shift
+        moves = [(1 << b, (1 << b) & leader_mask, literal_clauses[b] << shift, gains[b])
+                 for b in (2 * v, 2 * v + 1)]
+        step: dict[int, tuple[int, int]] = {}
+        for key, (g, part) in states.items():
+            for bit, lead, opened, gain in moves:
+                total = g + gain
+                if total < need:
+                    continue
+                moved = key | lead | opened
+                if moved & done != done:
+                    continue
+                moved ^= done
+                member = part | bit
+                held = step.get(moved)
+                if held is None or total > held[0] or total == held[0] and \
+                        _canon_before(member, held[1]):
+                    step[moved] = (total, member)
+        states = step
+    return states
 
 
 def vertex_cover_problem(

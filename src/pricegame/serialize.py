@@ -127,34 +127,6 @@ def decode_cnf(payload: dict) -> CnfFormula:
     )
 
 
-def encode_problem(p: GroundProblem) -> dict:
-    if p.name == "sat":
-        return {"problem": "sat", "cnf": encode_cnf(p.spec)}
-    if p.name == "vertex-cover":
-        return {
-            "problem": "vertex-cover",
-            "vertices": [e.id for e in p.universe],
-            "edges": [list(edge) for edge in p.spec],
-            "weights": {e.id: p.weights[e.id] for e in p.universe},
-            "threshold": p.threshold,
-        }
-    if p.name == "subset-sum":
-        return {
-            "problem": "subset-sum",
-            "items": [e.id for e in p.universe],
-            "weights": {e.id: p.weights[e.id] for e in p.universe},
-            "target": p.threshold,
-        }
-    return {
-        "problem": "explicit",
-        "universe": [[e.id, e.label] for e in p.universe],
-        "sense": p.sense.value,
-        "weights": {e.id: p.weights[e.id] for e in p.universe},
-        "threshold": p.threshold,
-        "feasible_sets": sorted(sorted(p.ids_of(m)) for m in p.feasible_masks()),
-    }
-
-
 def _mapping(payload: dict, name: str, kind: type, values: str) -> dict:
     """A required payload field that maps ids to values of one JSON type."""
     mapping = _field(payload, name, dict)
@@ -165,6 +137,35 @@ def _mapping(payload: dict, name: str, kind: type, values: str) -> dict:
 
 def _integers(payload: dict, name: str) -> dict[str, int]:
     return _mapping(payload, name, int, "integers")
+
+
+# Per problem kind, the payload it is written with; decode_problem reads each
+# back.  A problem of any other kind is written out as an explicit family.
+_ENCODERS = {
+    "sat": lambda p: {"cnf": encode_cnf(p.spec)},
+    "vertex-cover": lambda p: {
+        "vertices": [e.id for e in p.universe],
+        "edges": [list(edge) for edge in p.spec],
+        "weights": dict(p.weights),
+        "threshold": p.threshold,
+    },
+    "subset-sum": lambda p: {
+        "items": [e.id for e in p.universe], "weights": dict(p.weights), "target": p.threshold,
+    },
+}
+
+
+def encode_problem(p: GroundProblem) -> dict:
+    if p.name in _ENCODERS:
+        return {"problem": p.name, **_ENCODERS[p.name](p)}
+    return {
+        "problem": "explicit",
+        "universe": [[e.id, e.label] for e in p.universe],
+        "sense": p.sense.value,
+        "weights": dict(p.weights),
+        "threshold": p.threshold,
+        "feasible_sets": sorted(sorted(p.ids_of(m)) for m in p.feasible_masks()),
+    }
 
 
 def decode_problem(payload: dict) -> GroundProblem:

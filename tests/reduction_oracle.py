@@ -20,6 +20,11 @@ from pricegame.core import (
 )
 
 
+def map_set(artifact: ReductionArtifact, source_set) -> frozenset[str]:
+    """A source set's image under the artifact's embedding."""
+    return frozenset(artifact.embedding[i] for i in source_set)
+
+
 def listing_check_reduction(
     source: GroundProblem, artifact: ReductionArtifact, cap: int = DEFAULT_CAP
 ) -> ReductionReport:
@@ -35,7 +40,7 @@ def listing_check_reduction(
     weights = mask_sums([target.weights[e.id] for e in target.universe], tgt_solution_masks)
     tight = not any(w < t if minimizing else w > t for w in weights)
 
-    mapped = frozenset(artifact.map_set(s) for s in src_solutions)
+    mapped = frozenset(map_set(artifact, s) for s in src_solutions)
     projected = frozenset(target.ids_of(m & image_mask) for m in tgt_solution_masks)
     return ReductionReport(
         yes_equivalence=bool(src_solutions) == bool(tgt_solution_masks),

@@ -142,6 +142,12 @@ def test_lift_max_arithmetic():
     assert lifted.leader_ids == frozenset({"x1", "x2"})
 
 
+def pull_back(artifact, target_set):
+    """The source ids whose images lie in a target set."""
+    inverse = {v: k for k, v in artifact.embedding.items()}
+    return frozenset(inverse[i] for i in target_set if i in inverse)
+
+
 def test_lift_min_arithmetic_on_unit_weight_target():
     formula, src = small_source()
     artifact = sat_to_vertex_cover(formula)
@@ -151,7 +157,7 @@ def test_lift_min_arithmetic_on_unit_weight_target():
     for e in artifact.target.universe:
         cost = lifted.valuation[e.id]
         if e.id in artifact.image_ids():
-            source_id = next(iter(artifact.pull_back({e.id})))
+            source_id = next(iter(pull_back(artifact, {e.id})))
             assert cost == scale - src.valuation[source_id]
         else:
             assert cost == scale

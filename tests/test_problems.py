@@ -1,12 +1,13 @@
 import dataclasses
 import gc
 import itertools
+import random
 import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pricegame.compilers import weight_lift
+from pricegame.compilers import compile_qdnf_pricing, weight_lift
 from pricegame.core import (
     CapExceededError,
     GroundChoice,
@@ -28,6 +29,7 @@ from pricegame.problems import (
     subset_sum_problem,
     vertex_cover_problem,
 )
+from pricegame.sweep import random_formula
 
 from reduction_oracle import listing_check_reduction
 
@@ -176,8 +178,8 @@ def test_exhaustive_small_formulas_certify_both_reductions():
 
 
 @st.composite
-def small_cnfs(draw):
-    num_vars = draw(st.integers(min_value=1, max_value=6))
+def small_cnfs(draw, min_vars=1, max_vars=6):
+    num_vars = draw(st.integers(min_value=min_vars, max_value=max_vars))
     literal = st.integers(min_value=-num_vars, max_value=num_vars).filter(bool)
     clause = st.lists(literal, min_size=1, max_size=3, unique_by=abs)
     clauses = draw(st.lists(clause, max_size=8))
@@ -411,6 +413,73 @@ def test_vertex_cover_pattern_oracle_matches_the_enumeration(query, ground, pick
         expected = best_by_enumeration(copy, ground, leader_mask, gains, 24)
         assert best_by_pattern(copy, ground, leader_mask, gains) == expected
         assert_floored_answers_filter(copy, ground, leader_mask, gains, expected, pick)
+
+
+@st.composite
+def sat_pattern_queries(draw):
+    """A formula of 1-7 variables, another over as many, a leader mask and
+    gains in [-4, 4]."""
+    formula = draw(small_cnfs(max_vars=7))
+    n = formula.num_vars
+    full = (1 << 2 * n) - 1
+    leader_mask = draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+    gains = draw(st.tuples(*[st.integers(-4, 4)] * (2 * n)))
+    return formula, draw(small_cnfs(min_vars=n, max_vars=n)), leader_mask, gains
+
+
+@given(sat_pattern_queries(), st.sampled_from(GroundChoice), st.integers(0, 63),
+       st.integers(-30, 30))
+# The state that has satisfied the clause after x3 is reached first from x1
+# but keeps the better part through ~x1, so the best members meet at x4 with
+# the canonical one (x1, x2, ~x3, x4) second, on a tie it must win.
+@example((cnf(4, [[-1, 3, 4]]), cnf(4, []), 0, (0, 0, 0, 0, 0, 1, 0, 0)),
+         GroundChoice.FEASIBLE, 0, 0)
+@example((cnf(1, [[1], []]), cnf(1, [[1]]), 0b01, (1, 0)), GroundChoice.SOLUTIONS, 0, 0)
+@settings(max_examples=300, deadline=None)
+def test_sat_pattern_oracle_matches_the_enumeration(query, ground, pick, floor):
+    # Values and members equal the enumeration's, on the problem and on a
+    # copy given another formula along with its feasibility oracle and
+    # enumerator, which the oracle leaves to the enumeration.  Floored
+    # answers equal the enumeration's filtered.
+    formula, other, leader_mask, gains = query
+    problem = sat_problem(formula)
+    replaced = sat_problem(other)
+    copy = dataclasses.replace(problem, spec=other, feasible=replaced.feasible,
+                               mask_enumerator=replaced.mask_enumerator)
+    for instance in (problem, copy):
+        expected = best_by_enumeration(instance, ground, leader_mask, gains, 24)
+        assert best_by_pattern(instance, ground, leader_mask, gains) == expected
+        assert_floored_answers_filter(instance, ground, leader_mask, gains, expected, pick,
+                                      (floor,))
+
+
+def thm2_query(pairs):
+    """The compiled base of a thm2 instance, its leader mask and its gains."""
+    inst = compile_qdnf_pricing(random_formula(random.Random(pairs), pairs, 3)).pricing
+    base = inst.base
+    gains = tuple(inst.valuation[e.id] for e in base.universe)
+    return base, inst.ground, base.mask_of(inst.leader_ids), gains
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 3, 4, 5])
+def test_sat_pattern_oracle_matches_the_enumeration_on_thm2_output(pairs):
+    base, ground, leader_mask, gains = thm2_query(pairs)
+    expected = best_by_enumeration(base, ground, leader_mask, gains, 40)
+    assert best_by_pattern(base, ground, leader_mask, gains, 40) == expected
+    fallback = expected[0][0]
+    floored = best_by_pattern(base, ground, leader_mask, gains, 40, floor=fallback + 1)
+    assert floored == {p: best for p, best in expected.items() if best[0] > fallback}
+
+
+def test_sat_pattern_oracle_lists_no_assignment(monkeypatch):
+    # 6 pairs: 34 variables and 262,913 satisfying assignments, none listed.
+    base, ground, leader_mask, gains = thm2_query(6)
+
+    def refuse(self, cap=24):
+        raise AssertionError("the satisfying assignments were listed")
+
+    monkeypatch.setattr(GroundProblem, "feasible_masks", refuse)
+    assert len(best_by_pattern(base, ground, leader_mask, gains, 40)) == 762
 
 
 @pytest.mark.parametrize("build", [
