@@ -98,8 +98,11 @@ def sat_problem(formula: CnfFormula) -> GroundProblem:
     subsets, and declares its cost as the 2^n assignments it could visit at
     worst.  Patterns over the assignments are found without listing them,
     by a clause-frontier DP (_sat_patterns) that holds at most one state per
-    partial assignment, so never more than the declared 2^n; the enumerator
-    stays the reference and lists the assignments where they are needed.
+    partial assignment, so never more than the declared 2^n.  That bounds
+    its memory as well as its time: on some formulas it holds 2^(n - 1)
+    states where the depth-first enumerator holds a stack of n and the
+    assignments it finds.  The enumerator stays the reference and lists the
+    assignments where they are needed.
     """
     n = formula.num_vars
     elements = _literal_universe(formula)
@@ -184,6 +187,24 @@ def _sat_patterns(
 ) -> dict[int, tuple[int, int]]:
     """best_by_pattern over the satisfying assignments, without listing them.
 
+    The answer is the last of _sat_frontiers' layers, which hold no open
+    clause, so each key is its pattern; a floor filters it, as
+    best_by_enumeration does.
+    """
+    states = {0: (0, 0)}
+    for states in _sat_frontiers(literal_clauses, closing, leader_mask, gains):
+        pass
+    if floor is None:
+        return states
+    return {p: best for p, best in states.items() if best[0] >= floor}
+
+
+def _sat_frontiers(
+    literal_clauses: list[int], closing: list[int], leader_mask: int,
+    gains: tuple[int, ...],
+):
+    """Yield the clause-frontier DP's states after each variable is decided.
+
     The variables are decided from the first up, each by its true literal
     (bit 2v) or its false one (bit 2v + 1).  A state's key is pattern |
     open << 2n: pattern the leader bits decided so far, open the clauses
@@ -194,47 +215,39 @@ def _sat_patterns(
     one key have the same completions, and every assignment holds exactly
     one literal of each variable, so two assignments first differ at a
     variable decided in both parts: _canon_before(L1 | H, L2 | H) equals
-    _canon_before(L1, L2), and one candidate per key is exact.  Keys are
-    functions of partial assignments, so no step holds more than 2^n states.
-    Final states hold no open clause, so each key is its pattern.
+    _canon_before(L1, L2), and one candidate per key is exact.
 
-    A state is dropped once its gain plus the best gain of each variable
-    left falls below the floor.  The parts of a pattern's best members, and
-    so their merges, are never dropped, which keeps values and canonical
-    members exact.  The order matters: decided from the last variable down,
-    the clauses that span the whole formula stay open at every step.
+    Keys are functions of partial assignments, so the layer after v + 1
+    variables holds at most 2^(v + 1) states: the declared 2^n bounds the
+    time, but the memory too, where the depth-first enumeration needs a
+    stack of n.  Clauses that stay open long can reach that bound while
+    almost nothing satisfies the formula: with (x_i | x_n) and (~x_i | ~x_n)
+    for every i < n, 2^(n - 1) states wait on x_n and 2 assignments
+    survive.  The order matters: decided from the last variable down, the
+    clauses that span the whole formula stay open at every step.
     """
     n = len(closing)
     shift = 2 * n
-    rest = [0] * (n + 1)
-    for v in range(n - 1, -1, -1):
-        rest[v] = rest[v + 1] + max(gains[2 * v], gains[2 * v + 1])
-    if floor is None:
-        # Every assignment gains more than this, so no state is dropped.
-        floor = -sum(map(abs, gains)) - 1
-    states = {0: (0, 0)} if rest[0] >= floor else {}
+    states = {0: (0, 0)}
     for v in range(n):
-        need = floor - rest[v + 1]
         done = closing[v] << shift
         moves = [(1 << b, (1 << b) & leader_mask, literal_clauses[b] << shift, gains[b])
                  for b in (2 * v, 2 * v + 1)]
         step: dict[int, tuple[int, int]] = {}
         for key, (g, part) in states.items():
             for bit, lead, opened, gain in moves:
-                total = g + gain
-                if total < need:
-                    continue
                 moved = key | lead | opened
                 if moved & done != done:
                     continue
                 moved ^= done
+                total = g + gain
                 member = part | bit
                 held = step.get(moved)
                 if held is None or total > held[0] or total == held[0] and \
                         _canon_before(member, held[1]):
                     step[moved] = (total, member)
         states = step
-    return states
+        yield states
 
 
 def vertex_cover_problem(

@@ -139,61 +139,64 @@ def _integers(payload: dict, name: str) -> dict[str, int]:
     return _mapping(payload, name, int, "integers")
 
 
-# Per problem kind, the payload it is written with; decode_problem reads each
-# back.  A problem of any other kind is written out as an explicit family.
-_ENCODERS = {
-    "sat": lambda p: {"cnf": encode_cnf(p.spec)},
-    "vertex-cover": lambda p: {
-        "vertices": [e.id for e in p.universe],
-        "edges": [list(edge) for edge in p.spec],
-        "weights": dict(p.weights),
-        "threshold": p.threshold,
-    },
-    "subset-sum": lambda p: {
-        "items": [e.id for e in p.universe], "weights": dict(p.weights), "target": p.threshold,
-    },
+# Per problem kind, how its payload is written and how it is read back.  A
+# problem of a kind not listed here is written out as an explicit family.
+_KINDS = {
+    "sat": (
+        lambda p: {"cnf": encode_cnf(p.spec)},
+        lambda d: sat_problem(decode_cnf(_field(d, "cnf", dict))),
+    ),
+    "vertex-cover": (
+        lambda p: {
+            "vertices": [e.id for e in p.universe],
+            "edges": [list(edge) for edge in p.spec],
+            "weights": dict(p.weights),
+            "threshold": p.threshold,
+        },
+        lambda d: vertex_cover_problem(
+            _strings(d, "vertices"),
+            [tuple(e) for e in _pairs(d, "edges", "[vertex, vertex]")],
+            _field(d, "threshold", int),
+            _integers(d, "weights"),
+        ),
+    ),
+    "subset-sum": (
+        lambda p: {
+            "items": [e.id for e in p.universe], "weights": dict(p.weights), "target": p.threshold,
+        },
+        lambda d: subset_sum_problem(
+            _strings(d, "items"), _integers(d, "weights"), _field(d, "target", int),
+        ),
+    ),
+    "explicit": (
+        lambda p: {
+            "universe": [[e.id, e.label] for e in p.universe],
+            "sense": p.sense.value,
+            "weights": dict(p.weights),
+            "threshold": p.threshold,
+            "feasible_sets": sorted(sorted(p.ids_of(m)) for m in p.feasible_masks()),
+        },
+        lambda d: explicit_problem(
+            (Element(i, label) for i, label in _pairs(d, "universe", "[id, label]")),
+            (frozenset(s) for s in _rows(d, "feasible_sets", str)),
+            _integers(d, "weights"),
+            _field(d, "threshold", int),
+            Sense(_field(d, "sense", str)),
+        ),
+    ),
 }
 
 
 def encode_problem(p: GroundProblem) -> dict:
-    if p.name in _ENCODERS:
-        return {"problem": p.name, **_ENCODERS[p.name](p)}
-    return {
-        "problem": "explicit",
-        "universe": [[e.id, e.label] for e in p.universe],
-        "sense": p.sense.value,
-        "weights": dict(p.weights),
-        "threshold": p.threshold,
-        "feasible_sets": sorted(sorted(p.ids_of(m)) for m in p.feasible_masks()),
-    }
+    kind = p.name if p.name in _KINDS else "explicit"
+    return {"problem": kind, **_KINDS[kind][0](p)}
 
 
 def decode_problem(payload: dict) -> GroundProblem:
     flavor = _field(payload, "problem", str)
-    if flavor == "sat":
-        return sat_problem(decode_cnf(_field(payload, "cnf", dict)))
-    if flavor == "vertex-cover":
-        return vertex_cover_problem(
-            _strings(payload, "vertices"),
-            [tuple(e) for e in _pairs(payload, "edges", "[vertex, vertex]")],
-            _field(payload, "threshold", int),
-            _integers(payload, "weights"),
-        )
-    if flavor == "subset-sum":
-        return subset_sum_problem(
-            _strings(payload, "items"),
-            _integers(payload, "weights"),
-            _field(payload, "target", int),
-        )
-    if flavor == "explicit":
-        return explicit_problem(
-            (Element(i, label) for i, label in _pairs(payload, "universe", "[id, label]")),
-            (frozenset(s) for s in _rows(payload, "feasible_sets", str)),
-            _integers(payload, "weights"),
-            _field(payload, "threshold", int),
-            Sense(_field(payload, "sense", str)),
-        )
-    raise ValueError(f"unknown problem flavor {flavor!r}")
+    if flavor not in _KINDS:
+        raise ValueError(f"unknown problem flavor {flavor!r}")
+    return _KINDS[flavor][1](payload)
 
 
 def encode_pricing(inst: PricingInstance) -> dict:

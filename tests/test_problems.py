@@ -7,6 +7,7 @@ import weakref
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pricegame import problems
 from pricegame.compilers import compile_qdnf_pricing, weight_lift
 from pricegame.core import (
     CapExceededError,
@@ -480,6 +481,29 @@ def test_sat_pattern_oracle_lists_no_assignment(monkeypatch):
 
     monkeypatch.setattr(GroundProblem, "feasible_masks", refuse)
     assert len(best_by_pattern(base, ground, leader_mask, gains, 40)) == 762
+
+
+def test_sat_pattern_states_are_bounded_by_assignments_not_solutions(monkeypatch):
+    # With (x_i | x_n) and (~x_i | ~x_n) for every i < n, every clause stays
+    # open until x_n: the layer before it holds 2^(n - 1) states, one per
+    # choice of the others, and 2 assignments survive.
+    n = 14
+    formula = cnf(n, [[i, n] for i in range(1, n)] + [[-i, -n] for i in range(1, n)])
+    problem = sat_problem(formula)
+    widths = []
+    frontiers = problems._sat_frontiers
+
+    def measured(*args):
+        for states in frontiers(*args):
+            widths.append(len(states))
+            yield states
+
+    monkeypatch.setattr(problems, "_sat_frontiers", measured)
+    gains = (0,) * (2 * n)
+    expected = best_by_enumeration(problem, GroundChoice.FEASIBLE, 0, gains, 24)
+    assert best_by_pattern(problem, GroundChoice.FEASIBLE, 0, gains) == expected
+    assert len(problem.feasible_masks()) == 2
+    assert widths == [2 << v for v in range(n - 1)] + [1]
 
 
 @pytest.mark.parametrize("build", [
