@@ -139,7 +139,7 @@ def _cmd_solve(args) -> int:
     decision = None
     if decide and solution.status is not SolveStatus.NO_FOLLOWER_SOLUTION:
         decision = meets_threshold(inst, solution)
-    print("\n".join(pricing_summary(inst, solution, decision)))
+    _write(args, "\n".join(pricing_summary(inst, solution, decision)) + "\n")
     if solution.status is SolveStatus.NO_FOLLOWER_SOLUTION:
         return EXIT_NO_FOLLOWER
     if solution.status is SolveStatus.UNBOUNDED:
@@ -232,7 +232,7 @@ def _cmd_oracle(args) -> int:
     if doc["kind"] != "qdnf":
         raise ValueError("oracle expects a qdnf document")
     verdict = qdnf_holds(decode_qdnf(doc["payload"]))
-    print("true" if verdict else "false")
+    _write(args, "true\n" if verdict else "false\n")
     return EXIT_OK if verdict else EXIT_FALSE
 
 

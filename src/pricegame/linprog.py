@@ -1,18 +1,19 @@
 """Exact linear programming over the rationals.
 
-A small two-phase simplex used by the per-candidate leader optimization.
+A two-phase simplex used by the per-candidate leader optimization.
 Variables are free unless bounds are given; constraints may be <=, >= or =.
-LP data are Python ints, and the solver works in integers from end to end:
-the tableau holds Python integers over one common denominator, and pivots
-are fraction-free (Edmonds/Bareiss), so every division is exact.  The
-witness is read back as integers over that denominator ``d`` and checked
-in integer arithmetic against every constraint (``a.(x d) <= b d``) and
-every bound.  Fractions are built only for the returned witness and value.
-Pivot selection follows Bland's rule, so with exact arithmetic the method
-always terminates.
-
-Not built for scale: instances here have a handful of variables and at most
-a few hundred constraints.
+LP data are Python ints, and the solver works in integers from end to end.
+It keeps a condensed dictionary (Chvatal, *Linear Programming*, 1983): each
+row holds only the nonbasic columns and the rhs, as integers over one
+common denominator, and pivots are fraction-free (Edmonds/Bareiss), so every
+division is exact.  A basic slack or artificial takes no column: an LP with
+m rows over n standard columns holds m * (n + g) integers, where g counts
+the rows whose slack starts nonbasic (>= rows with rhs >= 0, <= rows with
+rhs < 0).  The witness is read back as integers over that denominator ``d``
+and checked in integer arithmetic against every constraint
+(``a.(x d) <= b d``) and every bound.  Fractions are built only for the
+returned witness and value.  Pivot selection follows Bland's rule, so with
+exact arithmetic the method always terminates.
 """
 
 from __future__ import annotations
@@ -88,51 +89,66 @@ class LpOutcome:
     witness: tuple[Fraction, ...] | None = None
 
 
-class _Tableau:
-    """Dense integer simplex tableau in minimization form with Bland pivoting.
+class _Dictionary:
+    """Integer simplex dictionary in minimization form with Bland pivoting.
 
-    Every entry is stored as an integer over one positive common denominator
-    ``d``: the true entry is ``row[j] / d``.  Pivoting is fraction-free
-    (Edmonds/Bareiss): ``d`` stays the absolute determinant of the current
-    basis, so each update divides exactly.
+    Column k of every row and of the cost row belongs to nonbasic variable
+    ``labels[k]``; the last entry is the rhs.  Basic variable ``basis[i]``
+    has coefficient ``d`` in row i and 0 elsewhere, so it is not stored.
+    The true entry is ``row[k] / d``, where ``d`` stays the absolute
+    determinant of the current basis, so each update divides exactly.
     """
 
-    def __init__(self, rows, basis, ncols):
-        self.rows = rows          # each row: list of ncols int coefficients + rhs
-        self.basis = basis        # basic variable index per row
-        self.ncols = ncols
+    def __init__(self, rows, basis, labels):
+        self.rows = rows
+        self.basis = basis
+        self.labels = labels
         self.d = 1
 
-    def pivot(self, r, j, cost=None):
-        """Pivot on (r, j), updating every row and, if given, the cost row."""
+    def pivot(self, r, k, cost=None):
+        """Exchange basis[r] with labels[k], updating every row and the cost.
+
+        Column k then holds the leaving variable.  Its column was d in row r
+        and 0 elsewhere; the same update maps it to -s*f in row i, where f
+        is row i's old entry in column k, and to s*d in row r, where s is
+        the sign that made the pivot positive.
+        """
         prow = self.rows[r]
-        p = prow[j]
+        p = prow[k]
+        s = 1
         if p < 0:
-            prow = self.rows[r] = list(map(neg, prow))
-            p = -p
+            prow = list(map(neg, prow))
+            p, s = -p, -1
         d = self.d
-        for i, row in enumerate(self.rows):
+        rows = self.rows
+        for i, row in enumerate(rows):
             if i != r:
-                self.rows[i] = _eliminate(row, prow, p, d, j)
+                f = row[k]
+                rows[i] = row = _eliminate(row, prow, p, d, k)
+                if f:
+                    row[k] = -s * f
         if cost is not None:
-            cost[:] = _eliminate(cost, prow, p, d, j)
-        self.basis[r] = j
+            f = cost[k]
+            cost[:] = _eliminate(cost, prow, p, d, k)
+            cost[k] = -s * f
+        prow[k] = s * d
+        rows[r] = prow
+        self.basis[r], self.labels[k] = self.labels[k], self.basis[r]
         self.d = p
 
     def run(self, cost):
-        """Minimize cost (coefficients over columns, cost[-1] holds -value).
+        """Minimize cost (one entry per column, cost[-1] holds -value).
 
-        The cost row is stored over the tableau's denominator like every row.
-        Returns "optimal" or "unbounded"; mutates cost in place.
+        The cost row is stored over the dictionary's denominator like every
+        row.  Returns "optimal" or "unbounded"; mutates cost in place.
         """
         while True:
-            entering = -1
-            for j in range(self.ncols):
-                if cost[j] < 0:
-                    entering = j
-                    break
-            if entering < 0:
+            # Bland: the lowest label with a negative reduced cost (zip
+            # stops before cost[-1], the value).
+            negative = [(v, k) for k, (v, c) in enumerate(zip(self.labels, cost)) if c < 0]
+            if not negative:
                 return "optimal"
+            entering = min(negative)[1]
             leaving = -1
             for i, row in enumerate(self.rows):
                 a = row[entering]
@@ -214,103 +230,82 @@ def _standardize(lp: LinearProgram):
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Exact optimum of an integer LP, with status and witness point."""
     plan, offsets, std_rows = _standardize(lp)
-    m = len(std_rows)
     nstd = len(plan)
 
-    # Equality rows with slack or surplus columns, rhs made nonnegative.
+    # Variable labels: the standard columns, then one slack per inequality
+    # row, then one artificial per row whose slack cannot start basic, each
+    # in row order.  With rhs made nonnegative, a slack with coefficient +1
+    # starts basic; otherwise an artificial does, and a slack with
+    # coefficient -1 starts as a stored nonbasic column.
     nslack = sum(1 for _, rel, _ in std_rows if rel != "=")
     ncols = nstd + nslack
-    rows = []
-    slack_col = nstd
-    slack_of_row = []
-    for coeffs, rel, rhs in std_rows:
-        row = coeffs + [0] * nslack + [rhs]
-        if rel == "<=":
-            row[slack_col] = 1
-            slack_of_row.append(slack_col)
-            slack_col += 1
-        elif rel == ">=":
-            row[slack_col] = -1
-            slack_of_row.append(slack_col)
-            slack_col += 1
-        else:
-            slack_of_row.append(-1)
+    surplus = [rel != "=" and (rel == ">=") != (rhs < 0) for _, rel, rhs in std_rows]
+    zeros = [0] * sum(surplus)
+    labels = list(range(nstd))
+    rows, basis = [], []
+    slack, artificial = nstd, ncols
+    for (coeffs, rel, rhs), stored in zip(std_rows, surplus):
+        row = coeffs + zeros + [rhs]
         if rhs < 0:
             row = list(map(neg, row))
+        if stored:
+            row[len(labels)] = -1
+            labels.append(slack)
+        if rel == "=" or stored:
+            basis.append(artificial)
+            artificial += 1
+        else:
+            basis.append(slack)
+        if rel != "=":
+            slack += 1
         rows.append(row)
 
-    # Initial basis: a slack column with coefficient +1, else an artificial.
-    basis = [-1] * m
-    artificial_rows = []
-    for i, row in enumerate(rows):
-        s = slack_of_row[i]
-        if s >= 0 and row[s] == 1:
-            basis[i] = s
-        else:
-            artificial_rows.append(i)
-    nart = len(artificial_rows)
-    total = ncols + nart
-    if nart:
-        for row in rows:
-            row[ncols:ncols] = [0] * nart
-    for k, i in enumerate(artificial_rows):
-        rows[i][ncols + k] = 1
-        basis[i] = ncols + k
-
-    tab = _Tableau(rows, basis, total)
-
-    if nart:
+    dic = _Dictionary(rows, basis, labels)
+    if artificial > ncols:
         # Phase 1: minimize the sum of the artificials, priced out against
         # the rows they start basic in.
-        cost = [0] * (total + 1)
-        for k, i in enumerate(artificial_rows):
-            cost[ncols + k] = 1
-            cost = list(map(sub, cost, tab.rows[i]))
-        outcome = tab.run(cost)
-        if outcome != "optimal":
+        cost = [0] * len(rows[0])
+        for i, b in enumerate(basis):
+            if b >= ncols:
+                cost = list(map(sub, cost, rows[i]))
+        if dic.run(cost) != "optimal":
             raise RuntimeError("phase 1 cannot be unbounded")
         if cost[-1] != 0:
             return LpOutcome(LpStatus.INFEASIBLE)
-        # Drive leftover artificials out of the basis; drop redundant rows.
+        # Drive leftover artificials out of the basis on the lowest real
+        # label; drop redundant rows, then every artificial column.
         keep = []
-        for i in range(len(tab.rows)):
-            if tab.basis[i] < ncols:
-                keep.append(i)
-                continue
-            pivot_col = next(
-                (j for j in range(ncols) if tab.rows[i][j] != 0), None
-            )
-            if pivot_col is None:
-                continue  # redundant constraint
-            tab.pivot(i, pivot_col)
+        for i, b in enumerate(dic.basis):
+            if b >= ncols:
+                row = dic.rows[i]
+                nonzero = [(v, k) for k, v in enumerate(labels) if v < ncols and row[k]]
+                if not nonzero:
+                    continue  # redundant constraint
+                dic.pivot(i, min(nonzero)[1])
             keep.append(i)
-        tab.rows = [tab.rows[i][:ncols] + [tab.rows[i][-1]] for i in keep]
-        tab.basis = [tab.basis[i] for i in keep]
-        tab.ncols = ncols
+        real = [k for k, v in enumerate(labels) if v < ncols]
+        dic.rows = [[dic.rows[i][k] for k in real] + [dic.rows[i][-1]] for i in keep]
+        dic.basis = [dic.basis[i] for i in keep]
+        dic.labels = labels = [labels[k] for k in real]
     # Phase 2: minimize the negated objective over the standard columns,
     # priced out against the basis.
     objective = [-sign * lp.objective[j] for j, sign in plan] + [0] * nslack
-    cost = [tab.d * c for c in objective] + [0]
-    # Basic columns are unit columns, so each basic row is subtracted once,
-    # times the objective coefficient of its basic variable.
-    for i, b in enumerate(tab.basis):
+    cost = [dic.d * objective[v] for v in labels] + [0]
+    for i, b in enumerate(dic.basis):
         factor = objective[b]
         if factor != 0:
-            cost = [c - factor * v for c, v in zip(cost, tab.rows[i])]
-    outcome = tab.run(cost)
-    if outcome == "unbounded":
+            cost = [c - factor * v for c, v in zip(cost, dic.rows[i])]
+    if dic.run(cost) == "unbounded":
         return LpOutcome(LpStatus.UNBOUNDED)
 
-    # The witness over the tableau's denominator d: variable j is
+    # The witness over the dictionary's denominator d: variable j is
     # scaled[j] / d, where the standard column of basic row i is rhs_i / d.
-    d = tab.d
-    std_values = [0] * ncols
-    for i, b in enumerate(tab.basis):
-        std_values[b] = tab.rows[i][-1]
-    totals = [0] * lp.num_vars
-    for (j, sign), u in zip(plan, std_values):
-        totals[j] += sign * u
-    scaled = [offset * d + t for offset, t in zip(offsets, totals)]
+    d = dic.d
+    scaled = [offset * d for offset in offsets]
+    for i, b in enumerate(dic.basis):
+        if b < nstd:
+            j, sign = plan[b]
+            scaled[j] += sign * dic.rows[i][-1]
     _check_witness(lp, scaled, d)
     value = Fraction(sum(map(mul, lp.objective, scaled)), d)
     witness = tuple([Fraction(x, d) for x in scaled])

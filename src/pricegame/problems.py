@@ -601,11 +601,12 @@ def sat_to_subset_sum(formula: CnfFormula) -> ReductionArtifact:
 
     One digit per variable (target 1) and one per clause (target equal to
     the clause size).  Literal items carry a 1 in their variable digit and
-    in each clause digit they appear in.  Two slack items per clause close
-    the gap between the number of satisfied literals and the clause size;
-    their digit values depend on the clause size so that slacks alone can
-    never reach the clause target.  Clauses wider than four literals have
-    no such two-slack completion and are rejected.
+    in each clause digit they appear in.  Two slack items per clause j,
+    ``s<j>a`` and ``s<j>b`` (a variable of either name is a ValueError),
+    close the gap between the number of satisfied literals and the clause
+    size; their digit values depend on the clause size so that slacks alone
+    can never reach the clause target.  Clauses wider than four literals
+    have no such two-slack completion and are rejected.
     """
     for clause in formula.clauses:
         if not clause:
@@ -633,10 +634,12 @@ def sat_to_subset_sum(formula: CnfFormula) -> ReductionArtifact:
             embedding[lid] = lid
 
     for j, clause in enumerate(formula.clauses, start=1):
-        a, b = _SLACK_DIGITS[len(clause)]
-        item_ids += [f"s{j}a", f"s{j}b"]
-        weights[f"s{j}a"] = a * digit[n + j - 1]
-        weights[f"s{j}b"] = b * digit[n + j - 1]
+        for slack, size in zip((f"s{j}a", f"s{j}b"), _SLACK_DIGITS[len(clause)]):
+            if slack in weights:
+                raise ValueError(f"variable {slack!r} clashes with the slack item {slack!r} "
+                                 f"of clause {j}")
+            item_ids.append(slack)
+            weights[slack] = size * digit[n + j - 1]
 
     target_value = sum(digit[v] for v in range(n))
     for j, clause in enumerate(formula.clauses):

@@ -156,6 +156,32 @@ def test_oracle_command(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "false"
 
 
+def test_solve_out_writes_the_stdout_bytes_to_the_file(tmp_path, capsys):
+    path = two_item_pricing_doc(tmp_path)
+    assert main(["solve", path, "--threshold", "2"]) == 0
+    expected = capsys.readouterr().out
+    out_path = tmp_path / "solved.txt"
+    assert main(["solve", path, "--threshold", "2", "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out_path.read_text() == expected
+    assert expected.endswith("decision: true at threshold 2/1\n")
+
+
+def test_oracle_out_writes_the_verdict_to_the_file(tmp_path, capsys):
+    no = write_doc(tmp_path / "n.json", "qdnf", encode_qdnf(qdnf(1, [{1, 2}])))
+    out_path = tmp_path / "verdict.txt"
+    assert main(["--out", str(out_path), "oracle", no]) == 2
+    assert capsys.readouterr().out == ""
+    assert out_path.read_text() == "false\n"
+
+
+def test_sat2ss_names_a_variable_that_clashes_with_a_slack_item(tmp_path, capsys):
+    src = write_doc(tmp_path / "f.json", "cnf", encode_cnf(cnf(1, [[1]], ["s1a"])))
+    assert main(["compile", src, "--pipeline", "sat2ss"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: variable 's1a' clashes with the slack item 's1a' of clause 1\n"
+
+
 def test_parse_error_is_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
