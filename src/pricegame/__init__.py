@@ -7,6 +7,14 @@ vertex cover, subset sum), the quantified-DNF hardness compiler with its
 lifts, and a batch verification harness.
 """
 
+# Every tuple in the package is built from a list, as tuple([...]), never
+# from a generator or a map.  CPython allocates those at a guessed length
+# and resizes them, so a released tuple joins the free list of its final
+# size while its successors never draw from it; the free lists (up to 2,000
+# tuples of each size from 1 to 20) then fill and stay full until a full
+# collection empties them, and a loop that makes no reference cycles runs
+# none.
+
 from .rational import Rational, format_rational, parse_rational
 from .linprog import LinearProgram, LpOutcome, LpStatus, solve_lp
 from .core import (

@@ -42,6 +42,8 @@ from operator import ge, le
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from .rational import require_ints
+
 DEFAULT_CAP = 24
 
 
@@ -97,8 +99,9 @@ class GroundProblem:
     the same arguments.  Without one, best_by_pattern enumerates.
 
     A problem is a frozen value, and weights is a read-only copy of the
-    mapping given.  A problem lists its feasible family once, on first use,
-    and remembers the last answer best_by_pattern gave for it;
+    mapping given.  Weights and threshold are ints; a float or a bool
+    raises TypeError.  A problem lists its feasible family once, on first
+    use, and remembers the last answer best_by_pattern gave for it;
     dataclasses.replace makes a copy with neither.
     """
 
@@ -118,6 +121,8 @@ class GroundProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+        require_ints(self.weights.values(), "weight")
+        require_ints((self.threshold,), "threshold")
         ids = [e.id for e in self.universe]
         if len(set(ids)) != len(ids):
             raise ValueError("universe element ids must be unique")
@@ -300,7 +305,7 @@ def solution_set(problem: GroundProblem, cap: int = DEFAULT_CAP) -> frozenset[fr
 
 def canonical_family(family: Iterable[frozenset[str]]) -> tuple[tuple[str, ...], ...]:
     """Order-independent canonical form of a set family, for display and diffs."""
-    return tuple(sorted(tuple(sorted(s)) for s in family))
+    return tuple(sorted([tuple(sorted(s)) for s in family]))
 
 
 @dataclass(frozen=True)
@@ -387,7 +392,7 @@ def check_reduction(
     image_bits = [target.mask_of((artifact.embedding[e.id],)) for e in source.universe]
     image_mask = sum(image_bits)
     sign = -1 if target.sense is Sense.MIN else 1
-    gains = tuple(sign * target.weights[e.id] for e in target.universe)
+    gains = tuple([sign * target.weights[e.id] for e in target.universe])
     threshold = sign * target.threshold
     try:
         meeting = best_by_pattern(target, GroundChoice.FEASIBLE, image_mask, gains, cap,

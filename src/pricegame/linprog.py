@@ -23,25 +23,17 @@ from enum import Enum
 from fractions import Fraction
 from operator import add, mul, neg, sub
 
+from .rational import require_ints
+
 Relation = str  # "<=", ">=", "="
 
 _RELATIONS = ("<=", ">=", "=")
-_INT = frozenset({int})
 
 
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
-
-
-def _require_exact(values, what: str) -> None:
-    """Raise TypeError unless every value is an int (not a bool)."""
-    if _INT.issuperset(map(type, values)):
-        return
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise TypeError(f"{what} {v!r} is not an int")
 
 
 @dataclass(frozen=True)
@@ -63,19 +55,19 @@ class LinearProgram:
             raise ValueError("a linear program needs at least one variable")
         if len(self.objective) != self.num_vars:
             raise ValueError("objective length does not match num_vars")
-        _require_exact(self.objective, "objective coefficient")
+        require_ints(self.objective, "objective coefficient")
         for coeffs, rel, _ in self.constraints:
             if len(coeffs) != self.num_vars:
                 raise ValueError("constraint coefficient vector has wrong length")
             if rel not in _RELATIONS:
                 raise ValueError(f"unknown relation {rel!r}")
-            _require_exact(coeffs, "constraint coefficient")
-        _require_exact([rhs for _, _, rhs in self.constraints], "right-hand side")
+            require_ints(coeffs, "constraint coefficient")
+        require_ints([rhs for _, _, rhs in self.constraints], "right-hand side")
         for j in set(self.lower) | set(self.upper):
             if not 0 <= j < self.num_vars:
                 raise ValueError(f"bound on unknown variable {j}")
-        _require_exact(self.lower.values(), "lower bound")
-        _require_exact(self.upper.values(), "upper bound")
+        require_ints(self.lower.values(), "lower bound")
+        require_ints(self.upper.values(), "upper bound")
         for j, lo in self.lower.items():
             up = self.upper.get(j)
             if up is not None and lo > up:

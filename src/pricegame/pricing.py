@@ -58,6 +58,7 @@ from .core import (
     mask_sums,
 )
 from .linprog import LinearProgram, LpStatus, solve_lp
+from .rational import require_ints
 
 
 class Domain(Enum):
@@ -94,7 +95,9 @@ class NoFollowerSolutionError(RuntimeError):
 class PricingInstance:
     """One pricing game over a base problem; derive variants with dataclasses.replace.
 
-    valuation is a read-only copy of the mapping given.
+    valuation is a read-only copy of the mapping given, and its values are
+    ints.  threshold is an int or a Fraction and is stored as a Fraction; a
+    float or a bool in either raises TypeError.
     """
 
     base: GroundProblem
@@ -106,6 +109,9 @@ class PricingInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "valuation", MappingProxyType(dict(self.valuation)))
+        require_ints(self.valuation.values(), "valuation")
+        if type(self.threshold) not in (int, Fraction):
+            raise TypeError(f"threshold {self.threshold!r} is not an int or a Fraction")
         ids = {e.id for e in self.base.universe}
         if not self.leader_ids <= ids:
             raise ValueError("leader elements must belong to the base universe")
@@ -154,7 +160,7 @@ def _collapse(inst: PricingInstance, ground: GroundChoice, cap: int) -> dict[int
     """The base's patterns for a solve or an evaluation; a cap error names the stage."""
     base = inst.base
     sign = -1 if inst.minimizing else 1
-    gains = tuple(sign * inst.valuation[e.id] for e in base.universe)
+    gains = tuple([sign * inst.valuation[e.id] for e in base.universe])
     try:
         return best_by_pattern(base, ground, base.mask_of(inst.leader_ids), gains, cap)
     except CapExceededError as err:
@@ -179,7 +185,7 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
     lower = {} if low_bound is None else {k: low_bound * c for k, c in enumerate(caps)}
     upper = {} if high_bound is None else {k: high_bound * c for k, c in enumerate(caps)}
     # Each pattern's 0/1 price vector over var_bits, built once per solve.
-    vector = {p: tuple(p >> b & 1 for b in var_bits) for p in patterns}
+    vector = {p: tuple([p >> b & 1 for b in var_bits]) for p in patterns}
     # Bland's rule can reach another vertex of a degenerate LP when the rows
     # come in another order, so every candidate's rows follow the patterns
     # by value: the solve is a function of the answer's items alone.
@@ -214,7 +220,7 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
             for other, (other_gain, _) in ordered:
                 if other != pattern:
                     gap = gain - other_gain
-                    rows.append((tuple(map(sub, objective, vector[other])), "<=", gap))
+                    rows.append((tuple([*map(sub, objective, vector[other])]), "<=", gap))
             lp = LinearProgram(len(objective), objective, tuple(rows), lower, upper)
             outcome = solve_lp(lp)
             if outcome.status is LpStatus.INFEASIBLE:

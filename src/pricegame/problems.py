@@ -76,7 +76,7 @@ def cnf(num_vars: int, clauses, var_names=None) -> CnfFormula:
     """Convenience constructor accepting any iterables of literals."""
     return CnfFormula(
         num_vars,
-        tuple(frozenset(c) for c in clauses),
+        tuple([frozenset(c) for c in clauses]),
         tuple(var_names) if var_names is not None else None,
     )
 
@@ -263,13 +263,13 @@ def vertex_cover_problem(
     it; patterns over the solutions are found by enumeration.
     """
     names = [v if isinstance(v, str) else str(v) for v in vertices]
-    elements = tuple(Element(v, v) for v in names)
+    elements = tuple([Element(v, v) for v in names])
     if weights is None:
         weights = {v: 1 for v in names}
     index = {v: i for i, v in enumerate(names)}
     size = len(names)
     full = (1 << size) - 1
-    edge_pairs = tuple(tuple(sorted((str(u), str(v)))) for u, v in edges)
+    edge_pairs = tuple([tuple(sorted((str(u), str(v)))) for u, v in edges])
     edge_masks = []
     adjacency = [0] * size
     for u, v in edge_pairs:
@@ -411,7 +411,7 @@ def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> Ground
     (_subset_sum_patterns), without listing either family.
     """
     names = list(item_ids)
-    elements = tuple(Element(i, i) for i in names)
+    elements = tuple([Element(i, i) for i in names])
     weights = dict(weights)  # the oracles below must not see later edits
     if set(weights) != set(names):
         raise ValueError("weights must cover exactly the universe")

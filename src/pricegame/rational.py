@@ -17,6 +17,20 @@ from fractions import Fraction
 
 Rational = Fraction
 
+_INT = frozenset({int})
+
+
+def require_ints(values, what: str) -> None:
+    """Raise TypeError unless every value is an int (not a bool).
+
+    The common case, all exact ints, is one pass at C speed.
+    """
+    if _INT.issuperset(map(type, values)):
+        return
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise TypeError(f"{what} {v!r} is not an int")
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse "a/b" or "a" (no decimal points allowed anywhere)."""

@@ -34,7 +34,62 @@ def make_document(kind: str, payload: dict, provenance=()) -> dict:
 
 
 def dump_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The bytes json.dumps writes for doc at indent 2 with sorted keys, then a newline.
+
+    Written directly: before Python 3.13 an indented json.dumps runs the
+    pure-Python encoder, whose closures also leave reference cycles that
+    only the cyclic collector frees.  Keys must be strings; a value that is
+    not a str, int, bool, None, dict, list or tuple is written as json.dumps
+    writes it alone, so a float reads the same and a Fraction raises
+    TypeError.
+    """
+    out: list[str] = []
+    _write(doc, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+_quote = json.encoder.encode_basestring_ascii
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _write(value, newline: str, emit) -> None:
+    """Emit one value; newline starts each of its further lines at its indent."""
+    kind = type(value)
+    if kind is str:
+        emit(_quote(value))
+    elif kind is int:
+        emit(int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key in sorted(value):
+            emit(lead + _quote(key) + ": ")
+            _write(value[key], inner, emit)
+            lead = "," + inner
+        emit(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        lead = "[" + inner
+        for item in value:
+            emit(lead)
+            _write(item, inner, emit)
+            lead = "," + inner
+        emit(newline + "]")
+    elif kind is bool or value is None:
+        emit(_LITERALS[value])
+    elif isinstance(value, dict):
+        _write(dict(value), newline, emit)
+    elif isinstance(value, (list, tuple)):
+        _write(list(value), newline, emit)
+    else:
+        emit(json.dumps(value))
 
 
 def load_document(text: str) -> dict:
@@ -107,7 +162,7 @@ def _strings(payload: dict, name: str) -> list[str]:
 
 def decode_qdnf(payload: dict) -> QdnfFormula:
     pairs = _field(payload, "pairs", int)
-    return QdnfFormula(pairs, tuple(frozenset(t) for t in _rows(payload, "terms", int)))
+    return QdnfFormula(pairs, tuple([frozenset(t) for t in _rows(payload, "terms", int)]))
 
 
 def encode_cnf(f: CnfFormula) -> dict:
@@ -122,7 +177,7 @@ def decode_cnf(payload: dict) -> CnfFormula:
     names = payload.get("var_names")
     return CnfFormula(
         num_vars,
-        tuple(frozenset(c) for c in _rows(payload, "clauses", int)),
+        tuple([frozenset(c) for c in _rows(payload, "clauses", int)]),
         tuple(_strings(payload, "var_names")) if names is not None else None,
     )
 
@@ -177,7 +232,7 @@ _KINDS = {
             "feasible_sets": sorted(sorted(p.ids_of(m)) for m in p.feasible_masks()),
         },
         lambda d: explicit_problem(
-            (Element(i, label) for i, label in _pairs(d, "universe", "[id, label]")),
+            [Element(i, label) for i, label in _pairs(d, "universe", "[id, label]")],
             (frozenset(s) for s in _rows(d, "feasible_sets", str)),
             _integers(d, "weights"),
             _field(d, "threshold", int),

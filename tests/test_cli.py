@@ -418,6 +418,21 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+# sha256 of the report below, the same at any --jobs; recorded while
+# dump_document was json.dumps(indent=2, sort_keys=True), whose bytes the
+# writer must keep.
+SWEEP_REPORT_DIGEST = "8e006aa417533bec40d962889c3d9694c7a956f844af8646ce450bfe76c5283b"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_report_is_pinned(tmp_path, jobs):
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), "--seed", "7", "--jobs", jobs, "verify-sweep",
+                 "--pairs", "2", "--max-terms", "3", "--count", "50",
+                 "--exhaustive-pair"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_REPORT_DIGEST
+
+
 def test_sweep_pool_is_sized_by_its_corpus(monkeypatch):
     # The fake pool records its size and runs the tasks in this process.
     sizes = []

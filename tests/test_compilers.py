@@ -1,6 +1,9 @@
 import dataclasses
+import gc
 import hashlib
+import itertools
 import random
+import sys
 
 import pytest
 
@@ -373,3 +376,31 @@ def test_lower_cap_solves_of_lifted_sources_are_pinned():
         lines += [f"source {k} lowercap"]
         lines += pricing_summary(inst, solve_pricing(inst))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LOWER_CAP_DIGEST
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython",
+                    reason="measures CPython's tuple free lists")
+def test_lift_chain_loop_leaves_no_growing_free_lists():
+    # A tuple built from a generator or a map is resized after its items
+    # are in, so once released it fills the free list of its final size,
+    # which nothing then draws from; without a full collection, allocated
+    # blocks grow operation after operation.  Tuples built from lists reuse
+    # those free lists and level off after a warm-up.
+    sources = seeded_sat_sources(random.Random(1), 1700)
+
+    def run(count):
+        for formula, src in itertools.islice(sources, count):
+            solve_pricing(src)
+            solve_pricing(lift_min(src, sat_to_vertex_cover(formula))[0])
+            solve_pricing(lift_max(src, sat_to_subset_sum(formula))[0])
+
+    gc.collect()  # a full collection empties the free lists
+    gc.disable()
+    try:
+        run(500)
+        before = sys.getallocatedblocks()
+        run(1200)
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown < 1000

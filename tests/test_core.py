@@ -200,6 +200,19 @@ def test_problems_are_frozen_and_a_replaced_copy_weighs_afresh():
     assert problem.solution_masks() == [0b01]
 
 
+@pytest.mark.parametrize("weights, threshold, message", [
+    ({"a": 0.5, "b": 1}, 1, "weight 0.5 is not an int"),
+    ({"a": True, "b": 1}, 1, "weight True is not an int"),
+    ({"a": 1, "b": 1}, 1.0, "threshold 1.0 is not an int"),
+    ({"a": 1, "b": 1}, False, "threshold False is not an int"),
+])
+def test_weights_and_threshold_must_be_ints(weights, threshold, message):
+    universe = [Element("a"), Element("b")]
+    family = [frozenset({"a"}), frozenset({"a", "b"})]
+    with pytest.raises(TypeError, match=message):
+        explicit_problem(universe, family, weights, threshold, Sense.MIN)
+
+
 def test_weights_are_a_read_only_copy_of_the_given_dict():
     universe = [Element("a"), Element("b")]
     family = [frozenset({"a"}), frozenset({"a", "b"})]

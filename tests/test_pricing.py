@@ -271,6 +271,27 @@ def test_valuation_must_cover_universe_and_be_nonnegative():
         PricingInstance(base, frozenset({"b"}), {"a": 1}, GroundChoice.SOLUTIONS)
 
 
+@pytest.mark.parametrize("valuation, threshold, message", [
+    ({"a": 1.5}, 0, "valuation 1.5 is not an int"),
+    ({"a": True}, 0, "valuation True is not an int"),
+    ({"a": 1}, 0.1, "threshold 0.1 is not an int or a Fraction"),
+    ({"a": 1}, True, "threshold True is not an int or a Fraction"),
+])
+def test_valuation_and_threshold_must_be_exact(valuation, threshold, message):
+    base = explicit_problem([Element("a")], [frozenset({"a"})])
+    with pytest.raises(TypeError, match=message):
+        PricingInstance(base, frozenset({"a"}), valuation, GroundChoice.SOLUTIONS,
+                        threshold=threshold)
+
+
+@pytest.mark.parametrize("threshold", [3, Fraction(1, 3)])
+def test_an_exact_threshold_is_stored_as_a_fraction(threshold):
+    base = explicit_problem([Element("a")], [frozenset({"a"})])
+    inst = PricingInstance(base, frozenset({"a"}), {"a": 1}, GroundChoice.SOLUTIONS,
+                           threshold=threshold)
+    assert inst.threshold == threshold and type(inst.threshold) is Fraction
+
+
 # sha256 of the summaries below.  Among several optimal price vectors the
 # simplex's pivot path picks one, and `pricegame solve` prints it; the
 # integer tableau scales rows and columns only by positive factors, which

@@ -155,6 +155,15 @@ def test_subset_sum_weights_must_cover_the_items():
         assert str(err.value) == "weights must cover exactly the universe"
 
 
+def test_problem_constructors_take_int_weights_only():
+    with pytest.raises(TypeError, match="weight True is not an int"):
+        subset_sum_problem(["a", "b"], {"a": True, "b": 2}, 3)
+    with pytest.raises(TypeError, match="threshold 3.0 is not an int"):
+        subset_sum_problem(["a", "b"], {"a": 1, "b": 2}, 3.0)
+    with pytest.raises(TypeError, match="weight 1.5 is not an int"):
+        vertex_cover_problem(["u", "v"], [("u", "v")], 1, {"u": 1.5, "v": 1})
+
+
 def all_formulas(num_vars, max_clauses, max_width=3):
     """Every clause set with the given bounds, used by the exhaustive sweeps."""
     literals = [v for i in range(1, num_vars + 1) for v in (i, -i)]

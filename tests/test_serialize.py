@@ -1,7 +1,13 @@
 import dataclasses
+import enum
+import json
+import math
+from collections import OrderedDict
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pricegame.compilers import compile_qdnf_pricing, qdnf
 from pricegame.core import Element, explicit_problem, solution_set
@@ -170,3 +176,57 @@ def test_booleans_are_not_integers(decode, payload, message):
     with pytest.raises(ValueError) as err:
         decode(payload)
     assert str(err.value) == message
+
+
+# Strings mix what json escapes (quotes, backslashes, control characters,
+# non-ASCII, U+2028) with arbitrary text.
+_TEXT = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\té \U0001f600') | st.characters(),
+                max_size=6)
+_SCALARS = (
+    _TEXT
+    | st.integers(min_value=-2**70, max_value=2**70)
+    | st.booleans()
+    | st.none()
+    | st.sampled_from([-0.0, 0.5, 1e300, -1e-300, math.nan, math.inf, -math.inf])
+    | st.floats()
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, inner, max_size=4)
+    ),
+    max_leaves=16,
+)
+
+
+@given(st.dictionaries(_TEXT, _TREES, max_size=5) | _TREES)
+@settings(max_examples=200, deadline=None)
+def test_writer_reproduces_indented_sorted_json(doc):
+    assert dump_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {"threshold": Fraction(1, 2)},
+    {"weights": MappingProxyType({"a": 1})},
+    {"rows": [{1: "a"}]},
+    {"a": 1, 2: "b"},
+], ids=["fraction", "mapping-proxy", "int-key", "mixed-keys"])
+def test_writer_rejects_what_json_cannot_write_as_a_document(doc):
+    with pytest.raises(TypeError):
+        dump_document(doc)
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _Name(str):
+    pass
+
+
+def test_writer_writes_subclasses_as_json_does():
+    doc = {"ordered": OrderedDict([("b", [1]), ("a", _Level.HIGH)]),
+           _Name("name"): _Name('"x"'), "floats": (0.1, -0.0)}
+    assert dump_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
