@@ -9,11 +9,15 @@ common denominator, and pivots are fraction-free (Edmonds/Bareiss), so every
 division is exact.  A basic slack or artificial takes no column: an LP with
 m rows over n standard columns holds m * (n + g) integers, where g counts
 the rows whose slack starts nonbasic (>= rows with rhs >= 0, <= rows with
-rhs < 0).  The witness is read back as integers over that denominator ``d``
-and checked in integer arithmetic against every constraint
-(``a.(x d) <= b d``) and every bound.  Fractions are built only for the
-returned witness and value.  Pivot selection follows Bland's rule, so with
-exact arithmetic the method always terminates.
+rhs < 0).  A pivot whose entry equals the current denominator (on 0/+-1
+data, nearly every pivot) updates in place only the rows with a nonzero
+entry in the pivot column, and in each only the columns where the pivot
+row is nonzero; any other pivot rescales every row.  The witness is read
+back as integers over that denominator ``d`` and checked in integer
+arithmetic against every constraint (``a.(x d) <= b d``) and every bound.
+Fractions are built only for the returned witness and value.  Pivot
+selection follows Bland's rule, so with exact arithmetic the method always
+terminates.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from operator import add, mul, neg, sub
+from itertools import chain, compress, count
+from operator import mul, neg, sub
 
 from .rational import require_ints
 
@@ -56,11 +61,11 @@ class LinearProgram:
         if len(self.objective) != self.num_vars:
             raise ValueError("objective length does not match num_vars")
         require_ints(self.objective, "objective coefficient")
-        for coeffs, rel, _ in self.constraints:
+        for i, (coeffs, rel, _) in enumerate(self.constraints):
             if len(coeffs) != self.num_vars:
-                raise ValueError("constraint coefficient vector has wrong length")
+                raise ValueError(f"constraint {i}: coefficient vector has wrong length")
             if rel not in _RELATIONS:
-                raise ValueError(f"unknown relation {rel!r}")
+                raise ValueError(f"constraint {i}: unknown relation {rel!r}")
             require_ints(coeffs, "constraint coefficient")
         require_ints([rhs for _, _, rhs in self.constraints], "right-hand side")
         for j in set(self.lower) | set(self.upper):
@@ -100,29 +105,49 @@ class _Dictionary:
     def pivot(self, r, k, cost=None):
         """Exchange basis[r] with labels[k], updating every row and the cost.
 
-        Column k then holds the leaving variable.  Its column was d in row r
-        and 0 elsewhere; the same update maps it to -s*f in row i, where f
-        is row i's old entry in column k, and to s*d in row r, where s is
-        the sign that made the pivot positive.
+        Row i becomes (p * row_i - f * prow) / d, the Bareiss update, where
+        prow is row r made positive at its pivot p = prow[k] by the sign s,
+        and f is row i's entry in column k.  The cost row is updated as one
+        more row, in place like every row.  Column k then holds the leaving
+        variable, whose column was s*d in prow and 0 elsewhere, so its new
+        entry in row i is -s*f.  The same update yields it while prow[k]
+        holds p + s*d: (p*f - f*(p + s*d)) / d = -s*f.  prow itself is not
+        updated; its entry in column k becomes s*d.
+
+        When p == d, an entry where prow is 0 keeps its value, so a row
+        changes only where prow is nonzero, and a row whose f is 0 does not
+        change at all.  Otherwise every row is rescaled to the new
+        denominator p.
         """
-        prow = self.rows[r]
+        rows = self.rows
+        prow = rows[r]
         p = prow[k]
         s = 1
         if p < 0:
             prow = list(map(neg, prow))
             p, s = -p, -1
         d = self.d
-        rows = self.rows
-        for i, row in enumerate(rows):
-            if i != r:
-                f = row[k]
-                rows[i] = row = _eliminate(row, prow, p, d, k)
-                if f:
-                    row[k] = -s * f
         if cost is not None:
-            f = cost[k]
-            cost[:] = _eliminate(cost, prow, p, d, k)
-            cost[k] = -s * f
+            rows.append(cost)
+        column = [row[k] for row in rows]
+        column[r] = 0  # the pivot row is not updated
+        prow[k] = p + s * d
+        if p == d:
+            changed = list(compress(count(), prow))
+            for i in compress(count(), column):
+                f, row = column[i], rows[i]
+                if d == 1:
+                    for j in changed:
+                        row[j] -= f * prow[j]
+                else:
+                    for j in changed:
+                        row[j] -= f * prow[j] // d  # exact: d divides f * prow[j]
+        else:
+            for i in chain(range(r), range(r + 1, len(rows))):
+                f, row = column[i], rows[i]
+                row[:] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+        if cost is not None:
+            rows.pop()
         prow[k] = s * d
         rows[r] = prow
         self.basis[r], self.labels[k] = self.labels[k], self.basis[r]
@@ -134,49 +159,30 @@ class _Dictionary:
         The cost row is stored over the dictionary's denominator like every
         row.  Returns "optimal" or "unbounded"; mutates cost in place.
         """
+        rows, basis, labels = self.rows, self.basis, self.labels
         while True:
             # Bland: the lowest label with a negative reduced cost (zip
             # stops before cost[-1], the value).
-            negative = [(v, k) for k, (v, c) in enumerate(zip(self.labels, cost)) if c < 0]
-            if not negative:
+            label = min([v for v, c in zip(labels, cost) if c < 0], default=None)
+            if label is None:
                 return "optimal"
-            entering = min(negative)[1]
+            k = labels.index(label)
             leaving = -1
-            for i, row in enumerate(self.rows):
-                a = row[entering]
+            for i, row in enumerate(rows):
+                a = row[k]
                 if a <= 0:
                     continue
-                if leaving < 0:
-                    leaving = i
-                    continue
-                # rhs/a against the best ratio, cross-multiplied (both a > 0).
-                best = self.rows[leaving]
-                mine, theirs = row[-1] * best[entering], best[-1] * a
-                if mine < theirs or (
-                    mine == theirs and self.basis[i] < self.basis[leaving]
-                ):
-                    leaving = i
+                rhs = row[-1]
+                if leaving >= 0:
+                    # rhs/a against the best ratio, cross-multiplied (both
+                    # a > 0); a tie goes to the lower basic label.
+                    mine, theirs = rhs * best_a, best_rhs * a
+                    if mine > theirs or (mine == theirs and basis[i] > basis[leaving]):
+                        continue
+                leaving, best_a, best_rhs = i, a, rhs
             if leaving < 0:
                 return "unbounded"
-            self.pivot(leaving, entering, cost)
-
-
-def _eliminate(row, prow, p, d, j):
-    """Bareiss update of one row against the pivot row prow (pivot p at j)."""
-    f = row[j]
-    if f == 0:
-        if p == d:
-            return row
-        return [p * a // d for a in row]
-    if d == 1:
-        if p == 1:
-            # The most common update on 0/+-1 data: a plain row sum.
-            if f == 1:
-                return list(map(sub, row, prow))
-            if f == -1:
-                return list(map(add, row, prow))
-        return [p * a - f * b for a, b in zip(row, prow)]
-    return [(p * a - f * b) // d for a, b in zip(row, prow)]
+            self.pivot(leaving, k, cost)
 
 
 def _standardize(lp: LinearProgram):
@@ -206,12 +212,17 @@ def _standardize(lp: LinearProgram):
             plan += [(j, 1), (j, -1)]
             offsets.append(0)
 
+    # When every variable has a lower bound, each is one column of sign +1,
+    # and a row's standard coefficients are its own.
+    identity = len(lp.lower) == lp.num_vars
     shifts = [(j, o) for j, o in enumerate(offsets) if o]
     std_rows = []
     for coeffs, rel, rhs in lp.constraints:
         for j, o in shifts:
             rhs -= coeffs[j] * o
-        std_rows.append(([sign * coeffs[j] for j, sign in plan], rel, rhs))
+        if not identity:
+            coeffs = [sign * coeffs[j] for j, sign in plan]
+        std_rows.append((coeffs, rel, rhs))
     for col, width in box:
         coeffs = [0] * len(plan)
         coeffs[col] = 1
@@ -237,7 +248,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     rows, basis = [], []
     slack, artificial = nstd, ncols
     for (coeffs, rel, rhs), stored in zip(std_rows, surplus):
-        row = coeffs + zeros + [rhs]
+        row = [*coeffs, *zeros, rhs]
         if rhs < 0:
             row = list(map(neg, row))
         if stored:

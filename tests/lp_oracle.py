@@ -257,3 +257,56 @@ def verify_farkas(rows, mult) -> bool:
             combo[k] += y * coeffs[k]
         total += y * rhs
     return all(v == 0 for v in combo) and total < 0
+
+
+def dense_bareiss_pivot(rows, basis, labels, d, cost, r, k):
+    """Textbook fraction-free pivot on a dense integer tableau.
+
+    The condensed dictionary (rows over the nonbasic columns ``labels`` plus
+    the rhs, basic variable ``basis[i]`` with coefficient d in row i, and an
+    optional cost row) is spread into one column per variable, a row made
+    negative at the entering column is negated, every other row and the cost
+    row are updated by (p * row - f * pivot row) / d with exact division,
+    and the result is read back in the condensed form with the leaving
+    variable in column k.  Returns (rows, basis, labels, d, cost).
+    """
+    names = sorted([*basis, *labels])
+
+    def spread(row, own=None):
+        dense = dict.fromkeys(names, 0)
+        dense.update(zip(labels, row))
+        if own is not None:
+            dense[own] = d
+        dense["rhs"] = row[-1]
+        return dense
+
+    table = [spread(row, b) for row, b in zip(rows, basis)]
+    dense_cost = None if cost is None else spread(cost)
+    entering = labels[k]
+    if table[r][entering] < 0:
+        table[r] = {v: -a for v, a in table[r].items()}
+    pivot_row = table[r]
+    p = pivot_row[entering]
+
+    def update(dense):
+        f = dense[entering]
+        out = {}
+        for v, a in dense.items():
+            q, rem = divmod(p * a - f * pivot_row[v], d)
+            assert rem == 0, "Bareiss division is not exact"
+            out[v] = q
+        return out
+
+    table = [row if i == r else update(row) for i, row in enumerate(table)]
+    if dense_cost is not None:
+        dense_cost = update(dense_cost)
+    new_basis = list(basis)
+    new_labels = list(labels)
+    new_basis[r], new_labels[k] = entering, basis[r]
+    assert all(row[b] == p for row, b in zip(table, new_basis))
+
+    def condense(dense):
+        return [dense[v] for v in new_labels] + [dense["rhs"]]
+
+    new_cost = None if dense_cost is None else condense(dense_cost)
+    return [condense(row) for row in table], new_basis, new_labels, p, new_cost

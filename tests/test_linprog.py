@@ -13,11 +13,12 @@ from pricegame.linprog import (
     LinearProgram,
     LpStatus,
     _check_witness,
-    _eliminate,
+    _Dictionary,
     solve_lp,
 )
 
 from lp_oracle import (
+    dense_bareiss_pivot,
     farkas_certificate,
     oracle_solve,
     rows_of,
@@ -64,6 +65,24 @@ def test_malformed_dimensions_rejected():
         LinearProgram(1, (1,), (((1,), "<<", 0),))
     with pytest.raises(ValueError):
         LinearProgram(1, (1,), (), {0: 2}, {0: 1})
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    # Row 0's relation is named before row 2's length or float.
+    ([((1,), "<<", 0), ((1,), "<=", 1), ((1, 2), "<=", 0)],
+     ValueError, "constraint 0: unknown relation '<<'"),
+    ([((1,), "<<", 0), ((1,), "<=", 1), ((1.5,), "<=", 0)],
+     ValueError, "constraint 0: unknown relation '<<'"),
+    ([((1,), "<=", 0), ((2.5,), "<=", 1), ((1, 2), "<=", 0)],
+     TypeError, "constraint coefficient 2.5 is not an int"),
+    # Right-hand sides are checked after every row.
+    ([((1,), "<=", 0.5), ((1,), "<=", 1), ((1, 2), "<=", 0)],
+     ValueError, "constraint 2: coefficient vector has wrong length"),
+], ids=["relation-then-length", "relation-then-float", "float-then-length", "rhs-after-rows"])
+def test_the_first_faulty_row_is_named(rows, error, message):
+    with pytest.raises(error) as info:
+        LinearProgram(1, (1,), tuple(rows))
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("build, what", [
@@ -338,24 +357,32 @@ def test_integer_lps_match_their_fraction_copies(data):
     assert_matches_oracle(native)
 
 
-@given(
-    st.lists(st.integers(-50, 50), min_size=1, max_size=8).flatmap(
-        lambda row: st.tuples(
-            st.just(row),
-            st.lists(st.integers(-50, 50), min_size=len(row), max_size=len(row)),
-            st.integers(0, len(row) - 1),
-            st.sampled_from([-1, 1]),
-        )
-    )
-)
+ENTRIES = st.sampled_from([0, 0, 0, 1, 1, -1, -1, 2, -2, 3])
+
+
+@given(st.data())
 @settings(max_examples=200, deadline=None)
-def test_unit_pivot_fast_path_matches_the_bareiss_formula(case):
-    row, prow, j, f = case
-    row, prow = list(row), list(prow)
-    row[j], prow[j] = f, 1
-    p = d = 1
-    expected = [(p * a - f * b) // d for a, b in zip(row, prow)]
-    assert _eliminate(list(row), prow, p, d, j) == expected
+def test_pivot_matches_a_dense_bareiss_pivot(data):
+    # A dictionary of 0/+-1-heavy integer rows over d = 1, pivoted several
+    # times on random nonzero entries: later pivots meet d > 1 and p != d,
+    # rows with a zero pivot-column entry, and +-1 row sums.
+    m = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(1, 4))
+    rows = [data.draw(st.lists(ENTRIES, min_size=n + 1, max_size=n + 1)) for _ in range(m)]
+    names = data.draw(st.permutations(range(m + n)))
+    basis, labels = list(names[:m]), list(names[m:])
+    cost = data.draw(st.one_of(st.none(), st.lists(ENTRIES, min_size=n + 1, max_size=n + 1)))
+    dic = _Dictionary([list(row) for row in rows], list(basis), list(labels))
+    dic_cost = None if cost is None else list(cost)
+    d = 1
+    for _ in range(data.draw(st.integers(1, 6))):
+        nonzero = [(i, k) for i in range(m) for k in range(n) if rows[i][k]]
+        if not nonzero:
+            break
+        r, k = data.draw(st.sampled_from(nonzero))
+        rows, basis, labels, d, cost = dense_bareiss_pivot(rows, basis, labels, d, cost, r, k)
+        dic.pivot(r, k, dic_cost)
+        assert (dic.rows, dic.basis, dic.labels, dic.d, dic_cost) == (rows, basis, labels, d, cost)
 
 
 def _tight(lp):
