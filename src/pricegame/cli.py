@@ -45,7 +45,7 @@ from .serialize import (
     make_document,
     pricing_summary,
 )
-from .sweep import CorpusSpec, render_report, run_sweep
+from .sweep import CorpusSpec, run_sweep
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -246,7 +246,7 @@ def _cmd_sweep(args) -> int:
     )
     report = run_sweep(spec, cap=args.cap, jobs=args.jobs,
                        inject_fault=args.inject_fault, timed=args.timings)
-    _write(args, render_report(report))
+    _write(args, dump_document(report))
     summary = report["summary"]
     print(
         f"total={summary['total']} matches={summary['matches']} "

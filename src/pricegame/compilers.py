@@ -205,7 +205,7 @@ def compile_qdnf_pricing(q: QdnfFormula) -> CompiledSatPricing:
     outside = frozenset(
         {"fallback"} | {"~" + name for name in names if name != "fallback"}
     )
-    if not base.feasible(outside):
+    if not base.feasible(base.mask_of(outside)):
         raise CompileAnomalyError("fallback response is not a solution of the emitted formula")
     if outside & pricing.leader_ids:
         raise CompileAnomalyError("fallback response touches the leader part")

@@ -28,9 +28,12 @@ threshold (no feasible set strictly better than the threshold).  It lists
 the source solutions and reads all three target checks off the target's
 patterns over the embedding image that reach the threshold.
 
-Everything here is exact and deterministic.  Subsets are exposed as
-frozensets of element ids; internally they are bitmasks over the universe
-order, which is what the enumerators produce.
+Everything here is exact and deterministic.  Within the problem layer a
+subset is a bitmask over the universe order, bit i for the i-th element:
+the decision oracle takes one, the enumerators yield them and the pattern
+oracles answer in them.  Element ids appear where the package meets the
+outside: mask_of and ids_of convert at documents, responses, prices,
+leader sets and embeddings, and solution_set returns frozensets of ids.
 """
 
 from __future__ import annotations
@@ -86,17 +89,20 @@ class Element:
 class GroundProblem:
     """A combinatorial problem over an explicit finite universe.
 
-    feasible is the decision oracle over frozensets of element ids.
-    mask_enumerator, when given, yields every feasible set as a bitmask over
-    the universe order and must agree with the oracle; problem constructors
-    in problems.py install pruned enumerators, the fallback scans all
-    subsets.  name is the kind tag documents are written under, and spec is
-    the data its constructor was given beyond universe and weights: the
-    CnfFormula of a "sat" problem, the tuple of sorted edges of a
-    "vertex-cover" problem, None for every other kind.  pattern_oracle, when
-    given, is called as pattern_oracle(problem, ground, leader_mask, gains,
-    cap, floor) and must return the same items as best_by_enumeration for
-    the same arguments.  Without one, best_by_pattern enumerates.
+    feasible is the decision oracle.  It takes a subset as a bitmask over
+    the universe order, bit i for universe[i], and a mask with a bit at or
+    past the universe size is infeasible.  Ids stop at mask_of and ids_of.
+    mask_enumerator, when given, yields every feasible set as such a mask
+    and must agree with the oracle; problem constructors in problems.py
+    install pruned enumerators, the fallback scans all subsets.  name is
+    the kind tag documents are written under, and spec is the data its
+    constructor was given beyond the universe: the CnfFormula of a "sat"
+    problem, the tuple of sorted edges of a "vertex-cover" problem, the
+    target and read-only weights of a "subset-sum" problem, None for every
+    other kind.  pattern_oracle, when given, is called as
+    pattern_oracle(problem, ground, leader_mask, gains, cap, floor) and must
+    return the same items as best_by_enumeration for the same arguments.
+    Without one, best_by_pattern enumerates.
 
     A problem is a frozen value, and weights is a read-only copy of the
     mapping given.  Weights and threshold are ints; a float or a bool
@@ -109,7 +115,7 @@ class GroundProblem:
     weights: Mapping[str, int]
     threshold: int
     sense: Sense
-    feasible: Callable[[frozenset[str]], bool]
+    feasible: Callable[[int], bool]
     mask_enumerator: Callable[[], Iterable[int]] | None = None
     name: str = "custom"
     cost_bits: int | None = None
@@ -151,24 +157,14 @@ class GroundProblem:
         return mask
 
     def ids_of(self, mask: int) -> frozenset[str]:
-        """The ids of a mask's elements, by walking its set bits."""
-        ids = []
+        """The ids of a mask's elements."""
         universe = self.universe
-        while mask:
-            low = mask & -mask
-            ids.append(universe[low.bit_length() - 1].id)
-            mask ^= low
-        return frozenset(ids)
+        return frozenset([universe[b].id for b in bits(mask)])
 
     def weight_of_mask(self, mask: int) -> int:
         """One mask's weight by walking its bits; the oracle for mask_sums."""
-        total = 0
-        bits = self._weight_bits
-        while mask:
-            low = mask & -mask
-            total += bits[low.bit_length() - 1]
-            mask ^= low
-        return total
+        weights = self._weight_bits
+        return sum([weights[b] for b in bits(mask)])
 
     def feasible_masks(self, cap: int = DEFAULT_CAP) -> list[int]:
         """All feasible sets as sorted bitmasks, listed once per problem.
@@ -186,7 +182,7 @@ class GroundProblem:
     def _family(self) -> list[int]:
         if self.mask_enumerator is not None:
             return sorted(self.mask_enumerator())
-        return [m for m in range(1 << self.size) if self.feasible(self.ids_of(m))]
+        return [m for m in range(1 << self.size) if self.feasible(m)]
 
     def _check_cap(self, cap: int) -> None:
         """Raise CapExceededError if enumerating this problem costs over 2^cap."""
@@ -209,6 +205,16 @@ class GroundProblem:
         meets = le if self.sense is Sense.MIN else ge
         t = self.threshold
         return [m for m, w in zip(masks, mask_sums(self._weight_bits, masks)) if meets(w, t)]
+
+
+def bits(mask: int) -> list[int]:
+    """The positions of a mask's set bits, lowest first."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
 
 
 def subset_sums(values: Sequence[int]) -> list[int]:
@@ -441,13 +447,13 @@ def explicit_problem(
     bit = {e.id: 1 << i for i, e in enumerate(elements)}
     if not all(s <= bit.keys() for s in family):
         raise ValueError("feasible sets must lie inside the universe")
-    masks = [sum(bit[i] for i in s) for s in family]
+    masks = frozenset(sum(bit[i] for i in s) for s in family)
     return GroundProblem(
         universe=elements,
         weights=weights,
         threshold=threshold,
         sense=sense,
-        feasible=lambda s: frozenset(s) in family,
+        feasible=masks.__contains__,
         mask_enumerator=lambda: masks,
         name="explicit",
         cost_bits=0,

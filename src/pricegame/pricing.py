@@ -55,6 +55,7 @@ from .core import (
     Sense,
     _canon_before,
     best_by_pattern,
+    bits,
     mask_sums,
 )
 from .linprog import LinearProgram, LpStatus, solve_lp
@@ -146,16 +147,6 @@ class PriceEvaluation:
     response: frozenset[str]
 
 
-def _bits(mask: int) -> list[int]:
-    """The positions of a mask's set bits, lowest first."""
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
-    return bits
-
-
 def _collapse(inst: PricingInstance, ground: GroundChoice, cap: int) -> dict[int, tuple[int, int]]:
     """The base's patterns for a solve or an evaluation; a cap error names the stage."""
     base = inst.base
@@ -179,7 +170,7 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
         return PricingSolution(SolveStatus.UNBOUNDED)
 
     base = inst.base
-    var_bits = _bits(reduce(or_, patterns, 0))
+    var_bits = bits(reduce(or_, patterns, 0))
     var_ids = [base.universe[b].id for b in var_bits]
     caps = [inst.valuation[e] for e in var_ids]
     lower = {} if low_bound is None else {k: low_bound * c for k, c in enumerate(caps)}
@@ -202,7 +193,7 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
     best_value: Fraction | None = None
     best_pattern: int | None = None
     best_witness: tuple[Fraction, ...] | None = None
-    for pattern in sorted(patterns, key=lambda p: (-bound[p], _bits(patterns[p][1]))):
+    for pattern in sorted(patterns, key=lambda p: (-bound[p], bits(patterns[p][1]))):
         gain, member = patterns[pattern]
         if best_value is not None and (bound[pattern] < best_value or (
             bound[pattern] == best_value
@@ -289,7 +280,7 @@ def evaluate_prices(
     best_rank: tuple[Fraction, Fraction] | None = None
     response: int | None = None
     for pattern, (gain, member) in patterns.items():
-        paid = sum((Fraction(prices[base.universe[b].id]) for b in _bits(pattern)),
+        paid = sum((Fraction(prices[base.universe[b].id]) for b in bits(pattern)),
                    Fraction(0))
         rank = (gain - paid, paid)
         if best_rank is None or rank > best_rank or (

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .core import (
     Element,
@@ -30,6 +31,7 @@ from .core import (
     Sense,
     _canon_before,
     best_by_enumeration,
+    bits,
     mask_sums,
     subset_sums,
 )
@@ -106,7 +108,6 @@ def sat_problem(formula: CnfFormula) -> GroundProblem:
     """
     n = formula.num_vars
     elements = _literal_universe(formula)
-    bit = {e.id: 1 << i for i, e in enumerate(elements)}
     true_bit = [1 << (2 * v) for v in range(n)]
     false_bit = [1 << (2 * v + 1) for v in range(n)]
     # Per clause, the mask of its literals; per literal, the clauses holding
@@ -121,13 +122,10 @@ def sat_problem(formula: CnfFormula) -> GroundProblem:
             literal_clauses[b] |= 1 << j
         clause_masks.append(mask)
 
-    def feasible(subset: frozenset[str]) -> bool:
-        if not subset <= bit.keys():
+    def feasible(mask: int) -> bool:
+        # Bits 2v and 2v + 1 are variable v's literals: exactly one is set.
+        if mask >> 2 * n or any((mask >> 2 * v & 3) not in (1, 2) for v in range(n)):
             return False
-        mask = sum(bit[i] for i in subset)
-        for v in range(n):
-            if (1 if mask & true_bit[v] else 0) + (1 if mask & false_bit[v] else 0) != 1:
-                return False
         return all(mask & cm for cm in clause_masks)
 
     # Each clause is checked once its highest variable is set; an empty
@@ -282,11 +280,8 @@ def vertex_cover_problem(
         adjacency[iu] |= 1 << iv
         adjacency[iv] |= 1 << iu
 
-    def feasible(subset: frozenset[str]) -> bool:
-        if not subset <= set(names):
-            return False
-        mask = sum(1 << index[v] for v in subset)
-        return all(mask & em for em in edge_masks)
+    def feasible(mask: int) -> bool:
+        return not mask >> size and all(mask & em for em in edge_masks)
 
     def enumerate_covers():
         # Depth-first over independent sets, each extended only by vertices
@@ -407,8 +402,10 @@ def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> Ground
     """Subset sum as a maximization instance.
 
     Feasible sets are those of total weight at most the target; solutions
-    hit the target exactly.  Patterns are found by meeting in the middle
-    (_subset_sum_patterns), without listing either family.
+    hit the target exactly.  spec records the target and weights.  The
+    enumerator weighs all 2^n subsets with mask_sums; patterns are found by
+    meeting in the middle (_subset_sum_patterns), without listing either
+    family.
     """
     names = list(item_ids)
     elements = tuple([Element(i, i) for i in names])
@@ -419,15 +416,10 @@ def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> Ground
         raise ValueError("item weights must be nonnegative")
     w = [weights[i] for i in names]
 
-    def feasible(subset: frozenset[str]) -> bool:
-        if not subset <= set(names):
-            return False
-        return sum(weights[i] for i in subset) <= target
+    def feasible(mask: int) -> bool:
+        return not mask >> len(w) and sum([w[b] for b in bits(mask)]) <= target
 
     def enumerate_light():
-        # One table of every subset's sum, while it fits in memory.
-        if len(w) <= 20:
-            return (m for m, total in enumerate(subset_sums(w)) if total <= target)
         masks = range(1 << len(w))
         return (m for m, total in zip(masks, mask_sums(w, masks)) if total <= target)
 
@@ -454,6 +446,7 @@ def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> Ground
         feasible=feasible,
         mask_enumerator=enumerate_light,
         name="subset-sum",
+        spec=(target, MappingProxyType(weights)),
         pattern_oracle=patterns,
     )
 

@@ -194,11 +194,13 @@ def _integers(payload: dict, name: str) -> dict[str, int]:
     return _mapping(payload, name, int, "integers")
 
 
-# Per problem kind, how its payload is written and how it is read back.  A
-# problem of a kind not listed here is written out as an explicit family.
+# Per problem kind, how its payload is written and how it is read back.  An
+# encoder returns None for a copy (dataclasses.replace) that its payload
+# would not rebuild; such a copy, and a problem of a kind not listed here,
+# is written out as an explicit family.
 _KINDS = {
     "sat": (
-        lambda p: {"cnf": encode_cnf(p.spec)},
+        lambda p: {"cnf": encode_cnf(p.spec)} if p.sense is Sense.FEASIBILITY else None,
         lambda d: sat_problem(decode_cnf(_field(d, "cnf", dict))),
     ),
     "vertex-cover": (
@@ -207,7 +209,7 @@ _KINDS = {
             "edges": [list(edge) for edge in p.spec],
             "weights": dict(p.weights),
             "threshold": p.threshold,
-        },
+        } if p.sense is Sense.MIN else None,
         lambda d: vertex_cover_problem(
             _strings(d, "vertices"),
             [tuple(e) for e in _pairs(d, "edges", "[vertex, vertex]")],
@@ -216,9 +218,10 @@ _KINDS = {
         ),
     ),
     "subset-sum": (
+        # The spec's target and weights decide the feasible sets.
         lambda p: {
             "items": [e.id for e in p.universe], "weights": dict(p.weights), "target": p.threshold,
-        },
+        } if p.sense is Sense.MAX and p.spec == (p.threshold, p.weights) else None,
         lambda d: subset_sum_problem(
             _strings(d, "items"), _integers(d, "weights"), _field(d, "target", int),
         ),
@@ -244,7 +247,10 @@ _KINDS = {
 
 def encode_problem(p: GroundProblem) -> dict:
     kind = p.name if p.name in _KINDS else "explicit"
-    return {"problem": kind, **_KINDS[kind][0](p)}
+    payload = _KINDS[kind][0](p)
+    if payload is None:
+        kind, payload = "explicit", _KINDS["explicit"][0](p)
+    return {"problem": kind, **payload}
 
 
 def decode_problem(payload: dict) -> GroundProblem:

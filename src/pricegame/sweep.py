@@ -10,7 +10,8 @@ unless explicitly requested.
 
 A fault-injection hook corrupts the threshold of one chosen instance so the
 comparison must flip there; it exists so the harness can prove it actually
-detects mismatches.
+detects mismatches, so an index outside the corpus is an error rather than
+a sweep with nothing injected.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .compilers import QdnfFormula, compile_qdnf_pricing, qdnf, qdnf_holds
 from .core import DEFAULT_CAP, CapExceededError
 from .pricing import PricingInstance, meets_threshold, solve_pricing
 from .rational import format_rational
-from .serialize import dump_document
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -134,7 +134,12 @@ def run_sweep(
     inject_fault: int | None = None,
     timed: bool = False,
 ) -> dict:
+    """Check every corpus item; inject_fault, if given, must index one of them."""
     items = build_corpus(spec)
+    if inject_fault is not None and not 0 <= inject_fault < len(items):
+        raise ValueError(
+            f"fault index {inject_fault} is outside the corpus of {len(items)} instances"
+        )
     tasks = [
         (instance_id, q, cap, inject_fault == idx, timed)
         for idx, (instance_id, q) in enumerate(items)
@@ -168,7 +173,3 @@ def run_sweep(
         ],
     }
     return report
-
-
-def render_report(report: dict) -> str:
-    return dump_document(report)

@@ -18,7 +18,7 @@ from pricegame.serialize import (
     make_document,
 )
 from pricegame.problems import cnf, vertex_cover_problem
-from pricegame.sweep import CorpusSpec, random_formula, render_report, run_sweep
+from pricegame.sweep import CorpusSpec, random_formula, run_sweep
 
 
 def write_doc(path, kind, payload, provenance=()):
@@ -397,6 +397,20 @@ def test_sweep_fault_injection_yields_exactly_one_mismatch(tmp_path):
     assert report["records"][2]["fault_injected"] is True
 
 
+@pytest.mark.parametrize("index", ["7", "-1"])
+def test_sweep_fault_outside_the_corpus_is_an_error(tmp_path, capsys, index):
+    # A fault that lands on no instance would let the self-test pass
+    # without testing anything.
+    out = tmp_path / "faulty.json"
+    code = main(["--out", str(out), "verify-sweep", "--pairs", "1", "--max-terms", "2",
+                 "--count", "3", "--inject-fault", index])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: fault index {index} is outside the corpus of 3 instances\n"
+    )
+    assert not out.exists()
+
+
 def test_sweep_records_cap_errors_as_anomalies(tmp_path):
     # Six-pair formulas compile into universes past the default cap; the
     # sweep must record that per instance instead of dying.
@@ -452,7 +466,7 @@ def test_sweep_pool_is_sized_by_its_corpus(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     three = CorpusSpec(pairs=1, max_terms=2, count=3, seed=4)
-    assert render_report(run_sweep(three, jobs=64)) == render_report(run_sweep(three))
+    assert dump_document(run_sweep(three, jobs=64)) == dump_document(run_sweep(three))
     assert sizes == [3]
     run_sweep(CorpusSpec(pairs=1, max_terms=2, count=1, seed=4), jobs=64)
     assert sizes == [3]

@@ -121,7 +121,7 @@ def test_solution_set_within_enumerator_output():
     problem = vertex_cover_problem(["a", "b", "c"], [("a", "b"), ("b", "c")], threshold=2)
     feasible = {problem.ids_of(m) for m in problem.feasible_masks()}
     assert solution_set(problem) <= feasible
-    assert all(problem.feasible(s) for s in feasible)
+    assert all(problem.feasible(problem.mask_of(s)) for s in feasible)
 
 
 def test_identity_reduction_passes_all_checks():

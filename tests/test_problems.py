@@ -11,12 +11,14 @@ from pricegame import problems
 from pricegame.compilers import compile_qdnf_pricing, weight_lift
 from pricegame.core import (
     CapExceededError,
+    Element,
     GroundChoice,
     GroundProblem,
     Sense,
     best_by_enumeration,
     best_by_pattern,
     check_reduction,
+    explicit_problem,
     solution_set,
     subset_sums,
 )
@@ -138,14 +140,14 @@ def test_vertex_cover_oracle_agrees_with_enumerator():
     for subset_size in range(5):
         for combo in itertools.combinations("abcd", subset_size):
             subset = frozenset(combo)
-            assert problem.feasible(subset) == (subset in listed)
+            assert problem.feasible(problem.mask_of(subset)) == (subset in listed)
 
 
 def test_subset_sum_problem_feasibility():
     problem = subset_sum_problem(["a", "b"], {"a": 2, "b": 3}, target=3)
     assert solution_set(problem) == {frozenset({"b"})}
-    assert problem.feasible(frozenset({"a"}))
-    assert not problem.feasible(frozenset({"a", "b"}))
+    assert problem.feasible(problem.mask_of({"a"}))
+    assert not problem.feasible(problem.mask_of({"a", "b"}))
 
 
 def test_subset_sum_weights_must_cover_the_items():
@@ -211,8 +213,40 @@ def test_pruned_sat_enumerator_matches_brute_force_scan(formula):
 
 
 @st.composite
+def small_problems(draw):
+    """A sat, vertex-cover, subset-sum or explicit problem of at most 8 elements."""
+    kind = draw(st.sampled_from(["sat", "vertex-cover", "subset-sum", "explicit"]))
+    if kind == "sat":
+        return sat_problem(draw(small_cnfs(max_vars=4)))
+    size = draw(st.integers(min_value=0, max_value=8))
+    names = [f"e{i}" for i in range(size)]
+    if kind == "vertex-cover":
+        pairs = list(itertools.combinations(names, 2))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        return vertex_cover_problem(names, edges, threshold=size)
+    if kind == "subset-sum":
+        weights = {v: draw(st.integers(min_value=0, max_value=20)) for v in names}
+        return subset_sum_problem(names, weights, draw(st.integers(0, 60)))
+    masks = draw(st.lists(st.integers(0, (1 << size) - 1)))
+    family = [frozenset(v for i, v in enumerate(names) if m >> i & 1) for m in masks]
+    return explicit_problem([Element(v) for v in names], family)
+
+
+@given(small_problems(), st.integers(min_value=1, max_value=255))
+@settings(max_examples=200, deadline=None)
+def test_feasible_takes_the_masks_the_enumerator_yields(problem, high):
+    # The oracle agrees with the listed family on every mask of the
+    # universe, and a bit past the universe makes any mask infeasible.
+    listed = set(problem.feasible_masks())
+    past = high << problem.size
+    for mask in range(1 << problem.size):
+        assert problem.feasible(mask) == (mask in listed)
+        assert not problem.feasible(mask | past)
+
+
+@st.composite
 def small_subset_sums(draw):
-    # At most 12 items: the table-of-sums path, and a cheap brute-force scan.
+    # At most 12 items, so the brute-force scan stays cheap.
     size = draw(st.integers(min_value=0, max_value=12))
     weights = {f"i{k}": draw(st.integers(min_value=0, max_value=40)) for k in range(size)}
     return subset_sum_problem(list(weights), weights, draw(st.integers(0, 120)))
@@ -229,7 +263,7 @@ def test_subset_sum_enumerator_matches_brute_force_scan(problem):
 
 
 def test_subset_sum_past_the_table_size_matches_the_table():
-    # 21 items take the bulk mask_sums path instead of one table of sums.
+    # 21 items: the bulk mask_sums listing against one table of every sum.
     weights = {f"i{k}": k + 1 for k in range(21)}
     problem = subset_sum_problem(list(weights), weights, target=50)
     sums = subset_sums(list(weights.values()))

@@ -9,9 +9,15 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pricegame.compilers import compile_qdnf_pricing, qdnf
-from pricegame.core import Element, explicit_problem, solution_set
-from pricegame.problems import cnf, sat_problem, sat_to_subset_sum, sat_to_vertex_cover
+from pricegame.compilers import compile_qdnf_pricing, qdnf, weight_lift
+from pricegame.core import Element, Sense, explicit_problem, solution_set
+from pricegame.problems import (
+    cnf,
+    sat_problem,
+    sat_to_subset_sum,
+    sat_to_vertex_cover,
+    subset_sum_problem,
+)
 from pricegame.serialize import (
     decode_artifact,
     decode_cnf,
@@ -60,7 +66,7 @@ def test_problem_round_trips():
             [frozenset({"a"}), frozenset({"a", "b"})],
             {"a": 1, "b": 2},
             threshold=1,
-            sense=__import__("pricegame.core", fromlist=["Sense"]).Sense.MIN,
+            sense=Sense.MIN,
         ),
     ]
     for problem in problems:
@@ -132,18 +138,42 @@ def test_document_validation():
         load_document('{"schema_version": "0", "kind": "cnf", "payload": {}}')
 
 
-@pytest.mark.parametrize("build", [
-    lambda: sat_problem(cnf(2, [[1, 2]], var_names=["p", "q"])),
-    lambda: sat_to_vertex_cover(cnf(2, [[1, -2], [2]])).target,
-    lambda: sat_to_subset_sum(cnf(2, [[1, 2]])).target,
-    lambda: explicit_problem([Element("a", "A"), Element("b")],
-                             [frozenset(), frozenset({"a", "b"})]),
-], ids=["sat", "vertex-cover", "subset-sum", "explicit"])
-def test_replace_copy_encodes_like_the_original(build):
+def _abc_subset_sum():
+    return subset_sum_problem(["a", "b", "c"], {"a": 2, "b": 3, "c": 4}, 5)
+
+
+def _lifted_cover():
+    formula = cnf(2, [[1, -2], [2]])
+    artifact = sat_to_vertex_cover(formula)
+    return weight_lift(artifact.target, artifact.image_ids())
+
+
+# An unchanged copy, or a weight-lifted cover, keeps its kind and bytes; a
+# copy whose kind's payload would rebuild another problem is written out as
+# an explicit family.
+@pytest.mark.parametrize("build, changes", [
+    (lambda: sat_problem(cnf(2, [[1, 2]], var_names=["p", "q"])), {}),
+    (lambda: sat_to_vertex_cover(cnf(2, [[1, -2], [2]])).target, {}),
+    (lambda: sat_to_subset_sum(cnf(2, [[1, 2]])).target, {}),
+    (lambda: explicit_problem([Element("a", "A"), Element("b")],
+                              [frozenset(), frozenset({"a", "b"})]), {}),
+    (_lifted_cover, {}),
+    (lambda: sat_problem(cnf(2, [[1, 2]], var_names=["p", "q"])), {"sense": Sense.MIN}),
+    (lambda: sat_to_vertex_cover(cnf(2, [[1, -2], [2]])).target, {"sense": Sense.MAX}),
+    (_abc_subset_sum, {"threshold": 3}),
+    (_abc_subset_sum, {"weights": {"a": 1, "b": 1, "c": 4}}),
+], ids=["sat", "vertex-cover", "subset-sum", "explicit", "weight-lifted-cover", "sat-min",
+        "vertex-cover-max", "subset-sum-threshold", "subset-sum-weights"])
+def test_replace_copy_encodes_like_the_original(build, changes):
     problem = build()
-    copy = dataclasses.replace(problem)
-    assert encode_problem(copy) == encode_problem(problem)
-    assert encode_problem(decode_problem(encode_problem(copy))) == encode_problem(problem)
+    copy = dataclasses.replace(problem, **changes)
+    encoded = encode_problem(copy)
+    decoded = decode_problem(encoded)
+    assert same_problem(copy, decoded)
+    assert encoded["problem"] == ("explicit" if changes else problem.name)
+    if not changes:
+        assert encoded == encode_problem(problem)
+        assert encode_problem(decoded) == encoded
 
 
 _SUBSET_SUM = {"problem": "subset-sum", "items": ["a"], "weights": {"a": 1}, "target": 1}
