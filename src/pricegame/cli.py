@@ -5,8 +5,8 @@ compile (run one reduction pipeline and write the result with provenance),
 oracle (exhaustively decide a quantified DNF document), verify-sweep (batch
 compile-and-compare against the oracle, emitting a deterministic report).
 
-Exit codes: 0 success / decision true, 2 decision false, 3 unbounded,
-4 no follower solution, 1 anything malformed (including a failed sweep).
+Exit codes: 0 success / decision true, 2 decision false, 3 unbounded, 4 no
+follower solution, 1 anything malformed or a sweep with a mismatch or error.
 """
 
 from __future__ import annotations
@@ -253,7 +253,7 @@ def _cmd_sweep(args) -> int:
         f"mismatches={summary['mismatches']} errors={summary['errors']}",
         file=sys.stderr,
     )
-    return EXIT_OK if summary["mismatches"] == 0 else EXIT_ERROR
+    return EXIT_OK if summary["mismatches"] == summary["errors"] == 0 else EXIT_ERROR
 
 
 def main(argv=None) -> int:

@@ -15,10 +15,11 @@ of any member showing it and the canonical member with that gain, optionally
 only for the patterns whose best reaches a floor.  By default it enumerates
 the family; a problem constructor may install a structured oracle that
 answers the same question without listing it (the follower as an
-optimization oracle, after Briest, Hoefer and Krysta).  Every constructor
-in problems.py does: satisfiability and vertex cover by frontier DPs,
-subset sum by meeting in the middle.  best_by_enumeration stays the
-reference they are checked against.
+optimization oracle, after Briest, Hoefer and Krysta); every one in
+problems.py does, and the cap is checked before it runs.  Satisfiability
+and vertex cover give one frontier engine each layer's closed bits and
+moves, exact when every completion keeps two parts' canonical order;
+subset sum meets in the middle.  best_by_enumeration is their reference.
 
 Reductions between such problems carry an injective embedding of the source
 universe into the target universe.  check_reduction certifies that a

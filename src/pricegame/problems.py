@@ -98,12 +98,11 @@ def sat_problem(formula: CnfFormula) -> GroundProblem:
     Its universe is the formula's _literal_universe.  The enumerator
     searches assignments depth first rather than scanning arbitrary literal
     subsets, and declares its cost as the 2^n assignments it could visit at
-    worst.  Patterns over the assignments are found without listing them,
-    by a clause-frontier DP (_sat_patterns) that holds at most one state per
-    partial assignment, so never more than the declared 2^n.  That bounds
-    its memory as well as its time: on some formulas it holds 2^(n - 1)
-    states where the depth-first enumerator holds a stack of n and the
-    assignments it finds.  The enumerator stays the reference and lists the
+    worst, which best_by_pattern checks against the cap before any oracle
+    runs.  Patterns over the assignments are found without listing them, by
+    the frontier engine (_frontier) over a table of one layer per variable
+    (_sat_patterns), whose layers hold at most one state per partial
+    assignment.  The enumerator stays the reference and lists the
     assignments where they are needed.
     """
     n = formula.num_vars
@@ -179,73 +178,85 @@ def sat_problem(formula: CnfFormula) -> GroundProblem:
     )
 
 
+def _frontier(layers, needs):
+    """Yield a layered frontier DP's states after each of its layers.
+
+    The engine of the satisfiability and vertex-cover pattern oracles (after
+    Kawahara, Inoue, Iwashita and Minato, 2017).  A state maps a key to the
+    best gain of a decided part and its canonical part, from the empty part
+    under key 0.  In a layer (close, moves), a move (forbid, clear, put, bit,
+    gain) takes each key sharing no bit with forbid to key & ~clear | put,
+    which must hold close, and close then leaves it; the part gains bit and
+    the gain grows by gain.  Gains below the layer's need are dropped, and a
+    key keeps the larger gain, on a tie the part _canon_before puts first.
+    That is exact when every completion H orders two parts with one key as
+    _canon_before orders the parts (L1 | H first iff L1 first), and when a
+    need is at most the floor less a bound on what the later layers add.
+    Each table says why it meets both; its last keys are patterns.
+    """
+    states = {0: (0, 0)}
+    for (close, moves), need in zip(layers, needs):
+        step: dict[int, tuple[int, int]] = {}
+        held_at = step.get
+        for forbid, clear, put, bit, gain in moves:
+            keep = ~clear
+            for key, (g, part) in states.items():
+                if key & forbid:
+                    continue
+                moved = key & keep | put
+                if moved & close != close:
+                    continue
+                total = g + gain
+                if total < need:
+                    continue
+                moved ^= close
+                member = part | bit
+                held = held_at(moved)
+                if held is None or total > held[0] or total == held[0] and \
+                        _canon_before(member, held[1]):
+                    step[moved] = (total, member)
+        states = step
+        yield states
+
+
 def _sat_patterns(
     literal_clauses: list[int], closing: list[int], leader_mask: int,
     gains: tuple[int, ...], floor: int | None,
 ) -> dict[int, tuple[int, int]]:
     """best_by_pattern over the satisfying assignments, without listing them.
 
-    The answer is the last of _sat_frontiers' layers, which hold no open
-    clause, so each key is its pattern; a floor filters it, as
-    best_by_enumeration does.
-    """
-    states = {0: (0, 0)}
-    for states in _sat_frontiers(literal_clauses, closing, leader_mask, gains):
-        pass
-    if floor is None:
-        return states
-    return {p: best for p, best in states.items() if best[0] >= floor}
+    One layer per variable v, from the first up, with a move for its true
+    literal (bit 2v) and one for its false literal (bit 2v + 1).  A key is
+    pattern | open << 2n: the leader bits decided so far, and the satisfied
+    clauses among those whose lowest variable is decided and whose highest
+    is not.  A literal puts its leader bit and its clauses; v closes the
+    clauses whose highest variable it is.  Every assignment holds one
+    literal per variable, so two parts with one key first differ at a
+    variable both decide, and any completion keeps their order.  Only the
+    last layer needs the floor.
 
-
-def _sat_frontiers(
-    literal_clauses: list[int], closing: list[int], leader_mask: int,
-    gains: tuple[int, ...],
-):
-    """Yield the clause-frontier DP's states after each variable is decided.
-
-    The variables are decided from the first up, each by its true literal
-    (bit 2v) or its false one (bit 2v + 1).  A state's key is pattern |
-    open << 2n: pattern the leader bits decided so far, open the clauses
-    already satisfied among those whose lowest variable is decided and
-    whose highest is not.  A clause must be satisfied when its highest
-    variable is decided, and then leaves the key.  Its value is the best
-    gain of the decided part and its canonical decided part.  States with
-    one key have the same completions, and every assignment holds exactly
-    one literal of each variable, so two assignments first differ at a
-    variable decided in both parts: _canon_before(L1 | H, L2 | H) equals
-    _canon_before(L1, L2), and one candidate per key is exact.
-
-    Keys are functions of partial assignments, so the layer after v + 1
+    A key is a function of a partial assignment, so the layer after v + 1
     variables holds at most 2^(v + 1) states: the declared 2^n bounds the
-    time, but the memory too, where the depth-first enumeration needs a
-    stack of n.  Clauses that stay open long can reach that bound while
-    almost nothing satisfies the formula: with (x_i | x_n) and (~x_i | ~x_n)
-    for every i < n, 2^(n - 1) states wait on x_n and 2 assignments
-    survive.  The order matters: decided from the last variable down, the
-    clauses that span the whole formula stay open at every step.
+    memory as well as the time.  With (x_i | x_n) and (~x_i | ~x_n) for
+    every i < n, 2^(n - 1) states wait on x_n and 2 assignments survive.
+    Decided from the last variable down, the clauses spanning the formula
+    would stay open throughout.
     """
     n = len(closing)
     shift = 2 * n
-    states = {0: (0, 0)}
+    layers = []
     for v in range(n):
-        done = closing[v] << shift
-        moves = [(1 << b, (1 << b) & leader_mask, literal_clauses[b] << shift, gains[b])
-                 for b in (2 * v, 2 * v + 1)]
-        step: dict[int, tuple[int, int]] = {}
-        for key, (g, part) in states.items():
-            for bit, lead, opened, gain in moves:
-                moved = key | lead | opened
-                if moved & done != done:
-                    continue
-                moved ^= done
-                total = g + gain
-                member = part | bit
-                held = step.get(moved)
-                if held is None or total > held[0] or total == held[0] and \
-                        _canon_before(member, held[1]):
-                    step[moved] = (total, member)
-        states = step
-        yield states
+        moves = []
+        for b in (2 * v, 2 * v + 1):
+            bit = 1 << b
+            moves.append((0, 0, bit & leader_mask | literal_clauses[b] << shift, bit, gains[b]))
+        layers.append((closing[v] << shift, moves))
+    # Every assignment gains more than low, so no earlier layer drops one.
+    low = -sum(map(abs, gains)) - 1
+    states = {0: (0, 0)}
+    for states in _frontier(layers, [low] * (n - 1) + [low if floor is None else floor]):
+        pass
+    return states
 
 
 def vertex_cover_problem(
@@ -256,9 +267,11 @@ def vertex_cover_problem(
     The enumerator emits covers as complements of independent sets, which
     keeps the walk far below 2^|V| on the gadget graphs built here.
     Patterns over the feasible covers are found without listing them, by
-    a frontier DP (_cover_patterns) whose states never outnumber the
-    covers and which drops, under a floor, the states that cannot reach
-    it; patterns over the solutions are found by enumeration.
+    the frontier engine (_frontier) over a table of one layer per vertex
+    (_cover_patterns), whose states never outnumber the covers and whose
+    needs drop, under a floor, the states that cannot reach it; patterns
+    over the solutions are found by enumeration.  The cap counts the
+    vertices, before any oracle runs.
     """
     names = [v if isinstance(v, str) else str(v) for v in vertices]
     elements = tuple([Element(v, v) for v in names])
@@ -352,49 +365,34 @@ def _cover_patterns(
 ) -> dict[int, tuple[int, int]]:
     """best_by_pattern over the vertex covers of a graph, without listing them.
 
-    The vertices are decided from the highest position down.  A state's key
-    is forced | pattern: forced holds the undecided vertices that an
-    excluded neighbour forces into the cover, pattern the leader bits
-    decided so far; the two lie in disjoint bit ranges.  Its value is the
-    best gain of the decided part and its canonical decided part.  A vertex
-    may always be included; it may be excluded only if not forced, and then
-    forces its lower neighbours.  States with one key have the same
-    completions, and every undecided bit lies below every decided one, so
-    _canon_before(L | H1, L | H2) equals _canon_before(H1, H2): the larger
-    gain wins and ties go to the canonical part.  Every state completes to
-    a cover by including all the vertices left, so no step holds more
-    states than there are covers.  Final states force nothing, so each key
-    is its pattern.
-
-    A state is dropped once its gain plus _cover_bounds' bound on the
-    vertices left falls below the floor.  The parts of a pattern's best
-    members, and so their merges, are never dropped, which keeps values and
-    canonical members exact.
+    One layer per vertex, from the highest down.  A key is forced | pattern:
+    the undecided vertices that an excluded neighbour forces into the cover,
+    and the leader bits decided so far, in disjoint bit ranges.  Including a
+    vertex clears its forced bit and puts its leader bit; excluding it is
+    forbidden when forced and forces its lower neighbours.  Undecided bits
+    lie below decided ones, so _canon_before(L | H1, L | H2) equals
+    _canon_before(H1, H2).  Every state completes to a cover by including
+    the rest, so no layer holds more states than there are covers.  A
+    layer's need is the floor less _cover_bounds' bound on the vertices
+    below it.
     """
     size = len(adjacency)
     if floor is None:
         # Every cover gains more than this, so no state is dropped.
         floor = -sum(map(abs, gains)) - 1
     rest = _cover_bounds(adjacency, gains)
-    states = {0: (0, 0)} if rest[size] >= floor else {}
+    if rest[size] < floor:
+        return {}
+    layers, needs = [], []
     for v in range(size - 1, -1, -1):
         bit = 1 << v
-        kept = bit & leader_mask
-        lower = adjacency[v] & (bit - 1)
-        gain = gains[v]
-        need = floor - rest[v]
-        step: dict[int, tuple[int, int]] = {}
-        for key, (g, canon) in states.items():
-            moves = [((key & ~bit) | kept, g + gain, canon | bit)]
-            if not key & bit:
-                moves.append((key | lower, g, canon))
-            for moved, g, canon in moves:
-                if g < need:
-                    continue
-                held = step.get(moved)
-                if held is None or g > held[0] or g == held[0] and _canon_before(canon, held[1]):
-                    step[moved] = (g, canon)
-        states = step
+        include = (0, bit, bit & leader_mask, bit, gains[v])
+        exclude = (bit, 0, adjacency[v] & (bit - 1), 0, 0)
+        layers.append((0, [include, exclude]))
+        needs.append(floor - rest[v])
+    states = {0: (0, 0)}
+    for states in _frontier(layers, needs):
+        pass
     return states
 
 

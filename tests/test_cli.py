@@ -413,11 +413,11 @@ def test_sweep_fault_outside_the_corpus_is_an_error(tmp_path, capsys, index):
 
 def test_sweep_records_cap_errors_as_anomalies(tmp_path):
     # Six-pair formulas compile into universes past the default cap; the
-    # sweep must record that per instance instead of dying.
+    # sweep must record that per instance instead of dying, and exit 1.
     out = tmp_path / "anomalies.json"
     code = main(["--out", str(out), "verify-sweep", "--pairs", "6",
                  "--max-terms", "2", "--count", "2"])
-    assert code == 0
+    assert code == 1
     report = json.loads(out.read_text())
     assert report["summary"]["errors"] == 2
     assert all("cap" in r["anomaly"] for r in report["records"])

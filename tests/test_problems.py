@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pricegame import problems
-from pricegame.compilers import compile_qdnf_pricing, weight_lift
+from pricegame.compilers import compile_qdnf_pricing, lift_min, weight_lift
 from pricegame.core import (
     CapExceededError,
     Element,
@@ -22,6 +22,7 @@ from pricegame.core import (
     solution_set,
     subset_sums,
 )
+from pricegame.pricing import PricingInstance, solve_pricing
 from pricegame.problems import (
     CnfFormula,
     EmptyClauseError,
@@ -534,19 +535,71 @@ def test_sat_pattern_states_are_bounded_by_assignments_not_solutions(monkeypatch
     formula = cnf(n, [[i, n] for i in range(1, n)] + [[-i, -n] for i in range(1, n)])
     problem = sat_problem(formula)
     widths = []
-    frontiers = problems._sat_frontiers
+    frontiers = problems._frontier
 
     def measured(*args):
         for states in frontiers(*args):
             widths.append(len(states))
             yield states
 
-    monkeypatch.setattr(problems, "_sat_frontiers", measured)
+    monkeypatch.setattr(problems, "_frontier", measured)
     gains = (0,) * (2 * n)
     expected = best_by_enumeration(problem, GroundChoice.FEASIBLE, 0, gains, 24)
     assert best_by_pattern(problem, GroundChoice.FEASIBLE, 0, gains) == expected
     assert len(problem.feasible_masks()) == 2
     assert widths == [2 << v for v in range(n - 1)] + [1]
+
+
+def record_widths(monkeypatch):
+    """Per call of the frontier engine, the number of states in each layer."""
+    calls = []
+    frontier = problems._frontier
+
+    def measured(*args):
+        widths = []
+        calls.append(widths)
+        for states in frontier(*args):
+            widths.append(len(states))
+            yield states
+
+    monkeypatch.setattr(problems, "_frontier", measured)
+    return calls
+
+
+# Per-layer states of the SAT pattern DP on thm2 output, recorded before
+# the SAT and vertex-cover DPs shared one engine; a change of order or key
+# that grows them must show here.
+THM2_SAT_WIDTHS = {
+    1: [2, 2, 3, 3, 5, 7, 6, 6, 6],
+    2: [2, 2, 3, 3, 5, 7, 6, 5, 5, 9, 13, 12, 12, 12],
+    3: [2, 2, 3, 3, 5, 7, 6, 6, 6, 11, 16, 14, 14, 16, 31, 46, 40, 36, 36],
+    4: [2, 2, 3, 3, 5, 7, 6, 6, 6, 11, 16, 14, 14, 14, 27, 40, 36, 36, 36, 71, 106, 98, 98,
+        98],
+}
+
+
+@pytest.mark.parametrize("pairs", sorted(THM2_SAT_WIDTHS))
+def test_sat_pattern_states_on_thm2_output_are_pinned(monkeypatch, pairs):
+    base, ground, leader_mask, gains = thm2_query(pairs)
+    calls = record_widths(monkeypatch)
+    best_by_pattern(base, ground, leader_mask, gains, 40)
+    assert calls == [THM2_SAT_WIDTHS[pairs]]
+
+
+def test_cover_pattern_states_of_a_lift_min_target_are_pinned(monkeypatch):
+    # Recorded with the SAT widths above: first the floored query that
+    # certifies the lift, then the unfloored one that solves it.
+    formula = cnf(4, [[1, -2, 3], [-1, 2, 4], [2, -3], [-4]])
+    valuation = {"x1": 3, "~x1": 1, "x2": 2, "~x2": 0, "x3": 4, "~x3": 2, "x4": 1, "~x4": 5}
+    source = PricingInstance(sat_problem(formula), frozenset({"x1", "~x2", "x3", "~x4"}),
+                             valuation, GroundChoice.SOLUTIONS)
+    calls = record_widths(monkeypatch)
+    lifted, _ = lift_min(source, sat_to_vertex_cover(formula))
+    solve_pricing(lifted)
+    assert calls == [
+        [2, 1, 2, 2, 4, 6, 6, 12, 18, 18, 18, 12, 15, 12, 16, 8, 7, 4],
+        [2, 2, 4, 6, 12, 16, 20, 40, 60, 80, 68, 56, 48, 48, 48, 32, 16, 16],
+    ]
 
 
 @pytest.mark.parametrize("build", [
