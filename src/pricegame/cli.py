@@ -152,7 +152,7 @@ def _cmd_solve(args) -> int:
 def _cmd_compile(args) -> int:
     doc = _read_document(args.path)
     pipeline = args.pipeline
-    provenance = list(doc.get("provenance", []))
+    provenance = list(doc["provenance"])
 
     if pipeline == "thm2":
         if doc["kind"] != "qdnf":

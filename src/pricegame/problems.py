@@ -19,7 +19,7 @@ feasible set), which is what the pricing lifts require:
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -107,10 +107,8 @@ def sat_problem(formula: CnfFormula) -> GroundProblem:
     """
     n = formula.num_vars
     elements = _literal_universe(formula)
-    true_bit = [1 << (2 * v) for v in range(n)]
-    false_bit = [1 << (2 * v + 1) for v in range(n)]
     # Per clause, the mask of its literals; per literal, the clauses holding
-    # it as bits, for the pattern oracle.
+    # it as bits.
     clause_masks = []
     literal_clauses = [0] * (2 * n)
     for j, clause in enumerate(formula.clauses):
@@ -127,33 +125,32 @@ def sat_problem(formula: CnfFormula) -> GroundProblem:
             return False
         return all(mask & cm for cm in clause_masks)
 
-    # Each clause is checked once its highest variable is set; an empty
-    # clause has no highest variable and rules out every assignment.  The
-    # pattern oracle reads the clauses each variable closes as bits.
-    closing = [[] for _ in range(n)]
+    # Each clause is checked once its highest variable is set, as bits of
+    # the clauses each variable closes; an empty clause has no highest
+    # variable and rules out every assignment.
     closing_clauses = [0] * n
-    for j, (clause, cm) in enumerate(zip(formula.clauses, clause_masks)):
+    for j, clause in enumerate(formula.clauses):
         if clause:
-            last = max(abs(lit) for lit in clause) - 1
-            closing[last].append(cm)
-            closing_clauses[last] |= 1 << j
+            closing_clauses[max(abs(lit) for lit in clause) - 1] |= 1 << j
     has_empty_clause = not all(formula.clauses)
 
     def enumerate_assignments():
-        # Depth-first over variables 1..n, dropping a partial assignment as
-        # soon as a clause it has fully decided is falsified.
+        # Depth-first over variables 1..n with the satisfied clauses as bits,
+        # dropping a partial assignment as soon as a clause it has fully
+        # decided is falsified.
         if has_empty_clause:
             return
-        stack = [(0, 0)]
+        stack = [(0, 0, 0)]
         while stack:
-            v, mask = stack.pop()
+            v, mask, met = stack.pop()
             if v == n:
                 yield mask
                 continue
-            for bit in (false_bit[v], true_bit[v]):
-                extended = mask | bit
-                if all(extended & cm for cm in closing[v]):
-                    stack.append((v + 1, extended))
+            closed = closing_clauses[v]
+            for b in (2 * v + 1, 2 * v):
+                extended = met | literal_clauses[b]
+                if extended & closed == closed:
+                    stack.append((v + 1, mask | 1 << b, extended))
 
     def patterns(problem, ground, leader_mask, gains, cap, floor):
         # A copy given another formula has other assignments, and one given
@@ -187,11 +184,13 @@ def _frontier(layers, needs):
     under key 0.  In a layer (close, moves), a move (forbid, clear, put, bit,
     gain) takes each key sharing no bit with forbid to key & ~clear | put,
     which must hold close, and close then leaves it; the part gains bit and
-    the gain grows by gain.  Gains below the layer's need are dropped, and a
-    key keeps the larger gain, on a tie the part _canon_before puts first.
-    That is exact when every completion H orders two parts with one key as
-    _canon_before orders the parts (L1 | H first iff L1 first), and when a
-    need is at most the floor less a bound on what the later layers add.
+    the gain grows by gain.  No move clears or puts a forbid bit, and no
+    layer closes one, so both tests read the moved key through one mask.
+    Gains below the layer's need are dropped, and a key keeps the larger
+    gain, on a tie the part _canon_before puts first.  That is exact when
+    every completion H orders two parts with one key as _canon_before
+    orders the parts (L1 | H first iff L1 first), and when a need is at
+    most the floor less a bound on what the later layers add.
     Each table says why it meets both; its last keys are patterns.
     """
     states = {0: (0, 0)}
@@ -199,12 +198,10 @@ def _frontier(layers, needs):
         step: dict[int, tuple[int, int]] = {}
         held_at = step.get
         for forbid, clear, put, bit, gain in moves:
-            keep = ~clear
+            keep, tested = ~clear, close | forbid
             for key, (g, part) in states.items():
-                if key & forbid:
-                    continue
                 moved = key & keep | put
-                if moved & close != close:
+                if moved & tested != close:
                     continue
                 total = g + gain
                 if total < need:
@@ -270,8 +267,10 @@ def vertex_cover_problem(
     the frontier engine (_frontier) over a table of one layer per vertex
     (_cover_patterns), whose states never outnumber the covers and whose
     needs drop, under a floor, the states that cannot reach it; patterns
-    over the solutions are found by enumeration.  The cap counts the
-    vertices, before any oracle runs.
+    over the solutions are found by enumeration.  The greedy cliques that
+    bound those needs (_greedy_cliques) are computed here, once per graph,
+    not once per query.  The cap counts the vertices, before any oracle
+    runs.
     """
     names = [v if isinstance(v, str) else str(v) for v in vertices]
     elements = tuple([Element(v, v) for v in names])
@@ -292,6 +291,7 @@ def vertex_cover_problem(
         edge_masks.append((1 << iu) | (1 << iv))
         adjacency[iu] |= 1 << iv
         adjacency[iv] |= 1 << iu
+    cliques = _greedy_cliques(adjacency)
 
     def feasible(mask: int) -> bool:
         return not mask >> size and all(mask & em for em in edge_masks)
@@ -313,7 +313,7 @@ def vertex_cover_problem(
         # other edges has other covers.
         if ground is GroundChoice.SOLUTIONS or problem.spec != edge_pairs:
             return best_by_enumeration(problem, ground, leader_mask, gains, cap, floor)
-        return _cover_patterns(adjacency, leader_mask, gains, floor)
+        return _cover_patterns(adjacency, cliques, leader_mask, gains, floor)
 
     return GroundProblem(
         universe=elements,
@@ -328,22 +328,16 @@ def vertex_cover_problem(
     )
 
 
-def _cover_bounds(adjacency: list[int], gains: tuple[int, ...]) -> list[int]:
-    """Entry v bounds from above the gain that the vertices below v add to a cover.
+def _greedy_cliques(adjacency: list[int]) -> list[list[int]]:
+    """The vertices split greedily into disjoint cliques, each listed lowest first.
 
-    The vertices are split greedily into disjoint cliques, each the lowest
-    vertex left extended by the lowest vertex left adjacent to all of it
-    (in sat_to_vertex_cover's order: the literal pairs and the clause
-    gadgets).  A cover keeps all of a clique's vertices but at most one, so
-    a clique wholly below v adds at most the sum of its gains minus its most
-    negative gain; any other vertex below v adds at most max(gain, 0).
+    Each clique is the lowest vertex left, extended by the lowest vertex left
+    adjacent to all of it (in sat_to_vertex_cover's order: the literal pairs
+    and the clause gadgets).
     """
-    size = len(adjacency)
-    # Per clique's highest vertex, what the clique adds beyond its positive
-    # gains: every negative gain but the most negative.
-    correction = {}
-    free = (1 << size) - 1
-    for u in range(size):
+    cliques = []
+    free = (1 << len(adjacency)) - 1
+    for u in range(len(adjacency)):
         if free >> u & 1:
             clique, common = [u], adjacency[u] & free
             while common:
@@ -352,16 +346,34 @@ def _cover_bounds(adjacency: list[int], gains: tuple[int, ...]) -> list[int]:
                 common &= adjacency[w]
             for w in clique:
                 free ^= 1 << w
-            negatives = sorted(gains[w] for w in clique if gains[w] < 0)
-            correction[clique[-1]] = sum(negatives[1:])
+            cliques.append(clique)
+    return cliques
+
+
+def _cover_bounds(cliques: list[list[int]], gains: tuple[int, ...]) -> list[int]:
+    """Entry v bounds from above the gain that the vertices below v add to a cover.
+
+    The cliques are _greedy_cliques' partition, which vertex_cover_problem
+    computes once per graph.  A cover keeps all of a clique's vertices but
+    at most one, so a clique wholly below v adds at most the sum of its
+    gains minus its most negative gain; any other vertex below v adds at
+    most max(gain, 0).
+    """
+    # Per clique's highest vertex, what the clique adds beyond its positive
+    # gains: every negative gain but the most negative.
+    correction = {}
+    for clique in cliques:
+        negatives = sorted(gains[w] for w in clique if gains[w] < 0)
+        correction[clique[-1]] = sum(negatives[1:])
     rest = [0]
-    for v in range(size):
-        rest.append(rest[v] + max(gains[v], 0) + correction.get(v, 0))
+    for v, gain in enumerate(gains):
+        rest.append(rest[v] + max(gain, 0) + correction.get(v, 0))
     return rest
 
 
 def _cover_patterns(
-    adjacency: list[int], leader_mask: int, gains: tuple[int, ...], floor: int | None
+    adjacency: list[int], cliques: list[list[int]], leader_mask: int, gains: tuple[int, ...],
+    floor: int | None,
 ) -> dict[int, tuple[int, int]]:
     """best_by_pattern over the vertex covers of a graph, without listing them.
 
@@ -372,24 +384,26 @@ def _cover_patterns(
     forbidden when forced and forces its lower neighbours.  Undecided bits
     lie below decided ones, so _canon_before(L | H1, L | H2) equals
     _canon_before(H1, H2).  Every state completes to a cover by including
-    the rest, so no layer holds more states than there are covers.  A
-    layer's need is the floor less _cover_bounds' bound on the vertices
-    below it.
+    the rest, so no layer holds more states than there are covers.  Under a
+    floor, a layer's need is the floor less _cover_bounds' bound on the
+    vertices below it, over the graph's cliques.  With no floor every need
+    is one sentinel below every partial gain, so no state is dropped and no
+    bound is computed.
     """
     size = len(adjacency)
     if floor is None:
-        # Every cover gains more than this, so no state is dropped.
-        floor = -sum(map(abs, gains)) - 1
-    rest = _cover_bounds(adjacency, gains)
-    if rest[size] < floor:
-        return {}
-    layers, needs = [], []
+        needs = [-sum(map(abs, gains)) - 1] * size
+    else:
+        rest = _cover_bounds(cliques, gains)
+        if rest[size] < floor:
+            return {}
+        needs = [floor - rest[v] for v in range(size - 1, -1, -1)]
+    layers = []
     for v in range(size - 1, -1, -1):
         bit = 1 << v
         include = (0, bit, bit & leader_mask, bit, gains[v])
         exclude = (bit, 0, adjacency[v] & (bit - 1), 0, 0)
         layers.append((0, [include, exclude]))
-        needs.append(floor - rest[v])
     states = {0: (0, 0)}
     for states in _frontier(layers, needs):
         pass
@@ -455,83 +469,111 @@ def _subset_sum_patterns(
 ) -> dict[int, tuple[int, int]]:
     """best_by_pattern over the subsets of value at most, or exactly, target.
 
-    Meet in the middle (Horowitz and Sahni, JACM 1974).  The left side holds
-    the leader items and the lowest follower items, about half of all items;
-    the right side holds the other follower items, so a member's pattern is
-    its left part's.  Each side lists its parts once, as subset_sums tables
-    of bits, values and gains.  A left part A then finds its best right
-    parts: among those of value at most target - value(A), by bisecting the
-    right side sorted by value with a running maximum of gain and grouped
-    by gain, or among those of value exactly target - value(A).  Values are
-    nonnegative, so the empty right part always fits the first.  The
-    canonical member is sought only among the pairs tied at a pattern's
-    best gain.  Under a floor, a left part whose best total falls below it
-    is dropped before the member search; that leaves every part that
-    reaches a pattern's best.  The exact search also answers a feasible
-    query whose gains are the values and whose floor is at least the
-    target: only the members hitting the target can reach that floor.
+    Meet in the middle (Horowitz and Sahni, JACM 1974).  Each side lists the
+    bits, values and gains of its parts once, as subset_sums tables indexed
+    by part, and reuses the value table where its gains are its values.
+    The split depends on the query:
+
+      exactly target   the first half of the items by position on the left,
+                       the rest on the right, whatever the leader mask.  Per
+                       right value that some left part needs, a map from
+                       right pattern to its best gain and the parts tied at
+                       it; each left part of value v whose need target - v
+                       is there joins its pattern with each right pattern.
+      at most target   the lowest follower items, then the leader items, on
+                       the left, about half of all items, so a member's
+                       pattern is its left part's and the parts showing one
+                       pattern fill one block of the left table.  The right
+                       parts that no lighter part beats on gain, sorted by
+                       value, give every left part its best completion by
+                       one bisection; values are nonnegative, so the empty
+                       right part always fits.  A pattern's best gain is its
+                       block's maximum.
+
+    The canonical member is sought only among the pairs tied at a pattern's
+    best gain, and a floor drops the patterns whose best falls below it.
+    The exact search also answers a feasible query whose gains are the
+    values and whose floor is at least the target: only the members hitting
+    the target can reach that floor.
     """
     n = len(values)
-    followers = [i for i in range(n) if not leader_mask >> i & 1]
-    right = followers[max(0, n // 2 - (n - len(followers))):]
-    left = sorted(set(range(n)).difference(right))
+    if exact:
+        left, right = list(range(n // 2)), list(range(n // 2, n))
+    else:
+        leaders = [i for i in range(n) if leader_mask >> i & 1]
+        followers = [i for i in range(n) if not leader_mask >> i & 1]
+        cut = max(0, n // 2 - len(leaders))
+        left, right = followers[:cut] + leaders, followers[cut:]
 
     def tables(side):
-        return (subset_sums([1 << i for i in side]), subset_sums([values[i] for i in side]),
-                subset_sums([gains[i] for i in side]))
+        side_values = [values[i] for i in side]
+        side_gains = [gains[i] for i in side]
+        value_table = subset_sums(side_values)
+        gain_table = value_table if side_gains == side_values else subset_sums(side_gains)
+        return subset_sums([1 << i for i in side]), value_table, gain_table
 
     left_bits, left_values, left_gains = tables(left)
     right_bits, right_values, right_gains = tables(right)
 
-    # Per left part: (part, best total gain, right parts tied at it, how
-    # many of those fit).
-    found = []
+    # Per pattern: its best total gain and the pairs (left part, right
+    # parts) tied at it.
+    best: dict[int, tuple[int, list[tuple[int, list[int]]]]] = {}
     if exact:
-        # Per right value: its best gain and the parts tied at it.
-        by_value: dict[int, tuple[int, list[int]]] = {}
-        for b, v, g in zip(right_bits, right_values, right_gains):
-            held = by_value.get(v)
+        needs = {target - v for v in left_values}
+        by_value: dict[int, dict[int, tuple[int, list[int]]]] = {}
+        for j in [j for j, v in enumerate(right_values) if v in needs]:
+            b, g = right_bits[j], right_gains[j]
+            at = by_value.setdefault(right_values[j], {})
+            held = at.get(b & leader_mask)
             if held is None or g > held[0]:
-                by_value[v] = (g, [b])
+                at[b & leader_mask] = (g, [b])
             elif g == held[0]:
                 held[1].append(b)
-        for a, v, g in zip(left_bits, left_values, left_gains):
-            held = by_value.get(target - v)
-            if held is not None:
-                top, parts = held
-                found.append((a, g + top, parts, len(parts)))
+        for k in [k for k, v in enumerate(left_values) if target - v in by_value]:
+            a, g = left_bits[k], left_gains[k]
+            for pattern, (top, parts) in by_value[target - left_values[k]].items():
+                total = g + top
+                pattern |= a & leader_mask
+                held = best.get(pattern)
+                if held is None or total > held[0]:
+                    best[pattern] = (total, [(a, parts)])
+                elif total == held[0]:
+                    held[1].append((a, parts))
     else:
-        order = sorted(range(len(right_bits)), key=right_values.__getitem__)
-        sorted_values = [right_values[j] for j in order]
-        running = list(itertools.accumulate((right_gains[j] for j in order), max))
-        by_gain: dict[int, tuple[list[int], list[int]]] = {}
-        for j in order:
-            group = by_gain.setdefault(right_gains[j], ([], []))
-            group[0].append(right_values[j])
-            group[1].append(right_bits[j])
-        for a, v, g in zip(left_bits, left_values, left_gains):
-            if v <= target:
-                budget = target - v
-                top = running[bisect_right(sorted_values, budget) - 1]
-                group_values, parts = by_gain[top]
-                found.append((a, g + top, parts, bisect_right(group_values, budget)))
-    if floor is not None:
-        found = [part for part in found if part[1] >= floor]
+        # The right parts that no lighter part beats on gain, by value.
+        order = sorted(range(len(right_values)), key=right_values.__getitem__)
+        running = itertools.accumulate([right_gains[j] for j in order], max)
+        kept = [j for j, top in zip(order, running) if right_gains[j] == top]
+        kept_values = [right_values[j] for j in kept]
+        kept_gains = [right_gains[j] for j in kept]
+        # Below every total, for the left parts that weigh over the target.
+        low = -2 * sum(map(abs, gains)) - 1
+        tops = [low] + kept_gains
+        fits = list(map(bisect_right, itertools.repeat(kept_values),
+                        [target - v for v in left_values]))
+        totals = [g + tops[f] for g, f in zip(left_gains, fits)]
+        size = 1 << cut
+        for start in range(0, len(totals), size):
+            # A block's first part holds only its pattern's leader items, so
+            # it has the block's least value.
+            if left_values[start] <= target:
+                block = totals[start:start + size]
+                total = max(block)
+                ties = best[left_bits[start]] = (total, [])
+                for k in [start + k for k, t in enumerate(block) if t == total]:
+                    lo = bisect_left(kept_gains, total - left_gains[k])
+                    ties[1].append((left_bits[k], [right_bits[j] for j in kept[lo:fits[k]]]))
 
-    best: dict[int, int] = {}
-    for a, total, _, _ in found:
-        pattern = a & leader_mask
-        best[pattern] = max(best.get(pattern, total), total)
-    member: dict[int, int] = {}
-    for a, total, parts, fits in found:
-        pattern = a & leader_mask
-        if total == best[pattern]:
-            held = member.get(pattern)
-            for b in itertools.islice(parts, fits):
-                if held is None or _canon_before(a | b, held):
-                    held = a | b
-            member[pattern] = held
-    return {p: (best[p], member[p]) for p in best}
+    answer = {}
+    for pattern, (total, ties) in best.items():
+        if floor is None or total >= floor:
+            member = None
+            for a, parts in ties:
+                for b in parts:
+                    if member is None or _canon_before(a | b, member):
+                        member = a | b
+            answer[pattern] = (total, member)
+    return answer
 
 
 def sat_to_vertex_cover(formula: CnfFormula) -> ReductionArtifact:

@@ -103,7 +103,9 @@ def load_document(text: str) -> dict:
         raise ValueError(f"unsupported schema_version {doc['schema_version']!r}")
     if doc["kind"] not in KINDS:
         raise ValueError(f"unknown document kind {doc['kind']!r}")
-    doc.setdefault("provenance", [])
+    provenance = doc.setdefault("provenance", [])
+    if not isinstance(provenance, list) or not all(isinstance(p, dict) for p in provenance):
+        raise ValueError("document field 'provenance' must be a list of objects")
     return doc
 
 

@@ -322,6 +322,19 @@ def test_wrong_row_widths_name_the_field(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("provenance", [5, "ab", None, {"step": "thm2"}, [1], [{"step": "a"}, "b"]])
+def test_malformed_provenance_is_one_error_line(tmp_path, capsys, provenance):
+    doc = make_document("qdnf", encode_qdnf(qdnf(1, [{1}])))
+    doc["provenance"] = provenance
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "thm2.json"
+    assert main(["--out", str(out), "compile", str(path), "--pipeline", "thm2"]) == 1
+    assert capsys.readouterr().err == \
+        "error: document field 'provenance' must be a list of objects\n"
+    assert not out.exists()
+
+
 def test_lift_past_the_cap_names_the_stage_on_stderr_only(tmp_path, capsys):
     q = write_doc(tmp_path / "q.json", "qdnf", encode_qdnf(qdnf(1, [{1}])))
     compiled = tmp_path / "thm2.json"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pricegame import problems
-from pricegame.compilers import compile_qdnf_pricing, lift_min, weight_lift
+from pricegame.compilers import compile_qdnf_pricing, lift_max, lift_min, weight_lift
 from pricegame.core import (
     CapExceededError,
     Element,
@@ -36,6 +36,7 @@ from pricegame.problems import (
 from pricegame.sweep import random_formula
 
 from reduction_oracle import listing_check_reduction
+from test_compilers import seeded_sat_sources
 
 
 def projected_family(artifact):
@@ -600,6 +601,67 @@ def test_cover_pattern_states_of_a_lift_min_target_are_pinned(monkeypatch):
         [2, 1, 2, 2, 4, 6, 6, 12, 18, 18, 18, 12, 15, 12, 16, 8, 7, 4],
         [2, 2, 4, 6, 12, 16, 20, 40, 60, 80, 68, 56, 48, 48, 48, 32, 16, 16],
     ]
+
+
+def test_no_frontier_move_touches_its_forbidden_bits(monkeypatch):
+    # The engine tests a move's forbid bits with its close bits on the moved
+    # key, which holds only while no move clears or puts a forbid bit and
+    # no layer closes one.
+    tables = []
+    frontier = problems._frontier
+
+    def recorded(layers, needs):
+        tables.append(layers)
+        return frontier(layers, needs)
+
+    monkeypatch.setattr(problems, "_frontier", recorded)
+    for pairs in (1, 2, 3):
+        best_by_pattern(*thm2_query(pairs), 40)
+    for formula, src in itertools.islice(seeded_sat_sources(random.Random(5), 16), 0, None, 3):
+        solve_pricing(lift_min(src, sat_to_vertex_cover(formula))[0])
+    layers = [layer for table in tables for layer in table]
+    moves = [(close, *move) for close, layer_moves in layers for move in layer_moves]
+    # Three SAT tables, which close clauses, and a certification and a solve
+    # table per lift_min target, which forbid excluding forced vertices.
+    assert len(tables) == 3 + 2 * 6
+    assert any(close for close, *_ in moves) and any(forbid for _, forbid, *_ in moves)
+    for close, forbid, clear, put, _, _ in moves:
+        assert forbid & (clear | put) == 0
+        assert forbid & close == 0
+
+
+def lifted_queries(lift, artifact, src):
+    """The certification query and the solve query of one lift's target:
+    (problem, leader mask, gains, floor), under MIN with the weights and
+    valuation negated."""
+    lifted, _ = lift(src, artifact)
+    target = lifted.base
+    sign = -1 if target.sense is Sense.MIN else 1
+    image_mask = target.mask_of(artifact.embedding.values())
+    weights = tuple([sign * target.weights[e.id] for e in target.universe])
+    valuation = tuple([sign * lifted.valuation[e.id] for e in target.universe])
+    return [(target, image_mask, weights, sign * target.threshold),
+            (target, target.mask_of(lifted.leader_ids), valuation, None)]
+
+
+def test_pattern_oracles_match_the_enumeration_at_lift_chain_sizes():
+    # Subset-sum targets of up to 16 items and vertex-cover targets of up
+    # to 18 vertices, past the Hypothesis strategies' 10; item 1202 lifts to
+    # 16 items, 10 of them images and 8 leaders.
+    picked = {19, 63, 402, 484, 1202}
+    sources = [source for k, source in enumerate(seeded_sat_sources(random.Random(5), 1203))
+               if k in picked]
+    sizes = set()
+    for formula, src in sources:
+        for lift, artifact in ((lift_max, sat_to_subset_sum(formula)),
+                               (lift_min, sat_to_vertex_cover(formula))):
+            for problem, leader_mask, gains, floor in lifted_queries(lift, artifact, src):
+                expected = best_by_enumeration(problem, GroundChoice.FEASIBLE, leader_mask,
+                                               gains, 24, floor)
+                assert best_by_pattern(problem, GroundChoice.FEASIBLE, leader_mask, gains,
+                                       floor=floor) == expected
+                sizes.add((problem.name, problem.size, bin(leader_mask).count("1")))
+    assert ("subset-sum", 16, 10) in sizes and ("subset-sum", 16, 8) in sizes
 
 
 @pytest.mark.parametrize("build", [
