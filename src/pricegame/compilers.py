@@ -43,6 +43,7 @@ from .core import (
 )
 from .pricing import Domain, GroundChoice, PricingInstance
 from .problems import CnfFormula, sat_problem
+from .rational import require_ints
 
 QDNF_PAIR_LIMIT = 12
 
@@ -57,15 +58,18 @@ class QdnfFormula:
 
     Variables 1..num_pairs form the exists block, num_pairs+1..2*num_pairs
     the forall block.  Terms are conjunctions given as literal sets; the
-    empty term list is the vacuous false formula.
+    empty term list is the vacuous false formula.  num_pairs and the
+    literals are ints; a float or a bool raises TypeError.
     """
 
     num_pairs: int
     terms: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        require_ints((self.num_pairs,), "num_pairs")
         if self.num_pairs < 1:
             raise ValueError("need at least one variable pair")
+        require_ints([lit for term in self.terms for lit in term], "literal")
         seen = set()
         for term in self.terms:
             for lit in term:
@@ -146,29 +150,25 @@ def compile_qdnf_pricing(q: QdnfFormula) -> CompiledSatPricing:
     unit = 2 * n
     threshold = (n + 1) * unit - n
 
+    # Variable k + 1 is names[k]: fallback, engage, toll and dodge are 1 to 4,
+    # and block position i's selectors, exists and forall are 5i to 5i + 4.
     names = ["fallback", "engage", "toll", "dodge"]
     for i in range(1, n + 1):
         names += [f"sel_true{i}", f"sel_false{i}", f"sel_skip{i}", f"exists{i}", f"forall{i}"]
-    var = {name: k + 1 for k, name in enumerate(names)}
+    fallback, engage, toll, dodge = 1, 2, 3, 4
 
     def mapped(lit: int) -> int:
         k = abs(lit)
-        if k <= n:
-            target = var[f"exists{k}"]
-        else:
-            target = var[f"forall{k - n}"]
+        target = 5 * k + 3 if k <= n else 5 * (k - n) + 4
         return target if lit > 0 else -target
 
-    fallback, engage = var["fallback"], var["engage"]
-    toll, dodge = var["toll"], var["dodge"]
     clauses = [frozenset({fallback, engage})]
-    clauses += [frozenset({-fallback, -v}) for name, v in var.items() if name != "fallback"]
+    clauses += [frozenset({-fallback, -v}) for v in range(2, len(names) + 1)]
     clauses += [frozenset({-engage, toll, dodge}), frozenset({-engage, -toll, -dodge})]
     for term in q.terms:
         clauses.append(frozenset({-engage, -dodge} | {-mapped(lit) for lit in term}))
     for i in range(1, n + 1):
-        st, sf, sk = var[f"sel_true{i}"], var[f"sel_false{i}"], var[f"sel_skip{i}"]
-        ex = var[f"exists{i}"]
+        st, sf, sk, ex = 5 * i, 5 * i + 1, 5 * i + 2, 5 * i + 3
         clauses += _exactly_one(-engage, st, sf, sk)
         clauses += [
             frozenset({-engage, -st, ex}),
@@ -180,15 +180,15 @@ def compile_qdnf_pricing(q: QdnfFormula) -> CompiledSatPricing:
     base = sat_problem(formula)
 
     leader = {"toll"}
-    valuation = {e.id: 0 for e in base.universe}
+    valuation = dict.fromkeys(base.weights, 0)
     valuation["toll"] = unit
     valuation["fallback"] = n
     valuation["dodge"] = 1
     for i in range(1, n + 1):
-        leader |= {f"sel_true{i}", f"sel_false{i}"}
-        valuation[f"sel_true{i}"] = unit
-        valuation[f"sel_false{i}"] = unit
-        valuation[f"sel_skip{i}"] = 1
+        st, sf, sk = names[5 * i - 1:5 * i + 2]
+        leader |= {st, sf}
+        valuation[st] = valuation[sf] = unit
+        valuation[sk] = 1
 
     pricing = PricingInstance(
         base=base,

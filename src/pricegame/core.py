@@ -127,25 +127,26 @@ class GroundProblem:
     _last_answer: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
-        require_ints(self.weights.values(), "weight")
+        weights = MappingProxyType(dict(self.weights))
+        object.__setattr__(self, "weights", weights)
+        require_ints(weights.values(), "weight")
         require_ints((self.threshold,), "threshold")
-        ids = [e.id for e in self.universe]
-        if len(set(ids)) != len(ids):
+        index = {e.id: i for i, e in enumerate(self.universe)}
+        if len(index) != len(self.universe):
             raise ValueError("universe element ids must be unique")
-        if set(self.weights) != set(ids):
+        if weights.keys() != index.keys():
             raise ValueError("weights must cover exactly the universe")
         if self.sense is Sense.MIN:
-            if self.threshold < 0 or any(w < 0 for w in self.weights.values()):
+            if self.threshold < 0 or min(weights.values(), default=0) < 0:
                 raise ValueError("minimization problems need nonnegative weights and threshold")
         if self.sense is Sense.MAX:
-            if any(w < 0 for w in self.weights.values()):
+            if min(weights.values(), default=0) < 0:
                 raise ValueError("maximization problems are encoded with nonnegative weights")
         if self.sense is Sense.FEASIBILITY:
-            if self.threshold != 0 or any(w != 0 for w in self.weights.values()):
+            if self.threshold != 0 or any(weights.values()):
                 raise ValueError("feasibility problems carry zero weights and threshold zero")
-        object.__setattr__(self, "_index", {e.id: i for i, e in enumerate(self.universe)})
-        object.__setattr__(self, "_weight_bits", [self.weights[e.id] for e in self.universe])
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_weight_bits", [weights[e.id] for e in self.universe])
 
     @property
     def size(self) -> int:

@@ -113,12 +113,12 @@ class PricingInstance:
         require_ints(self.valuation.values(), "valuation")
         if type(self.threshold) not in (int, Fraction):
             raise TypeError(f"threshold {self.threshold!r} is not an int or a Fraction")
-        ids = {e.id for e in self.base.universe}
+        ids = self.base._index.keys()
         if not self.leader_ids <= ids:
             raise ValueError("leader elements must belong to the base universe")
-        if set(self.valuation) != ids:
+        if self.valuation.keys() != ids:
             raise ValueError("valuation must cover exactly the base universe")
-        if any(v < 0 for v in self.valuation.values()):
+        if min(self.valuation.values(), default=0) < 0:
             raise ValueError("valuations must be nonnegative")
         object.__setattr__(self, "threshold", Fraction(self.threshold))
         if self.threshold < 0:

@@ -2,9 +2,11 @@
 
 Formulas use the clause-as-literal-set convention: a clause is a frozenset
 of nonzero signed variable indices (DIMACS style), a formula is a sequence
-of clauses.  A satisfiability problem's universe is the 2n literals; its
-solutions are the literal sets picking exactly one of each complementary
-pair and meeting every clause.
+of clauses.  A CnfFormula walks its clauses once, when it is made, and
+carries the incidence tables that the problem and both reductions read.
+A satisfiability problem's universe is the 2n literals; its solutions are
+the literal sets picking exactly one of each complementary pair and
+meeting every clause.
 
 Two reductions out of satisfiability are shipped, each returning a
 ReductionArtifact whose target threshold is tight (no strictly better
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .core import (
@@ -35,6 +37,7 @@ from .core import (
     mask_sums,
     subset_sums,
 )
+from .rational import require_ints
 
 
 class EmptyClauseError(ValueError):
@@ -43,35 +46,69 @@ class EmptyClauseError(ValueError):
 
 @dataclass(frozen=True)
 class CnfFormula:
+    """A formula and its incidence tables, recorded by the one walk over its clauses.
+
+    Literal x_v is bit 2(v - 1) and ~x_v bit 2(v - 1) + 1.  The tables are
+    tuples: per clause its literal mask, per literal bit the clauses holding
+    it as bits, per variable the clauses it closes (those whose highest
+    variable it is), and whether some clause is empty; universe is the
+    literal universe x1, ~x1, x2, ~x2, ...  They take no part in equality,
+    hashing or repr.  num_vars and the literals are ints; a float or a bool
+    raises TypeError.
+    """
+
     num_vars: int
     clauses: tuple[frozenset[int], ...]
     var_names: tuple[str, ...] | None = None
+    clause_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    literal_clauses: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    closing_clauses: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    has_empty_clause: bool = field(init=False, repr=False, compare=False)
+    universe: tuple[Element, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.num_vars < 1:
+        n = self.num_vars
+        require_ints((n,), "num_vars")
+        if n < 1:
             raise ValueError("a formula needs at least one variable")
-        for clause in self.clauses:
+        require_ints([lit for clause in self.clauses for lit in clause], "literal")
+        bit_of = {}
+        for v in range(1, n + 1):
+            bit_of[v], bit_of[-v] = 2 * v - 2, 2 * v - 1
+        evens = ((1 << 2 * n) - 1) // 3
+        clause_masks, literal_clauses, closing = [], [0] * (2 * n), [0] * n
+        for j, clause in enumerate(self.clauses):
+            mask, flag = 0, 1 << j
             for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
+                b = bit_of.get(lit)
+                if b is None:
                     raise ValueError(f"literal {lit} out of range")
-            if any(-lit in clause for lit in clause):
+                mask |= 1 << b
+                literal_clauses[b] |= flag
+            if mask & mask >> 1 & evens:
                 raise ValueError("clause contains a literal and its negation")
+            if mask:
+                closing[(mask.bit_length() - 1) >> 1] |= flag
+            clause_masks.append(mask)
         if self.var_names is not None:
-            if len(self.var_names) != self.num_vars:
+            if len(self.var_names) != n:
                 raise ValueError("var_names length must equal num_vars")
-            if len(set(self.var_names)) != self.num_vars:
+            if len(set(self.var_names)) != n:
                 raise ValueError("variable names must be unique")
             if any(not name or name.startswith("~") for name in self.var_names):
                 raise ValueError("variable names must be nonempty and not start with ~")
-
-    def name_of(self, var: int) -> str:
-        if self.var_names is not None:
-            return self.var_names[var - 1]
-        return f"x{var}"
+        universe = []
+        for name in self.var_names or [f"x{v}" for v in range(1, n + 1)]:
+            universe += (Element(name, name), Element("~" + name, "not " + name))
+        for attr, value in (("clause_masks", tuple(clause_masks)),
+                            ("literal_clauses", tuple(literal_clauses)),
+                            ("closing_clauses", tuple(closing)),
+                            ("has_empty_clause", not all(clause_masks)),
+                            ("universe", tuple(universe))):
+            object.__setattr__(self, attr, value)
 
     def literal_id(self, lit: int) -> str:
-        name = self.name_of(abs(lit))
-        return name if lit > 0 else "~" + name
+        return self.universe[2 * abs(lit) - 2 + (lit < 0)].id
 
 
 def cnf(num_vars: int, clauses, var_names=None) -> CnfFormula:
@@ -83,19 +120,11 @@ def cnf(num_vars: int, clauses, var_names=None) -> CnfFormula:
     )
 
 
-def _literal_universe(formula: CnfFormula) -> tuple[Element, ...]:
-    """A formula's 2n literals, the pairs interleaved: x1, ~x1, x2, ~x2, ..."""
-    universe = []
-    for v in range(1, formula.num_vars + 1):
-        universe.append(Element(formula.literal_id(v), formula.name_of(v)))
-        universe.append(Element(formula.literal_id(-v), "not " + formula.name_of(v)))
-    return tuple(universe)
-
-
 def sat_problem(formula: CnfFormula) -> GroundProblem:
     """The satisfiability problem of a formula as a feasibility-sense instance.
 
-    Its universe is the formula's _literal_universe.  The enumerator
+    Its universe is the formula's literal universe, and its oracles read the
+    formula's incidence tables rather than its clauses.  The enumerator
     searches assignments depth first rather than scanning arbitrary literal
     subsets, and declares its cost as the 2^n assignments it could visit at
     worst, which best_by_pattern checks against the cap before any oracle
@@ -106,38 +135,22 @@ def sat_problem(formula: CnfFormula) -> GroundProblem:
     assignments where they are needed.
     """
     n = formula.num_vars
-    elements = _literal_universe(formula)
-    # Per clause, the mask of its literals; per literal, the clauses holding
-    # it as bits.
-    clause_masks = []
-    literal_clauses = [0] * (2 * n)
-    for j, clause in enumerate(formula.clauses):
-        mask = 0
-        for lit in clause:
-            b = 2 * (abs(lit) - 1) + (lit < 0)
-            mask |= 1 << b
-            literal_clauses[b] |= 1 << j
-        clause_masks.append(mask)
+    clause_masks, literal_clauses = formula.clause_masks, formula.literal_clauses
+    closing_clauses, has_empty_clause = formula.closing_clauses, formula.has_empty_clause
+    evens = ((1 << 2 * n) - 1) // 3
 
     def feasible(mask: int) -> bool:
-        # Bits 2v and 2v + 1 are variable v's literals: exactly one is set.
-        if mask >> 2 * n or any((mask >> 2 * v & 3) not in (1, 2) for v in range(n)):
+        # Bits 2v and 2v + 1 are variable v's literals: exactly one is set
+        # when the two halves add up to one bit per variable without a carry.
+        if mask >> 2 * n or (mask & evens) + (mask >> 1 & evens) != evens:
             return False
         return all(mask & cm for cm in clause_masks)
 
-    # Each clause is checked once its highest variable is set, as bits of
-    # the clauses each variable closes; an empty clause has no highest
-    # variable and rules out every assignment.
-    closing_clauses = [0] * n
-    for j, clause in enumerate(formula.clauses):
-        if clause:
-            closing_clauses[max(abs(lit) for lit in clause) - 1] |= 1 << j
-    has_empty_clause = not all(formula.clauses)
-
     def enumerate_assignments():
         # Depth-first over variables 1..n with the satisfied clauses as bits,
-        # dropping a partial assignment as soon as a clause it has fully
-        # decided is falsified.
+        # dropping a partial assignment as soon as a clause that its last
+        # variable closes is falsified; an empty clause has no highest
+        # variable and rules out every assignment.
         if has_empty_clause:
             return
         stack = [(0, 0, 0)]
@@ -162,8 +175,8 @@ def sat_problem(formula: CnfFormula) -> GroundProblem:
         return _sat_patterns(literal_clauses, closing_clauses, leader_mask, gains, floor)
 
     return GroundProblem(
-        universe=elements,
-        weights={e.id: 0 for e in elements},
+        universe=formula.universe,
+        weights=dict.fromkeys([e.id for e in formula.universe], 0),
         threshold=0,
         sense=Sense.FEASIBILITY,
         feasible=feasible,
@@ -268,9 +281,9 @@ def vertex_cover_problem(
     (_cover_patterns), whose states never outnumber the covers and whose
     needs drop, under a floor, the states that cannot reach it; patterns
     over the solutions are found by enumeration.  The greedy cliques that
-    bound those needs (_greedy_cliques) are computed here, once per graph,
-    not once per query.  The cap counts the vertices, before any oracle
-    runs.
+    bound those needs (_greedy_cliques) and the exclude moves and layer
+    order of that table are computed here, once per graph, not once per
+    query.  The cap counts the vertices, before any oracle runs.
     """
     names = [v if isinstance(v, str) else str(v) for v in vertices]
     elements = tuple([Element(v, v) for v in names])
@@ -292,6 +305,8 @@ def vertex_cover_problem(
         adjacency[iu] |= 1 << iv
         adjacency[iv] |= 1 << iu
     cliques = _greedy_cliques(adjacency)
+    excludes = [(v, 1 << v, (1 << v, 0, adjacency[v] & ((1 << v) - 1), 0, 0))
+                for v in range(size - 1, -1, -1)]
 
     def feasible(mask: int) -> bool:
         return not mask >> size and all(mask & em for em in edge_masks)
@@ -313,7 +328,7 @@ def vertex_cover_problem(
         # other edges has other covers.
         if ground is GroundChoice.SOLUTIONS or problem.spec != edge_pairs:
             return best_by_enumeration(problem, ground, leader_mask, gains, cap, floor)
-        return _cover_patterns(adjacency, cliques, leader_mask, gains, floor)
+        return _cover_patterns(excludes, cliques, leader_mask, gains, floor)
 
     return GroundProblem(
         universe=elements,
@@ -372,8 +387,8 @@ def _cover_bounds(cliques: list[list[int]], gains: tuple[int, ...]) -> list[int]
 
 
 def _cover_patterns(
-    adjacency: list[int], cliques: list[list[int]], leader_mask: int, gains: tuple[int, ...],
-    floor: int | None,
+    excludes: list[tuple[int, int, tuple]], cliques: list[list[int]], leader_mask: int,
+    gains: tuple[int, ...], floor: int | None,
 ) -> dict[int, tuple[int, int]]:
     """best_by_pattern over the vertex covers of a graph, without listing them.
 
@@ -388,9 +403,10 @@ def _cover_patterns(
     floor, a layer's need is the floor less _cover_bounds' bound on the
     vertices below it, over the graph's cliques.  With no floor every need
     is one sentinel below every partial gain, so no state is dropped and no
-    bound is computed.
+    bound is computed.  excludes lists (vertex, bit, exclude move) from the
+    highest vertex down; only the include moves read the query.
     """
-    size = len(adjacency)
+    size = len(excludes)
     if floor is None:
         needs = [-sum(map(abs, gains)) - 1] * size
     else:
@@ -398,12 +414,8 @@ def _cover_patterns(
         if rest[size] < floor:
             return {}
         needs = [floor - rest[v] for v in range(size - 1, -1, -1)]
-    layers = []
-    for v in range(size - 1, -1, -1):
-        bit = 1 << v
-        include = (0, bit, bit & leader_mask, bit, gains[v])
-        exclude = (bit, 0, adjacency[v] & (bit - 1), 0, 0)
-        layers.append((0, [include, exclude]))
+    layers = [(0, [(0, bit, bit & leader_mask, bit, gains[v]), exclude])
+              for v, bit, exclude in excludes]
     states = {0: (0, 0)}
     for states in _frontier(layers, needs):
         pass
@@ -584,40 +596,34 @@ def sat_to_vertex_cover(formula: CnfFormula) -> ReductionArtifact:
     clause gets a two-vertex clique whose members both attach to the single
     literal's vertex, so every gadget still forces one uncovered clique
     vertex whose literal must be chosen.  The budget is
-    n + sum over clauses of (gadget size - 1) and is tight.
+    n + sum over clauses of (gadget size - 1) and is tight.  The empty-clause
+    flag and the literal universe come from the formula's incidence tables.
     """
-    for clause in formula.clauses:
-        if not clause:
-            raise EmptyClauseError("empty clause: formula is unsatisfiable by construction")
+    if formula.has_empty_clause:
+        raise EmptyClauseError("empty clause: formula is unsatisfiable by construction")
 
     n = formula.num_vars
-    vertices: list[str] = []
-    edges: list[tuple[str, str]] = []
-    embedding: dict[str, str] = {}
-    for v in range(1, n + 1):
-        pos, neg = formula.literal_id(v), formula.literal_id(-v)
-        vertices += [f"v:{pos}", f"v:{neg}"]
-        edges.append((f"v:{pos}", f"v:{neg}"))
-        embedding[pos] = f"v:{pos}"
-        embedding[neg] = f"v:{neg}"
+    ids = [e.id for e in formula.universe]
+    # Literal lit's vertex sits at its bit, 2(|lit| - 1) + (lit < 0).
+    vertices = [f"v:{lid}" for lid in ids]
+    edges = list(zip(vertices[::2], vertices[1::2]))
+    embedding = dict(zip(ids, vertices))
 
     budget = n
     for j, clause in enumerate(formula.clauses, start=1):
         literals = sorted(clause)
         if len(literals) == 1:
             literals = literals * 2
-        gadget = []
-        for k, lit in enumerate(literals):
-            node = f"c{j}.{k}"
-            vertices.append(node)
-            gadget.append(node)
-            edges.append((node, f"v:{formula.literal_id(lit)}"))
+        gadget = [f"c{j}.{k}" for k in range(len(literals))]
+        edges += [(node, vertices[2 * abs(lit) - 2 + (lit < 0)])
+                  for node, lit in zip(gadget, literals)]
         edges.extend(itertools.combinations(gadget, 2))
+        vertices += gadget
         budget += len(gadget) - 1
 
     target = vertex_cover_problem(vertices, edges, budget)
     return ReductionArtifact(
-        source_universe=_literal_universe(formula),
+        source_universe=formula.universe,
         target=target,
         embedding=embedding,
         provenance=(
@@ -634,12 +640,13 @@ def sat_to_subset_sum(formula: CnfFormula) -> ReductionArtifact:
 
     One digit per variable (target 1) and one per clause (target equal to
     the clause size).  Literal items carry a 1 in their variable digit and
-    in each clause digit they appear in.  Two slack items per clause j,
-    ``s<j>a`` and ``s<j>b`` (a variable of either name is a ValueError),
-    close the gap between the number of satisfied literals and the clause
-    size; their digit values depend on the clause size so that slacks alone
-    can never reach the clause target.  Clauses wider than four literals
-    have no such two-slack completion and are rejected.
+    in each clause digit they appear in, read off the clause bits of the
+    formula's incidence tables.  Two slack items per clause j, ``s<j>a`` and
+    ``s<j>b`` (a variable of either name is a ValueError), close the gap
+    between the number of satisfied literals and the clause size; their
+    digit values depend on the clause size so that slacks alone can never
+    reach the clause target.  Clauses wider than four literals have no such
+    two-slack completion and are rejected.
     """
     for clause in formula.clauses:
         if not clause:
@@ -649,22 +656,14 @@ def sat_to_subset_sum(formula: CnfFormula) -> ReductionArtifact:
 
     n = formula.num_vars
     m = len(formula.clauses)
-    base = max(10, max((len(c) for c in formula.clauses), default=0) + 3)
+    base = max(10, max(map(len, formula.clauses), default=0) + 3)
     digit = [base**k for k in range(n + m)]
 
-    item_ids: list[str] = []
+    item_ids = [e.id for e in formula.universe]
     weights: dict[str, int] = {}
-    embedding: dict[str, str] = {}
-    for v in range(1, n + 1):
-        for lit in (v, -v):
-            lid = formula.literal_id(lit)
-            value = digit[v - 1]
-            for j, clause in enumerate(formula.clauses):
-                if lit in clause:
-                    value += digit[n + j]
-            item_ids.append(lid)
-            weights[lid] = value
-            embedding[lid] = lid
+    for b, (lid, held) in enumerate(zip(item_ids, formula.literal_clauses)):
+        weights[lid] = digit[b >> 1] + sum([digit[n + j] for j in bits(held)])
+    embedding = dict(zip(item_ids, item_ids))
 
     for j, clause in enumerate(formula.clauses, start=1):
         for slack, size in zip((f"s{j}a", f"s{j}b"), _SLACK_DIGITS[len(clause)]):
@@ -680,7 +679,7 @@ def sat_to_subset_sum(formula: CnfFormula) -> ReductionArtifact:
 
     target = subset_sum_problem(item_ids, weights, target_value)
     return ReductionArtifact(
-        source_universe=_literal_universe(formula),
+        source_universe=formula.universe,
         target=target,
         embedding=embedding,
         provenance=(

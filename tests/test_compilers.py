@@ -65,6 +65,16 @@ def test_oracle_enumeration_bound():
         qdnf_holds(qdnf(13, [{1}]))
 
 
+def test_qdnf_rejects_a_float_literal():
+    with pytest.raises(TypeError, match=r"^literal 1\.0 is not an int$"):
+        qdnf(1, [[1.0]])
+
+
+def test_qdnf_rejects_a_bool_pair_count():
+    with pytest.raises(TypeError, match="^num_pairs True is not an int$"):
+        qdnf(True, [[1]])
+
+
 def test_certification_cap_errors_name_the_lift_and_the_problem():
     compiled = compile_qdnf_pricing(qdnf(1, [{1}]))
     source = compiled.pricing

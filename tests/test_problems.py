@@ -35,7 +35,12 @@ from pricegame.problems import (
 )
 from pricegame.sweep import random_formula
 
-from reduction_oracle import listing_check_reduction
+from reduction_oracle import (
+    clause_walking_subset_sum,
+    clause_walking_vertex_cover,
+    listing_check_reduction,
+    literal_universe,
+)
 from test_compilers import seeded_sat_sources
 
 
@@ -51,6 +56,61 @@ def test_formula_validation():
         cnf(1, [[2]])
     with pytest.raises(ValueError):
         CnfFormula(2, (frozenset({1}),), ("x", "x"))
+
+
+def test_formula_rejects_a_bool_literal():
+    with pytest.raises(TypeError, match="^literal True is not an int$"):
+        cnf(2, [[True, 2]])
+
+
+def test_formula_rejects_a_float_variable_count():
+    with pytest.raises(TypeError, match=r"^num_vars 2\.0 is not an int$"):
+        cnf(2.0, [[1, 2]])
+
+
+def clause_loop_error(num_vars, clauses, var_names):
+    """The error CnfFormula raised when it tested each clause for itself, or None."""
+    if num_vars < 1:
+        return ValueError("a formula needs at least one variable")
+    for clause in clauses:
+        for lit in clause:
+            if lit == 0 or abs(lit) > num_vars:
+                return ValueError(f"literal {lit} out of range")
+        if any(-lit in clause for lit in clause):
+            return ValueError("clause contains a literal and its negation")
+    if var_names is not None:
+        if len(var_names) != num_vars:
+            return ValueError("var_names length must equal num_vars")
+        if len(set(var_names)) != num_vars:
+            return ValueError("variable names must be unique")
+        if any(not name or name.startswith("~") for name in var_names):
+            return ValueError("variable names must be nonempty and not start with ~")
+    return None
+
+
+@st.composite
+def raw_formulas(draw):
+    """CnfFormula arguments, valid or not: a literal 0 or out of range, a
+    complementary pair, an empty clause, no variable, a bad list of names."""
+    num_vars = draw(st.integers(min_value=0, max_value=5))
+    literal = st.integers(min_value=-num_vars - 1, max_value=num_vars + 1)
+    clauses = draw(st.lists(st.frozensets(literal, max_size=4), max_size=6))
+    pool = st.sampled_from(["p", "q", "r", "s", "t", "u", "", "~w"])
+    names = draw(st.none() | st.lists(pool, min_size=max(0, num_vars - 1),
+                                      max_size=num_vars + 1))
+    return num_vars, tuple(clauses), None if names is None else tuple(names)
+
+
+@given(raw_formulas())
+@settings(max_examples=400, deadline=None)
+def test_formula_validation_raises_what_the_clause_loop_raised(raw):
+    expected = clause_loop_error(*raw)
+    try:
+        CnfFormula(*raw)
+    except ValueError as err:
+        assert (type(err), str(err)) == (type(expected), str(expected))
+    else:
+        assert expected is None
 
 
 def test_vertex_cover_budget_matches_classic_three_sat_count():
@@ -212,6 +272,52 @@ def test_pruned_sat_enumerator_matches_brute_force_scan(formula):
     assert len(raw) == len(set(raw))
     oracle = dataclasses.replace(problem, mask_enumerator=None)
     assert problem.feasible_masks() == oracle.feasible_masks()
+
+
+@given(small_cnfs(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_formula_tables_match_its_clauses(formula, named):
+    n, clauses = formula.num_vars, formula.clauses
+    if named:
+        formula = CnfFormula(n, clauses, tuple(f"v{k}" for k in range(n, 0, -1)))
+    literals = [lit for v in range(1, n + 1) for lit in (v, -v)]
+    assert formula.clause_masks == tuple(
+        sum(1 << literals.index(lit) for lit in clause) for clause in clauses)
+    assert formula.literal_clauses == tuple(
+        sum(1 << j for j, clause in enumerate(clauses) if lit in clause) for lit in literals)
+    assert formula.closing_clauses == tuple(
+        sum(1 << j for j, clause in enumerate(clauses) if clause and max(map(abs, clause)) == v)
+        for v in range(1, n + 1))
+    assert formula.has_empty_clause == (frozenset() in clauses)
+    assert formula.universe == literal_universe(formula)
+    assert [formula.literal_id(lit) for lit in literals] == [e.id for e in formula.universe]
+
+
+def artifact_fields(build, formula):
+    """Everything a reduction's artifact holds but the target's oracles, or its error."""
+    try:
+        artifact = build(formula)
+    except ValueError as err:
+        return type(err), str(err)
+    target = artifact.target
+    return (artifact.source_universe, list(artifact.embedding.items()), artifact.provenance,
+            target.universe, list(target.weights.items()), target.threshold, target.sense,
+            target.name, target.spec)
+
+
+def test_reductions_build_the_clause_walking_artifacts():
+    edge_cases = [
+        CnfFormula(1, (frozenset(),)),
+        cnf(5, [[1, 2, 3, 4, 5], []]),
+        cnf(5, [[], [1, 2, 3, 4, 5]]),
+        cnf(1, [[1]], ["s1a"]),
+        cnf(2, [[1, -2], [-1]], ["b", "a"]),
+    ]
+    formulas = [f for n in (1, 2, 3) for f in all_formulas(n, max_clauses=3)]
+    for formula in formulas + edge_cases:
+        for build, reference in ((sat_to_vertex_cover, clause_walking_vertex_cover),
+                                 (sat_to_subset_sum, clause_walking_subset_sum)):
+            assert artifact_fields(build, formula) == artifact_fields(reference, formula)
 
 
 @st.composite
