@@ -31,7 +31,7 @@ from .core import (
     identity_reduction,
 )
 from .pricing import Domain, GroundChoice, SolveStatus, meets_threshold, solve_pricing
-from .problems import CnfFormula, sat_problem, sat_to_subset_sum, sat_to_vertex_cover
+from .problems import SatProblem, sat_problem, sat_to_subset_sum, sat_to_vertex_cover
 from .rational import format_rational, parse_rational
 from .serialize import (
     decode_cnf,
@@ -202,9 +202,9 @@ def _cmd_compile(args) -> int:
     if doc["kind"] != "pricing":
         raise ValueError(f"{pipeline} expects a pricing document")
     inst = decode_pricing(doc["payload"])
-    formula = inst.base.spec
-    if not isinstance(formula, CnfFormula):
+    if not isinstance(inst.base, SatProblem):
         raise ValueError("this pipeline needs a pricing document over a sat base")
+    formula = inst.base.formula
     if pipeline == "lift-max":
         lift, artifact = lift_max, sat_to_subset_sum(formula)
     elif pipeline == "lift-min":

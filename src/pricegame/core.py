@@ -12,14 +12,13 @@ set is the family of feasible sets meeting the threshold:
 best_by_pattern collapses a problem's ground family, its feasible sets or
 its solutions, to patterns over a given mask: for each pattern, the best gain
 of any member showing it and the canonical member with that gain, optionally
-only for the patterns whose best reaches a floor.  By default it enumerates
-the family; a problem constructor may install a structured oracle that
-answers the same question without listing it (the follower as an
-optimization oracle, after Briest, Hoefer and Krysta); every one in
-problems.py does, and the cap is checked before it runs.  Satisfiability
-and vertex cover give one frontier engine each layer's closed bits and
-moves, exact when every completion keeps two parts' canonical order;
-subset sum meets in the middle.  best_by_enumeration is their reference.
+only for the patterns whose best reaches a floor.  By default a problem's
+patterns method enumerates the family; a kind may override it with an oracle
+that answers without listing it (the follower as an optimization oracle,
+after Briest, Hoefer and Krysta); every kind in problems.py does, and the cap
+is checked before it runs.  Satisfiability and vertex cover give one frontier
+engine each layer's closed bits and moves, exact when every completion keeps
+two parts' canonical order; subset sum meets in the middle.
 
 Reductions between such problems carry an injective embedding of the source
 universe into the target universe.  check_reduction certifies that a
@@ -44,7 +43,7 @@ from enum import Enum
 from functools import cached_property
 from operator import ge, le
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .rational import require_ints
 
@@ -90,40 +89,33 @@ class Element:
 class GroundProblem:
     """A combinatorial problem over an explicit finite universe.
 
-    feasible is the decision oracle.  It takes a subset as a bitmask over
-    the universe order, bit i for universe[i], and a mask with a bit at or
-    past the universe size is infeasible.  Ids stop at mask_of and ids_of.
-    mask_enumerator, when given, yields every feasible set as such a mask
-    and must agree with the oracle; problem constructors in problems.py
-    install pruned enumerators, the fallback scans all subsets.  name is
-    the kind tag documents are written under, and spec is the data its
-    constructor was given beyond the universe: the CnfFormula of a "sat"
-    problem, the tuple of sorted edges of a "vertex-cover" problem, the
-    target and read-only weights of a "subset-sum" problem, None for every
-    other kind.  pattern_oracle, when given, is called as
-    pattern_oracle(problem, ground, leader_mask, gains, cap, floor) and must
-    return the same items as best_by_enumeration for the same arguments.
-    Without one, best_by_pattern enumerates.
+    A problem kind is a subclass whose methods read its own fields when
+    called.  Each kind defines feasible, the decision oracle.  It takes a
+    subset as a bitmask over the universe order, bit i for universe[i], and
+    a mask with a bit at or past the universe size is infeasible.  Ids stop
+    at mask_of and ids_of.  mask_enumerator yields every feasible set as
+    such a mask and must agree with the oracle; by default it scans all
+    2^size subsets, and a kind whose walk is smaller declares cost_bits, the
+    walk being 2^cost_bits.  patterns answers best_by_pattern with the same
+    items as best_by_enumeration, its default.  name is the kind tag
+    documents are written under, "custom" unless a kind sets its own.
 
     A problem is a frozen value, and weights is a read-only copy of the
     mapping given.  Weights and threshold are ints; a float or a bool
-    raises TypeError.  A problem lists its feasible family once, on first
-    use, and remembers the last answer best_by_pattern gave for it;
-    dataclasses.replace makes a copy with neither.
+    raises TypeError.  Every construction, dataclasses.replace copies too,
+    is validated and builds its kind's tables.  A problem lists its feasible
+    family once, on first use, and remembers the last answer best_by_pattern
+    gave for it; a copy starts with neither.
     """
 
+    name = "custom"
+    cost_bits = None
     universe: tuple[Element, ...]
     weights: Mapping[str, int]
     threshold: int
     sense: Sense
-    feasible: Callable[[int], bool]
-    mask_enumerator: Callable[[], Iterable[int]] | None = None
-    name: str = "custom"
-    cost_bits: int | None = None
-    spec: object = None
-    pattern_oracle: Callable[..., dict[int, tuple[int, int]]] | None = None
     _index: dict[str, int] = field(init=False, repr=False)
-    _weight_bits: list[int] = field(init=False, repr=False)
+    _weight_bits: tuple[int, ...] = field(init=False, repr=False)
     _last_answer: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -146,7 +138,13 @@ class GroundProblem:
             if self.threshold != 0 or any(weights.values()):
                 raise ValueError("feasibility problems carry zero weights and threshold zero")
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_weight_bits", [weights[e.id] for e in self.universe])
+        object.__setattr__(self, "_weight_bits", tuple([weights[e.id] for e in self.universe]))
+
+    def mask_enumerator(self) -> Iterable[int]:
+        return [m for m in range(1 << self.size) if self.feasible(m)]
+
+    def patterns(self, ground, leader_mask, gains, cap, floor=None):
+        return best_by_enumeration(self, ground, leader_mask, gains, cap, floor)
 
     @property
     def size(self) -> int:
@@ -182,13 +180,11 @@ class GroundProblem:
 
     @cached_property
     def _family(self) -> list[int]:
-        if self.mask_enumerator is not None:
-            return sorted(self.mask_enumerator())
-        return [m for m in range(1 << self.size) if self.feasible(m)]
+        return sorted(self.mask_enumerator())
 
     def _check_cap(self, cap: int) -> None:
         """Raise CapExceededError if enumerating this problem costs over 2^cap."""
-        if self.mask_enumerator is None or self.cost_bits is None:
+        if self.cost_bits is None:
             if self.size > cap:
                 raise CapExceededError(self.size, cap, f"a universe of {self.size} elements")
         elif self.cost_bits > cap:
@@ -267,19 +263,17 @@ def best_by_pattern(
     minimizing caller negates its values.  The patterns come in no promised
     order.  With a floor, only the patterns whose best gain is at least the
     floor are returned, with the same values and members; an oracle may
-    then skip the members that cannot reach it.  The problem's
-    pattern_oracle answers when it has one, with the same items as
-    best_by_enumeration; otherwise the family is enumerated.  The cap is
-    checked on every call.  The problem remembers its last answer, so asking
-    the same question again in a row costs one comparison of the arguments.
+    then skip the members that cannot reach it.  The problem's patterns
+    method answers, by default best_by_enumeration.  The cap is checked on
+    every call.  The problem remembers its last answer, so asking the same
+    question again in a row costs one comparison of the arguments.
     """
     problem._check_cap(cap)
     key = (ground, leader_mask, gains, cap, floor)
     last = problem._last_answer
     if last is not None and last[0] == key:
         return last[1]
-    oracle = problem.pattern_oracle or best_by_enumeration
-    patterns = oracle(problem, ground, leader_mask, gains, cap, floor)
+    patterns = problem.patterns(ground, leader_mask, gains, cap, floor)
     object.__setattr__(problem, "_last_answer", (key, patterns))
     return patterns
 
@@ -434,29 +428,39 @@ def identity_reduction(problem: GroundProblem) -> ReductionArtifact:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class ExplicitProblem(GroundProblem):
+    """A problem whose feasible family is listed outright, as masks."""
+
+    name = "explicit"
+    cost_bits = 0
+    masks: frozenset[int]
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "masks", frozenset(self.masks))
+        if any(m >> self.size for m in self.masks):
+            raise ValueError("feasible sets must lie inside the universe")
+
+    def feasible(self, mask: int) -> bool:
+        return mask in self.masks
+
+    def mask_enumerator(self) -> frozenset[int]:
+        return self.masks
+
+
 def explicit_problem(
     universe: Iterable[Element],
     feasible_sets: Iterable[frozenset[str]],
     weights: dict[str, int] | None = None,
     threshold: int = 0,
     sense: Sense = Sense.FEASIBILITY,
-) -> GroundProblem:
+) -> ExplicitProblem:
     """A problem given by listing its feasible family outright."""
     elements = tuple(universe)
-    family = frozenset(frozenset(s) for s in feasible_sets)
     if weights is None:
         weights = {e.id: 0 for e in elements}
     bit = {e.id: 1 << i for i, e in enumerate(elements)}
-    if not all(s <= bit.keys() for s in family):
-        raise ValueError("feasible sets must lie inside the universe")
-    masks = frozenset(sum(bit[i] for i in s) for s in family)
-    return GroundProblem(
-        universe=elements,
-        weights=weights,
-        threshold=threshold,
-        sense=sense,
-        feasible=masks.__contains__,
-        mask_enumerator=lambda: masks,
-        name="explicit",
-        cost_bits=0,
-    )
+    past = 1 << len(elements)  # an id outside the universe: ExplicitProblem rejects the bit
+    masks = frozenset(sum(bit.get(i, past) for i in frozenset(s)) for s in feasible_sets)
+    return ExplicitProblem(elements, weights, threshold, sense, masks)

@@ -19,8 +19,8 @@ extensions.  `core._canon_before` is the one definition of that order.
 The solver reads the ground family only through `core.best_by_pattern`,
 its collapse to leader patterns: each member's intersection with the leader
 set, kept with the best gain of any member on that pattern and the
-canonical such member.  The problem enumerates its family for that, unless
-its constructor installed an oracle that answers without listing it.
+canonical such member.  The problem's patterns method answers; by default
+it enumerates the family, and a kind may answer without listing it.
 Every verdict is read off the patterns.  No pattern means the follower has
 no solution.  If the price domain allows arbitrarily high prices and no
 member avoids the leader's part (there is no pattern 0), revenue grows

@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 from .core import (
     Element,
@@ -32,7 +31,6 @@ from .core import (
     ReductionArtifact,
     Sense,
     _canon_before,
-    best_by_enumeration,
     bits,
     mask_sums,
     subset_sums,
@@ -120,7 +118,8 @@ def cnf(num_vars: int, clauses, var_names=None) -> CnfFormula:
     )
 
 
-def sat_problem(formula: CnfFormula) -> GroundProblem:
+@dataclass(frozen=True, eq=False)
+class SatProblem(GroundProblem):
     """The satisfiability problem of a formula as a feasibility-sense instance.
 
     Its universe is the formula's literal universe, and its oracles read the
@@ -131,28 +130,42 @@ def sat_problem(formula: CnfFormula) -> GroundProblem:
     runs.  Patterns over the assignments are found without listing them, by
     the frontier engine (_frontier) over a table of one layer per variable
     (_sat_patterns), whose layers hold at most one state per partial
-    assignment.  The enumerator stays the reference and lists the
-    assignments where they are needed.
+    assignment.
     """
-    n = formula.num_vars
-    clause_masks, literal_clauses = formula.clause_masks, formula.literal_clauses
-    closing_clauses, has_empty_clause = formula.closing_clauses, formula.has_empty_clause
-    evens = ((1 << 2 * n) - 1) // 3
 
-    def feasible(mask: int) -> bool:
+    name = "sat"
+    formula: CnfFormula
+
+    def __post_init__(self):
+        if self.sense is not Sense.FEASIBILITY:
+            raise ValueError("satisfiability is a feasibility problem")
+        super().__post_init__()
+        if self.universe != self.formula.universe:
+            raise ValueError("a sat problem's universe is its formula's literals")
+
+    @property
+    def cost_bits(self) -> int:
+        return self.formula.num_vars
+
+    def feasible(self, mask: int) -> bool:
         # Bits 2v and 2v + 1 are variable v's literals: exactly one is set
         # when the two halves add up to one bit per variable without a carry.
+        n = self.formula.num_vars
+        evens = ((1 << 2 * n) - 1) // 3
         if mask >> 2 * n or (mask & evens) + (mask >> 1 & evens) != evens:
             return False
-        return all(mask & cm for cm in clause_masks)
+        return all(mask & cm for cm in self.formula.clause_masks)
 
-    def enumerate_assignments():
+    def mask_enumerator(self):
         # Depth-first over variables 1..n with the satisfied clauses as bits,
         # dropping a partial assignment as soon as a clause that its last
         # variable closes is falsified; an empty clause has no highest
         # variable and rules out every assignment.
-        if has_empty_clause:
+        formula = self.formula
+        if formula.has_empty_clause:
             return
+        n, literal_clauses, closing_clauses = \
+            formula.num_vars, formula.literal_clauses, formula.closing_clauses
         stack = [(0, 0, 0)]
         while stack:
             v, mask, met = stack.pop()
@@ -165,27 +178,18 @@ def sat_problem(formula: CnfFormula) -> GroundProblem:
                 if extended & closed == closed:
                     stack.append((v + 1, mask | 1 << b, extended))
 
-    def patterns(problem, ground, leader_mask, gains, cap, floor):
-        # A copy given another formula has other assignments, and one given
-        # another sense may have other solutions.
-        if problem.spec != formula or problem.sense is not Sense.FEASIBILITY:
-            return best_by_enumeration(problem, ground, leader_mask, gains, cap, floor)
-        if has_empty_clause:
+    def patterns(self, ground, leader_mask, gains, cap, floor=None):
+        formula = self.formula
+        if formula.has_empty_clause:
             return {}
-        return _sat_patterns(literal_clauses, closing_clauses, leader_mask, gains, floor)
+        return _sat_patterns(formula.literal_clauses, formula.closing_clauses, leader_mask,
+                             gains, floor)
 
-    return GroundProblem(
-        universe=formula.universe,
-        weights=dict.fromkeys([e.id for e in formula.universe], 0),
-        threshold=0,
-        sense=Sense.FEASIBILITY,
-        feasible=feasible,
-        mask_enumerator=enumerate_assignments,
-        name="sat",
-        cost_bits=n,
-        spec=formula,
-        pattern_oracle=patterns,
-    )
+
+def sat_problem(formula: CnfFormula) -> SatProblem:
+    """The satisfiability problem of a formula."""
+    weights = dict.fromkeys([e.id for e in formula.universe], 0)
+    return SatProblem(formula.universe, weights, 0, Sense.FEASIBILITY, formula)
 
 
 def _frontier(layers, needs):
@@ -269,10 +273,9 @@ def _sat_patterns(
     return states
 
 
-def vertex_cover_problem(
-    vertices, edges, threshold: int, weights: dict[str, int] | None = None
-) -> GroundProblem:
-    """Vertex cover as a minimization instance, unit weights by default.
+@dataclass(frozen=True, eq=False)
+class VertexCoverProblem(GroundProblem):
+    """Vertex cover as a minimization instance; edges are sorted pairs of ids.
 
     The enumerator emits covers as complements of independent sets, which
     keeps the walk far below 2^|V| on the gadget graphs built here.
@@ -282,38 +285,46 @@ def vertex_cover_problem(
     needs drop, under a floor, the states that cannot reach it; patterns
     over the solutions are found by enumeration.  The greedy cliques that
     bound those needs (_greedy_cliques) and the exclude moves and layer
-    order of that table are computed here, once per graph, not once per
-    query.  The cap counts the vertices, before any oracle runs.
+    order of that table are computed once per problem, not once per query.
     """
-    names = [v if isinstance(v, str) else str(v) for v in vertices]
-    elements = tuple([Element(v, v) for v in names])
-    if weights is None:
-        weights = {v: 1 for v in names}
-    index = {v: i for i, v in enumerate(names)}
-    size = len(names)
-    full = (1 << size) - 1
-    edge_pairs = tuple([tuple(sorted((str(u), str(v)))) for u, v in edges])
-    edge_masks = []
-    adjacency = [0] * size
-    for u, v in edge_pairs:
-        if u not in index or v not in index:
-            raise ValueError(f"edge ({u}, {v}) has an end outside the vertex set")
-        iu, iv = index[u], index[v]
-        if iu == iv:
-            raise ValueError("self-loops are not allowed")
-        edge_masks.append((1 << iu) | (1 << iv))
-        adjacency[iu] |= 1 << iv
-        adjacency[iv] |= 1 << iu
-    cliques = _greedy_cliques(adjacency)
-    excludes = [(v, 1 << v, (1 << v, 0, adjacency[v] & ((1 << v) - 1), 0, 0))
-                for v in range(size - 1, -1, -1)]
 
-    def feasible(mask: int) -> bool:
-        return not mask >> size and all(mask & em for em in edge_masks)
+    name = "vertex-cover"
+    edges: tuple[tuple[str, str], ...]
+    _adjacency: list[int] = field(init=False, repr=False)
+    _cliques: list[list[int]] = field(init=False, repr=False)
+    _excludes: list[tuple[int, int, tuple]] = field(init=False, repr=False)
 
-    def enumerate_covers():
+    def __post_init__(self):
+        if self.sense is not Sense.MIN:
+            raise ValueError("vertex cover is a minimization problem")
+        super().__post_init__()
+        edges = tuple([tuple(sorted((str(u), str(v)))) for u, v in self.edges])
+        index = self._index
+        adjacency = [0] * self.size
+        for u, v in edges:
+            if u not in index or v not in index:
+                raise ValueError(f"edge ({u}, {v}) has an end outside the vertex set")
+            iu, iv = index[u], index[v]
+            if iu == iv:
+                raise ValueError("self-loops are not allowed")
+            adjacency[iu] |= 1 << iv
+            adjacency[iv] |= 1 << iu
+        excludes = [(v, 1 << v, (1 << v, 0, adjacency[v] & ((1 << v) - 1), 0, 0))
+                    for v in range(self.size - 1, -1, -1)]
+        for attr, value in (("edges", edges), ("_adjacency", adjacency),
+                            ("_cliques", _greedy_cliques(adjacency)), ("_excludes", excludes)):
+            object.__setattr__(self, attr, value)
+
+    def feasible(self, mask: int) -> bool:
+        # A cover leaves no edge between two vertices outside it.
+        adjacency, outside = self._adjacency, ~mask & (1 << self.size) - 1
+        return not mask >> self.size and not any(adjacency[v] & outside for v in bits(outside))
+
+    def mask_enumerator(self):
         # Depth-first over independent sets, each extended only by vertices
         # after its last; each complement is a cover.
+        size, adjacency = self.size, self._adjacency
+        full = (1 << size) - 1
         stack = [(0, 0, 0)]
         while stack:
             next_vertex, chosen, banned = stack.pop()
@@ -323,24 +334,22 @@ def vertex_cover_problem(
                 if not banned & bit:
                     stack.append((v + 1, chosen | bit, banned | bit | adjacency[v]))
 
-    def patterns(problem, ground, leader_mask, gains, cap, floor):
-        # The solutions depend on weights and threshold, and a copy given
-        # other edges has other covers.
-        if ground is GroundChoice.SOLUTIONS or problem.spec != edge_pairs:
-            return best_by_enumeration(problem, ground, leader_mask, gains, cap, floor)
-        return _cover_patterns(excludes, cliques, leader_mask, gains, floor)
+    def patterns(self, ground, leader_mask, gains, cap, floor=None):
+        # The table reads no weights or threshold, so solutions are listed.
+        if ground is GroundChoice.SOLUTIONS:
+            return super().patterns(ground, leader_mask, gains, cap, floor)
+        return _cover_patterns(self._excludes, self._cliques, leader_mask, gains, floor)
 
-    return GroundProblem(
-        universe=elements,
-        weights=weights,
-        threshold=threshold,
-        sense=Sense.MIN,
-        feasible=feasible,
-        mask_enumerator=enumerate_covers,
-        name="vertex-cover",
-        spec=edge_pairs,
-        pattern_oracle=patterns,
-    )
+
+def vertex_cover_problem(
+    vertices, edges, threshold: int, weights: dict[str, int] | None = None
+) -> VertexCoverProblem:
+    """Vertex cover as a minimization instance, unit weights by default."""
+    names = [v if isinstance(v, str) else str(v) for v in vertices]
+    if weights is None:
+        weights = dict.fromkeys(names, 1)
+    return VertexCoverProblem(tuple([Element(v, v) for v in names]), weights, threshold,
+                              Sense.MIN, edges)
 
 
 def _greedy_cliques(adjacency: list[int]) -> list[list[int]]:
@@ -368,7 +377,7 @@ def _greedy_cliques(adjacency: list[int]) -> list[list[int]]:
 def _cover_bounds(cliques: list[list[int]], gains: tuple[int, ...]) -> list[int]:
     """Entry v bounds from above the gain that the vertices below v add to a cover.
 
-    The cliques are _greedy_cliques' partition, which vertex_cover_problem
+    The cliques are _greedy_cliques' partition, which VertexCoverProblem
     computes once per graph.  A cover keeps all of a clique's vertices but
     at most one, so a clique wholly below v adds at most the sum of its
     gains minus its most negative gain; any other vertex below v adds at
@@ -422,57 +431,46 @@ def _cover_patterns(
     return states
 
 
-def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> GroundProblem:
-    """Subset sum as a maximization instance.
+@dataclass(frozen=True, eq=False)
+class SubsetSumProblem(GroundProblem):
+    """Subset sum as a maximization instance whose threshold is its target.
 
     Feasible sets are those of total weight at most the target; solutions
-    hit the target exactly.  spec records the target and weights.  The
-    enumerator weighs all 2^n subsets with mask_sums; patterns are found by
-    meeting in the middle (_subset_sum_patterns), without listing either
-    family.
+    hit the target exactly.  The enumerator weighs all 2^n subsets with
+    mask_sums; patterns are found by meeting in the middle
+    (_subset_sum_patterns), without listing either family.
     """
-    names = list(item_ids)
-    elements = tuple([Element(i, i) for i in names])
-    weights = dict(weights)  # the oracles below must not see later edits
-    if set(weights) != set(names):
-        raise ValueError("weights must cover exactly the universe")
-    if any(weights[i] < 0 for i in names):
-        raise ValueError("item weights must be nonnegative")
-    w = [weights[i] for i in names]
 
-    def feasible(mask: int) -> bool:
-        return not mask >> len(w) and sum([w[b] for b in bits(mask)]) <= target
+    name = "subset-sum"
 
-    def enumerate_light():
-        masks = range(1 << len(w))
-        return (m for m, total in zip(masks, mask_sums(w, masks)) if total <= target)
+    def __post_init__(self):
+        if self.sense is not Sense.MAX:
+            raise ValueError("subset sum is a maximization problem")
+        if any(w < 0 for w in self.weights.values()):
+            raise ValueError("item weights must be nonnegative")
+        super().__post_init__()
 
-    weight_gains = tuple(w)
+    def feasible(self, mask: int) -> bool:
+        return not mask >> self.size and self.weight_of_mask(mask) <= self.threshold
 
-    def patterns(problem, ground, leader_mask, gains, cap, floor):
-        exact = ground is GroundChoice.SOLUTIONS
-        # A copy given another sense, threshold or weights has other
-        # solutions than the subsets hitting this target.
-        if exact and (problem.sense, problem.threshold, problem.weights) != \
-                (Sense.MAX, target, weights):
-            return best_by_enumeration(problem, ground, leader_mask, gains, cap, floor)
+    def mask_enumerator(self):
+        masks, target = range(1 << self.size), self.threshold
+        return (m for m, total in zip(masks, mask_sums(self._weight_bits, masks))
+                if total <= target)
+
+    def patterns(self, ground, leader_mask, gains, cap, floor=None):
+        values, target = self._weight_bits, self.threshold
         # No feasible set weighs more than the target, so when gains are the
         # weights only the exact hits can reach a floor at the target.
-        if floor is not None and floor >= target and gains == weight_gains:
-            exact = True
-        return _subset_sum_patterns(w, target, exact, leader_mask, gains, floor)
+        exact = ground is GroundChoice.SOLUTIONS or \
+            floor is not None and floor >= target and gains == values
+        return _subset_sum_patterns(values, target, exact, leader_mask, gains, floor)
 
-    return GroundProblem(
-        universe=elements,
-        weights=weights,
-        threshold=target,
-        sense=Sense.MAX,
-        feasible=feasible,
-        mask_enumerator=enumerate_light,
-        name="subset-sum",
-        spec=(target, MappingProxyType(weights)),
-        pattern_oracle=patterns,
-    )
+
+def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> SubsetSumProblem:
+    """Subset sum as a maximization instance."""
+    return SubsetSumProblem(tuple([Element(i, i) for i in item_ids]), weights, target,
+                            Sense.MAX)
 
 
 def _subset_sum_patterns(

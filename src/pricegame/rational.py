@@ -25,6 +25,8 @@ def require_ints(values, what: str) -> None:
 
     The common case, all exact ints, is one pass at C speed.
     """
+    if iter(values) is values:  # one-shot: list it, so a bad value can be named
+        values = list(values)
     if _INT.issuperset(map(type, values)):
         return
     for v in values:

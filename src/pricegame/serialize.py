@@ -196,22 +196,20 @@ def _integers(payload: dict, name: str) -> dict[str, int]:
     return _mapping(payload, name, int, "integers")
 
 
-# Per problem kind, how its payload is written and how it is read back.  An
-# encoder returns None for a copy (dataclasses.replace) that its payload
-# would not rebuild; such a copy, and a problem of a kind not listed here,
-# is written out as an explicit family.
+# Per problem kind, how its payload is written and how it is read back.  A
+# problem of a kind not listed here is written out as an explicit family.
 _KINDS = {
     "sat": (
-        lambda p: {"cnf": encode_cnf(p.spec)} if p.sense is Sense.FEASIBILITY else None,
+        lambda p: {"cnf": encode_cnf(p.formula)},
         lambda d: sat_problem(decode_cnf(_field(d, "cnf", dict))),
     ),
     "vertex-cover": (
         lambda p: {
             "vertices": [e.id for e in p.universe],
-            "edges": [list(edge) for edge in p.spec],
+            "edges": [list(edge) for edge in p.edges],
             "weights": dict(p.weights),
             "threshold": p.threshold,
-        } if p.sense is Sense.MIN else None,
+        },
         lambda d: vertex_cover_problem(
             _strings(d, "vertices"),
             [tuple(e) for e in _pairs(d, "edges", "[vertex, vertex]")],
@@ -220,10 +218,9 @@ _KINDS = {
         ),
     ),
     "subset-sum": (
-        # The spec's target and weights decide the feasible sets.
         lambda p: {
             "items": [e.id for e in p.universe], "weights": dict(p.weights), "target": p.threshold,
-        } if p.sense is Sense.MAX and p.spec == (p.threshold, p.weights) else None,
+        },
         lambda d: subset_sum_problem(
             _strings(d, "items"), _integers(d, "weights"), _field(d, "target", int),
         ),
@@ -249,10 +246,7 @@ _KINDS = {
 
 def encode_problem(p: GroundProblem) -> dict:
     kind = p.name if p.name in _KINDS else "explicit"
-    payload = _KINDS[kind][0](p)
-    if payload is None:
-        kind, payload = "explicit", _KINDS["explicit"][0](p)
-    return {"problem": kind, **payload}
+    return {"problem": kind, **_KINDS[kind][0](p)}
 
 
 def decode_problem(payload: dict) -> GroundProblem:

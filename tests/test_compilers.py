@@ -221,7 +221,7 @@ def test_lift_min_of_a_zero_weight_image_lists_no_target_family(monkeypatch):
     vertices = [e.id for e in built.target.universe]
     weights = {v: 0 if v in built.image_ids() else 1 for v in vertices}
     artifact = dataclasses.replace(
-        built, target=vertex_cover_problem(vertices, built.target.spec, 1, weights))
+        built, target=vertex_cover_problem(vertices, built.target.edges, 1, weights))
     src = source_instance(formula, {"x1"}, {"x1": 1, "~x1": 2})
     listed = []
     for method in ("feasible_masks", "solution_masks"):
@@ -261,7 +261,7 @@ def test_weight_lift_formulas():
     # Two embedded zero-weight elements: weights become 1, threshold 0*3 + 1.
     base = sat_to_vertex_cover(cnf(1, [])).target
     problem = weight_lift(
-        _with_weights(base, {v: 0 for v in _ids(base)}, 0), _ids(base)
+        dataclasses.replace(base, weights={v: 0 for v in _ids(base)}, threshold=0), _ids(base)
     )
     assert all(problem.weights[i] == 1 for i in _ids(problem))
     assert problem.threshold == 0 * 3 + 1
@@ -289,22 +289,6 @@ def test_weight_lift_requires_even_image_and_min_sense():
 
 def _ids(problem):
     return frozenset(e.id for e in problem.universe)
-
-
-def _with_weights(problem, weights, threshold):
-    from pricegame.core import GroundProblem, Sense
-
-    clone = GroundProblem(
-        universe=problem.universe,
-        weights=weights,
-        threshold=threshold,
-        sense=Sense.MIN,
-        feasible=problem.feasible,
-        mask_enumerator=problem.mask_enumerator,
-        name=problem.name,
-        cost_bits=problem.cost_bits,
-    )
-    return clone
 
 
 def test_compiled_instance_always_has_an_outside_option():

@@ -23,7 +23,13 @@ from pricegame.core import (
     mask_sums,
     solution_set,
 )
-from pricegame.problems import cnf, sat_problem, sat_to_vertex_cover, vertex_cover_problem
+from pricegame.problems import (
+    VertexCoverProblem,
+    cnf,
+    sat_problem,
+    sat_to_vertex_cover,
+    vertex_cover_problem,
+)
 
 
 def test_single_edge_cover_solutions():
@@ -41,10 +47,17 @@ def test_empty_clause_set_keeps_both_assignments():
     assert solution_set(problem) == {frozenset({"x1"}), frozenset({"~x1"})}
 
 
+class FirstElementOnly(GroundProblem):
+    """A custom kind: only {e0} is feasible, listed by the default subset scan."""
+
+    def feasible(self, mask):
+        return mask == 1
+
+
 def test_cap_is_enforced_and_names_the_cap():
-    universe = [Element(f"e{i}") for i in range(6)]
-    problem = dataclasses.replace(explicit_problem(universe, [frozenset({"e0"})]),
-                                  mask_enumerator=None, cost_bits=None)
+    universe = tuple([Element(f"e{i}") for i in range(6)])
+    problem = FirstElementOnly(universe, {e.id: 0 for e in universe}, 0, Sense.FEASIBILITY)
+    assert problem.name == "custom" and problem.feasible_masks() == [1]
     with pytest.raises(CapExceededError) as err:
         solution_set(problem, cap=5)
     assert "cap of 5" in str(err.value)
@@ -86,10 +99,15 @@ def test_pattern_memo_keeps_the_answer_in_use():
     # A question asked again in a row is answered from the memo; any other
     # question replaces it.
     asked = []
+
+    class RecordingCover(VertexCoverProblem):
+        def patterns(self, ground, leader_mask, gains, cap, floor=None):
+            asked.append(gains)
+            return super().patterns(ground, leader_mask, gains, cap, floor)
+
     base = _path_cover()
-    problem = dataclasses.replace(
-        base, pattern_oracle=lambda *args: asked.append(args[3]) or base.pattern_oracle(*args)
-    )
+    problem = RecordingCover(base.universe, base.weights, base.threshold, base.sense,
+                             base.edges)
     hot, cold = (1,) * problem.size, (2,) * problem.size
     answers = [core.best_by_pattern(problem, GroundChoice.FEASIBLE, 0b11, gains)
                for gains in (hot, hot, cold, cold, hot)]
@@ -182,11 +200,11 @@ def test_canonical_family_is_order_independent():
 def test_sense_invariants_are_validated():
     universe = (Element("e"),)
     with pytest.raises(ValueError):
-        GroundProblem(universe, {"e": -1}, 0, Sense.MIN, lambda s: True)
+        GroundProblem(universe, {"e": -1}, 0, Sense.MIN)
     with pytest.raises(ValueError):
-        GroundProblem(universe, {"e": 1}, 0, Sense.FEASIBILITY, lambda s: True)
+        GroundProblem(universe, {"e": 1}, 0, Sense.FEASIBILITY)
     with pytest.raises(ValueError):
-        GroundProblem(universe, {"e": 0}, -1, Sense.MIN, lambda s: True)
+        GroundProblem(universe, {"e": 0}, -1, Sense.MIN)
 
 
 def test_problems_are_frozen_and_a_replaced_copy_weighs_afresh():
@@ -273,7 +291,7 @@ def test_mask_sums_match_the_bit_walk(drawn):
     values, masks = drawn
     universe = tuple(Element(f"e{i}") for i in range(len(values)))
     weights = {e.id: v for e, v in zip(universe, values)}
-    problem = GroundProblem(universe, weights, 0, Sense.MAX, lambda s: True)
+    problem = GroundProblem(universe, weights, 0, Sense.MAX)
     assert list(mask_sums(values, masks)) == [problem.weight_of_mask(m) for m in masks]
     assert list(mask_sums(tuple(values), iter(masks))) == list(mask_sums(values, masks))
 

@@ -11,6 +11,7 @@ from pricegame import core, pricing, problems
 from pricegame.compilers import compile_qdnf_pricing
 from pricegame.core import (
     Element,
+    ExplicitProblem,
     Sense,
     best_by_enumeration,
     best_by_pattern,
@@ -232,9 +233,11 @@ def test_solver_deterministic_across_runs():
     assert first == second
 
 
-def reversed_enumeration(*args):
-    """best_by_enumeration's answer with its patterns in reverse order."""
-    return dict(reversed(best_by_enumeration(*args).items()))
+class ReversedEnumeration(ExplicitProblem):
+    """An explicit problem answering with best_by_enumeration's patterns reversed."""
+
+    def patterns(self, *args):
+        return dict(reversed(best_by_enumeration(self, *args).items()))
 
 
 @given(
@@ -256,7 +259,8 @@ def test_solve_does_not_depend_on_pattern_order(members, leader_mask, values, do
     family = [frozenset(n for i, n in enumerate(names) if m >> i & 1) for m in members]
     sense = Sense.MIN if minimizing or domain is Domain.LOWER_CAP else Sense.FEASIBILITY
     base = explicit_problem([Element(n) for n in names], family, sense=sense)
-    flipped = dataclasses.replace(base, pattern_oracle=reversed_enumeration)
+    flipped = ReversedEnumeration(base.universe, base.weights, base.threshold, base.sense,
+                                  base.masks)
     leader = frozenset(n for i, n in enumerate(names) if leader_mask >> i & 1)
     valuation = dict(zip(names, values))
     inst = PricingInstance(base, leader, valuation, GroundChoice.FEASIBLE, domain)

@@ -12,6 +12,7 @@ from pricegame.compilers import compile_qdnf_pricing, lift_max, lift_min, weight
 from pricegame.core import (
     CapExceededError,
     Element,
+    ExplicitProblem,
     GroundChoice,
     GroundProblem,
     Sense,
@@ -33,6 +34,7 @@ from pricegame.problems import (
     subset_sum_problem,
     vertex_cover_problem,
 )
+from pricegame.serialize import decode_problem, encode_problem
 from pricegame.sweep import random_formula
 
 from reduction_oracle import (
@@ -42,6 +44,14 @@ from reduction_oracle import (
     literal_universe,
 )
 from test_compilers import seeded_sat_sources
+
+
+def scanned(problem):
+    """The problem's feasible sets by the scan over all subsets, as an explicit
+    problem with its weights, threshold and sense."""
+    masks = [m for m in range(1 << problem.size) if problem.feasible(m)]
+    return ExplicitProblem(problem.universe, problem.weights, problem.threshold, problem.sense,
+                           frozenset(masks))
 
 
 def projected_family(artifact):
@@ -270,7 +280,7 @@ def test_pruned_sat_enumerator_matches_brute_force_scan(formula):
     problem = sat_problem(formula)
     raw = list(problem.mask_enumerator())
     assert len(raw) == len(set(raw))
-    oracle = dataclasses.replace(problem, mask_enumerator=None)
+    oracle = scanned(problem)
     assert problem.feasible_masks() == oracle.feasible_masks()
 
 
@@ -302,7 +312,7 @@ def artifact_fields(build, formula):
     target = artifact.target
     return (artifact.source_universe, list(artifact.embedding.items()), artifact.provenance,
             target.universe, list(target.weights.items()), target.threshold, target.sense,
-            target.name, target.spec)
+            type(target), getattr(target, "edges", None))
 
 
 def test_reductions_build_the_clause_walking_artifacts():
@@ -353,6 +363,51 @@ def test_feasible_takes_the_masks_the_enumerator_yields(problem, high):
 
 
 @st.composite
+def changed_copies(draw):
+    """A small problem of any kind and a replace copy given other weights,
+    another threshold or another value of its kind's own field, as far as
+    its kind admits them (a sat problem's weights and threshold are zero)."""
+    problem = draw(small_problems())
+    names = [e.id for e in problem.universe]
+    if problem.name == "sat":
+        n = problem.formula.num_vars
+        options = {"formula": small_cnfs(min_vars=n, max_vars=n)}
+    else:
+        options = {"weights": st.fixed_dictionaries({v: st.integers(0, 20) for v in names}),
+                   "threshold": st.integers(0, 60)}
+    if problem.name == "vertex-cover":
+        pairs = list(itertools.combinations(names, 2))
+        options["edges"] = st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([])
+    if problem.name == "explicit":
+        options["masks"] = st.frozensets(st.integers(0, (1 << len(names)) - 1))
+    keys = draw(st.lists(st.sampled_from(sorted(options)), min_size=1, unique=True))
+    changes = {key: draw(options[key]) for key in keys}
+    if problem.name == "explicit" and changes.keys() & {"weights", "threshold"}:
+        changes["sense"] = draw(st.sampled_from([Sense.MIN, Sense.MAX]))
+    return problem, dataclasses.replace(problem, **changes)
+
+
+@given(changed_copies(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_copy_is_served_by_its_own_fields(drawn, data):
+    # The copy keeps its kind, lists the family that its own oracle scans
+    # and that its kind's constructor builds from its data, and its pattern
+    # oracle equals the enumeration on both grounds, with a floor and without.
+    problem, copy = drawn
+    assert type(copy) is type(problem)
+    for reference in (scanned(copy), decode_problem(encode_problem(copy))):
+        assert copy.feasible_masks() == sorted(reference.feasible_masks())
+        assert copy.solution_masks() == sorted(reference.solution_masks())
+    leader_mask = data.draw(st.integers(0, (1 << copy.size) - 1))
+    gains = data.draw(st.tuples(*[st.integers(-4, 4)] * copy.size))
+    for ground in GroundChoice:
+        expected = best_by_enumeration(copy, ground, leader_mask, gains, 24)
+        assert best_by_pattern(copy, ground, leader_mask, gains) == expected
+        assert_floored_answers_filter(copy, ground, leader_mask, gains, expected,
+                                      data.draw(st.integers(0, 63)))
+
+
+@st.composite
 def small_subset_sums(draw):
     # At most 12 items, so the brute-force scan stays cheap.
     size = draw(st.integers(min_value=0, max_value=12))
@@ -365,7 +420,7 @@ def small_subset_sums(draw):
 def test_subset_sum_enumerator_matches_brute_force_scan(problem):
     raw = list(problem.mask_enumerator())
     assert len(raw) == len(set(raw))
-    oracle = dataclasses.replace(problem, mask_enumerator=None)
+    oracle = scanned(problem)
     assert problem.feasible_masks() == oracle.feasible_masks()
     assert problem.solution_masks() == oracle.solution_masks()
 
@@ -408,27 +463,22 @@ def assert_floored_answers_filter(problem, ground, leader_mask, gains, expected,
 
 
 @given(subset_sum_pattern_queries(), st.sampled_from(GroundChoice), st.integers(-3, 3),
-       st.sampled_from([Sense.MAX, Sense.MIN]), st.integers(0, 63))
+       st.integers(0, 63))
 @settings(max_examples=300, deadline=None)
-def test_subset_sum_pattern_oracle_matches_the_enumeration(query, ground, moved, sense, pick):
-    # Values and members equal the enumeration's; a copy given another
-    # threshold or sense keeps the feasible family but not the solutions.
-    # Floored answers equal the enumeration's filtered, also at and above the
-    # target, where gains equal to the weights take the exact search.
+def test_subset_sum_pattern_oracle_matches_the_enumeration(query, ground, moved, pick):
+    # Values and members equal the enumeration's, on the problem and on a
+    # copy given another threshold, which moves the target and so both
+    # families.  Floored answers equal the enumeration's filtered, also at
+    # and above the target, where gains equal to the weights take the exact
+    # search.
     problem, leader_mask, gains = query
-    at_target = (problem.threshold, problem.threshold + 1)
-    expected = best_by_enumeration(problem, ground, leader_mask, gains, 24)
-    assert best_by_pattern(problem, ground, leader_mask, gains) == expected
-    assert_floored_answers_filter(problem, ground, leader_mask, gains, expected, pick,
-                                  at_target)
-    threshold = problem.threshold + moved
-    if sense is Sense.MIN:
-        threshold = max(threshold, 0)
-    copy = dataclasses.replace(problem, threshold=threshold, sense=sense)
-    expected = best_by_enumeration(copy, ground, leader_mask, gains, 24)
-    assert best_by_pattern(copy, ground, leader_mask, gains) == expected
-    assert_floored_answers_filter(copy, ground, leader_mask, gains, expected, pick,
-                                  at_target)
+    copy = dataclasses.replace(problem, threshold=problem.threshold + moved)
+    for instance in (problem, copy):
+        at_target = (instance.threshold, instance.threshold + 1)
+        expected = best_by_enumeration(instance, ground, leader_mask, gains, 24)
+        assert best_by_pattern(instance, ground, leader_mask, gains) == expected
+        assert_floored_answers_filter(instance, ground, leader_mask, gains, expected, pick,
+                                      at_target)
 
 
 def test_subset_sum_pattern_oracle_keeps_the_cap():
@@ -475,10 +525,14 @@ def test_certification_by_patterns_matches_the_listing_oracle():
     assert all({v[k] for v in verdicts} == {True, False} for k in range(3))
 
 
+# A moved threshold moves the target: no feasible set weighs more than it,
+# so the target stays tight, but it hits other subsets than the literal sets.
 @pytest.mark.parametrize("step, verdict, detail", [
-    (-1, (True, False, False), "mapped-only=() projected-only=(('x2',),)"),
-    (1, (False, False, True),
-     "mapped-only=(('x1', 'x2'), ('x1', '~x2'), ('x2', '~x1')) projected-only=()"),
+    (-1, (True, False, True),
+     "mapped-only=(('x1', 'x2'), ('x1', '~x2'), ('x2', '~x1')) projected-only=(('x2',),)"),
+    (1, (True, False, True),
+     "mapped-only=(('x1', 'x2'), ('x1', '~x2'), ('x2', '~x1')) "
+     "projected-only=(('x1', 'x2', '~x1'), ('x1', '~x1', '~x2'))"),
 ])
 def test_moved_subset_sum_threshold_reports_the_families_apart(step, verdict, detail):
     formula = cnf(2, [[1, 2]])
@@ -516,7 +570,7 @@ def test_vertex_cover_enumerator_matches_brute_force_scan(graph):
     problem = vertex_cover_problem(*graph)
     raw = list(problem.mask_enumerator())
     assert len(raw) == len(set(raw))
-    oracle = dataclasses.replace(problem, mask_enumerator=None)
+    oracle = scanned(problem)
     assert problem.feasible_masks() == oracle.feasible_masks()
     assert problem.solution_masks() == oracle.solution_masks()
 
@@ -549,17 +603,14 @@ def vertex_cover_pattern_queries(draw):
 @settings(max_examples=300, deadline=None)
 def test_vertex_cover_pattern_oracle_matches_the_enumeration(query, ground, pick):
     # Values and members equal the enumeration's, on the problem, on a
-    # weight_lift copy, and on a copy given other edges along with their
-    # feasibility oracle and enumerator.  Floored answers equal the
-    # enumeration's filtered.
+    # weight_lift copy, and on a copy given other edges.  Floored answers
+    # equal the enumeration's filtered.
     problem, leader_mask, gains, pairs = query
     vertices = [e.id for e in problem.universe]
-    other = vertex_cover_problem(vertices, list(zip(vertices, vertices[1:])), 0)
     copies = (
         problem,
         weight_lift(problem, vertices[:2 * pairs]),
-        dataclasses.replace(problem, spec=other.spec, feasible=other.feasible,
-                            mask_enumerator=other.mask_enumerator),
+        dataclasses.replace(problem, edges=list(zip(vertices, vertices[1:]))),
     )
     for copy in copies:
         expected = best_by_enumeration(copy, ground, leader_mask, gains, 24)
@@ -590,15 +641,11 @@ def sat_pattern_queries(draw):
 @settings(max_examples=300, deadline=None)
 def test_sat_pattern_oracle_matches_the_enumeration(query, ground, pick, floor):
     # Values and members equal the enumeration's, on the problem and on a
-    # copy given another formula along with its feasibility oracle and
-    # enumerator, which the oracle leaves to the enumeration.  Floored
-    # answers equal the enumeration's filtered.
+    # copy given another formula.  Floored answers equal the enumeration's
+    # filtered.
     formula, other, leader_mask, gains = query
     problem = sat_problem(formula)
-    replaced = sat_problem(other)
-    copy = dataclasses.replace(problem, spec=other, feasible=replaced.feasible,
-                               mask_enumerator=replaced.mask_enumerator)
-    for instance in (problem, copy):
+    for instance in (problem, dataclasses.replace(problem, formula=other)):
         expected = best_by_enumeration(instance, ground, leader_mask, gains, 24)
         assert best_by_pattern(instance, ground, leader_mask, gains) == expected
         assert_floored_answers_filter(instance, ground, leader_mask, gains, expected, pick,

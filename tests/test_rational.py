@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pricegame.rational import Rational, format_rational, parse_rational
+from pricegame.rational import Rational, format_rational, parse_rational, require_ints
 
 
 def test_parse_and_format_round_trip():
@@ -37,3 +37,16 @@ def test_zero_denominator_rejected_naming_the_text():
     for text in ("1/0", " -3/0 ", "0/0"):
         with pytest.raises(ValueError, match="nonzero denominator: '"):
             parse_rational(text)
+
+
+@pytest.mark.parametrize("values, bad", [
+    ([1, 1.5], "1.5"),
+    ((2, True), "True"),
+    ({"a": 1.5}.values(), "1.5"),
+    ((x for x in [1.5]), "1.5"),
+    (iter([1, 2, "3"]), "'3'"),
+], ids=["list", "tuple", "dict-view", "generator", "iterator"])
+def test_require_ints_names_the_first_bad_value_of_any_iterable(values, bad):
+    with pytest.raises(TypeError) as err:
+        require_ints(values, "weight")
+    assert str(err.value) == f"weight {bad} is not an int"

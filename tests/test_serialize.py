@@ -148,9 +148,9 @@ def _lifted_cover():
     return weight_lift(artifact.target, artifact.image_ids())
 
 
-# An unchanged copy, or a weight-lifted cover, keeps its kind and bytes; a
-# copy whose kind's payload would rebuild another problem is written out as
-# an explicit family.
+# An unchanged copy, a weight-lifted cover, or a subset sum given another
+# threshold (its target) or other weights keeps its kind and round-trips to
+# identical bytes.
 @pytest.mark.parametrize("build, changes", [
     (lambda: sat_problem(cnf(2, [[1, 2]], var_names=["p", "q"])), {}),
     (lambda: sat_to_vertex_cover(cnf(2, [[1, -2], [2]])).target, {}),
@@ -158,22 +158,43 @@ def _lifted_cover():
     (lambda: explicit_problem([Element("a", "A"), Element("b")],
                               [frozenset(), frozenset({"a", "b"})]), {}),
     (_lifted_cover, {}),
-    (lambda: sat_problem(cnf(2, [[1, 2]], var_names=["p", "q"])), {"sense": Sense.MIN}),
-    (lambda: sat_to_vertex_cover(cnf(2, [[1, -2], [2]])).target, {"sense": Sense.MAX}),
     (_abc_subset_sum, {"threshold": 3}),
     (_abc_subset_sum, {"weights": {"a": 1, "b": 1, "c": 4}}),
-], ids=["sat", "vertex-cover", "subset-sum", "explicit", "weight-lifted-cover", "sat-min",
-        "vertex-cover-max", "subset-sum-threshold", "subset-sum-weights"])
+], ids=["sat", "vertex-cover", "subset-sum", "explicit", "weight-lifted-cover",
+        "subset-sum-threshold", "subset-sum-weights"])
 def test_replace_copy_encodes_like_the_original(build, changes):
     problem = build()
     copy = dataclasses.replace(problem, **changes)
     encoded = encode_problem(copy)
     decoded = decode_problem(encoded)
     assert same_problem(copy, decoded)
-    assert encoded["problem"] == ("explicit" if changes else problem.name)
+    assert encoded["problem"] == problem.name
+    assert dump_document(encode_problem(decoded)) == dump_document(encoded)
     if not changes:
         assert encoded == encode_problem(problem)
-        assert encode_problem(decoded) == encoded
+
+
+# A copy is a valid problem of its kind or a ValueError: a kind's sense is
+# fixed, and its own field is validated like the rest.
+@pytest.mark.parametrize("build, changes, message", [
+    (lambda: sat_problem(cnf(2, [[1, 2]], var_names=["p", "q"])), {"sense": Sense.MIN},
+     "satisfiability is a feasibility problem"),
+    (lambda: sat_to_vertex_cover(cnf(2, [[1, -2], [2]])).target, {"sense": Sense.MAX},
+     "vertex cover is a minimization problem"),
+    (_abc_subset_sum, {"sense": Sense.MIN}, "subset sum is a maximization problem"),
+    (lambda: sat_problem(cnf(2, [[1, 2]])), {"formula": cnf(3, [[1]])},
+     "a sat problem's universe is its formula's literals"),
+    (lambda: sat_to_vertex_cover(cnf(1, [])).target, {"edges": [("v:x1", "v:x3")]},
+     "edge (v:x1, v:x3) has an end outside the vertex set"),
+    (_abc_subset_sum, {"weights": {"a": -1, "b": 3, "c": 4}}, "item weights must be nonnegative"),
+    (lambda: explicit_problem([Element("a")], [frozenset({"a"})]), {"masks": frozenset({2})},
+     "feasible sets must lie inside the universe"),
+], ids=["sat-min", "vertex-cover-max", "subset-sum-min", "sat-formula", "vertex-cover-edges",
+        "subset-sum-weights", "explicit-masks"])
+def test_an_invalid_copy_is_a_value_error(build, changes, message):
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(build(), **changes)
+    assert str(err.value) == message
 
 
 _SUBSET_SUM = {"problem": "subset-sum", "items": ["a"], "weights": {"a": 1}, "target": 1}
