@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from functools import partial
 
 from .compilers import (
     compile_qdnf_pricing,
@@ -52,8 +53,6 @@ EXIT_ERROR = 1
 EXIT_FALSE = 2
 EXIT_UNBOUNDED = 3
 EXIT_NO_FOLLOWER = 4
-
-PIPELINES = ("thm2", "sat2vc", "sat2ss", "lift-max", "lift-min", "lift-feas", "weight-lift")
 
 
 def _add_global_flags(parser) -> None:
@@ -149,81 +148,75 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_compile(args) -> int:
-    doc = _read_document(args.path)
-    pipeline = args.pipeline
-    provenance = list(doc["provenance"])
+def _thm2(formula, cap, name):
+    compiled = compile_qdnf_pricing(formula)
+    return ("pricing", encode_pricing(compiled.pricing), compiled.provenance,
+            f"price_unit={compiled.price_unit} decision_threshold={compiled.decision_threshold}")
 
-    if pipeline == "thm2":
-        if doc["kind"] != "qdnf":
-            raise ValueError("thm2 expects a qdnf document")
-        compiled = compile_qdnf_pricing(decode_qdnf(doc["payload"]))
-        provenance += list(compiled.provenance)
-        out = make_document("pricing", encode_pricing(compiled.pricing), provenance)
-        print(f"price_unit={compiled.price_unit} "
-              f"decision_threshold={compiled.decision_threshold}")
-        _write(args, dump_document(out))
-        return EXIT_OK
 
-    if pipeline in ("sat2vc", "sat2ss"):
-        if doc["kind"] != "cnf":
-            raise ValueError(f"{pipeline} expects a cnf document")
-        formula = decode_cnf(doc["payload"])
-        artifact = sat_to_vertex_cover(formula) if pipeline == "sat2vc" \
-            else sat_to_subset_sum(formula)
-        source = sat_problem(formula)
-        report = check_reduction(source, artifact, args.cap)
-        if not report.passed:
-            raise CertificationError(report)
-        provenance += [dict(p) for p in artifact.provenance]
-        out = make_document("reduction-artifact", encode_artifact(artifact, source), provenance)
-        print(f"target_threshold={artifact.target.threshold}")
-        _write(args, dump_document(out))
-        return EXIT_OK
+def _certified(reduce, formula, cap, name):
+    """Reduce a formula, certifying the artifact against its sat problem."""
+    artifact = reduce(formula)
+    source = sat_problem(formula)
+    report = check_reduction(source, artifact, cap)
+    if not report.passed:
+        raise CertificationError(report)
+    return ("reduction-artifact", encode_artifact(artifact, source), artifact.provenance,
+            f"target_threshold={artifact.target.threshold}")
 
-    if pipeline == "weight-lift":
-        if doc["kind"] != "reduction-artifact":
-            raise ValueError("weight-lift expects a reduction-artifact document")
-        source, artifact = decode_artifact(doc["payload"])
-        lifted_target = weight_lift(artifact.target, artifact.image_ids())
-        lifted = dataclasses.replace(artifact, target=lifted_target)
-        provenance += [{
-            "step": "weight-lift",
-            "params": {"scale": len(artifact.image_ids()) + 1,
-                       "threshold": lifted_target.threshold},
-        }]
-        out = make_document("reduction-artifact", encode_artifact(lifted, source), provenance)
-        print(f"lifted_threshold={lifted_target.threshold}")
-        _write(args, dump_document(out))
-        return EXIT_OK
 
-    # The three lifts start from a pricing document over a sat base and
-    # derive their reduction artifact internally.
-    if doc["kind"] != "pricing":
-        raise ValueError(f"{pipeline} expects a pricing document")
-    inst = decode_pricing(doc["payload"])
+def _lifted(lift, reduce, inst, cap, name):
+    """Lift a pricing game over a sat base along the artifact reduce(base)."""
     if not isinstance(inst.base, SatProblem):
         raise ValueError("this pipeline needs a pricing document over a sat base")
-    formula = inst.base.formula
-    if pipeline == "lift-max":
-        lift, artifact = lift_max, sat_to_subset_sum(formula)
-    elif pipeline == "lift-min":
-        lift, artifact = lift_min, sat_to_vertex_cover(formula)
-    else:
-        lift, artifact = lift_feas, identity_reduction(inst.base)
-    lifted, params = lift(inst, artifact, args.cap)
-    steps = [dict(p) for p in artifact.provenance]
-    steps.append({
-        "step": pipeline,
-        "params": {
-            "weight_scale": params.weight_scale,
-            "target_optimum": params.target_optimum,
-            "threshold": format_rational(lifted.threshold),
-        },
-    })
-    out = make_document("pricing", encode_pricing(lifted), provenance + steps)
-    print(f"weight_scale={params.weight_scale}")
-    _write(args, dump_document(out))
+    artifact = reduce(inst.base)
+    lifted, params = lift(inst, artifact, cap)
+    step = {"step": name, "params": {
+        "weight_scale": params.weight_scale,
+        "target_optimum": params.target_optimum,
+        "threshold": format_rational(lifted.threshold),
+    }}
+    return ("pricing", encode_pricing(lifted), [*artifact.provenance, step],
+            f"weight_scale={params.weight_scale}")
+
+
+def _weight_lifted(decoded, cap, name):
+    source, artifact = decoded
+    image = artifact.image_ids()
+    target = weight_lift(artifact.target, image)
+    step = {"step": name, "params": {"scale": len(image) + 1, "threshold": target.threshold}}
+    return ("reduction-artifact",
+            encode_artifact(dataclasses.replace(artifact, target=target), source), [step],
+            f"lifted_threshold={target.threshold}")
+
+
+# Pipeline name -> (the document kind it reads, its step), in --help order.
+# A step takes the decoded document, the cap and the pipeline's name, and
+# returns the output kind and payload, the provenance steps it appends and
+# the line it prints.
+PIPELINES = {
+    "thm2": ("qdnf", _thm2),
+    "sat2vc": ("cnf", partial(_certified, sat_to_vertex_cover)),
+    "sat2ss": ("cnf", partial(_certified, sat_to_subset_sum)),
+    "lift-max": ("pricing", partial(_lifted, lift_max, lambda b: sat_to_subset_sum(b.formula))),
+    "lift-min": ("pricing", partial(_lifted, lift_min, lambda b: sat_to_vertex_cover(b.formula))),
+    "lift-feas": ("pricing", partial(_lifted, lift_feas, identity_reduction)),
+    "weight-lift": ("reduction-artifact", _weight_lifted),
+}
+
+_DECODERS = {"qdnf": decode_qdnf, "cnf": decode_cnf, "pricing": decode_pricing,
+             "reduction-artifact": decode_artifact}
+
+
+def _cmd_compile(args) -> int:
+    doc = _read_document(args.path)
+    kind, step = PIPELINES[args.pipeline]
+    if doc["kind"] != kind:
+        raise ValueError(f"{args.pipeline} expects a {kind} document")
+    out_kind, payload, steps, line = step(_DECODERS[kind](doc["payload"]), args.cap,
+                                          args.pipeline)
+    print(line)
+    _write(args, dump_document(make_document(out_kind, payload, [*doc["provenance"], *steps])))
     return EXIT_OK
 
 

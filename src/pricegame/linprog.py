@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, compress, count
+from math import gcd
 from operator import mul, neg, sub
 
 from .rational import require_ints
@@ -251,14 +252,19 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         row = [*coeffs, *zeros, rhs]
         if rhs < 0:
             row = list(map(neg, row))
-        if stored:
-            row[len(labels)] = -1
-            labels.append(slack)
         if rel == "=" or stored:
+            # Phase 1 sums these rows, so each is taken at its primitive
+            # scale: a row scaled by a positive integer keeps the pivot path.
+            g = gcd(*row)
+            if g > 1:
+                row = [a // g for a in row]
             basis.append(artificial)
             artificial += 1
         else:
             basis.append(slack)
+        if stored:
+            row[len(labels)] = -1
+            labels.append(slack)
         if rel != "=":
             slack += 1
         rows.append(row)

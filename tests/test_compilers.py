@@ -100,6 +100,8 @@ def test_formula_validation():
         QdnfFormula(1, (frozenset({3}),))
     with pytest.raises(ValueError):
         QdnfFormula(0, ())
+    with pytest.raises(ValueError, match="^duplicate terms$"):
+        QdnfFormula(1, (frozenset({1}), frozenset({1})))
 
 
 def test_compile_shape_for_one_pair():
@@ -285,6 +287,8 @@ def test_weight_lift_requires_even_image_and_min_sense():
         weight_lift(artifact.target, {"v:x1"})
     with pytest.raises(ValueError):
         weight_lift(sat_to_subset_sum(formula).target, frozenset())
+    with pytest.raises(ValueError, match="^embedded elements must belong to the universe$"):
+        weight_lift(artifact.target, {"v:x1", "v:x2"})
 
 
 def _ids(problem):

@@ -177,6 +177,48 @@ def test_corrupted_embedding_fails_family_check():
     )
 
 
+def _over_one_cheap_set(formula):
+    """x1 and ~x1 embedded in a and b of a MIN problem whose one feasible
+    set, {a}, weighs 1 against a threshold of 2."""
+    universe = [Element("a"), Element("b")]
+    target = explicit_problem(universe, [frozenset({"a"})], {"a": 1, "b": 1}, 2, Sense.MIN)
+    artifact = ReductionArtifact(sat_problem(formula).universe, target, {"x1": "a", "~x1": "b"})
+    return check_reduction(sat_problem(formula), artifact)
+
+
+def test_a_slack_threshold_fails_tightness_alone():
+    report = _over_one_cheap_set(cnf(1, [[1]]))
+    assert (report.yes_equivalence, report.family_match, report.threshold_tight) == (
+        True,
+        True,
+        False,
+    )
+    assert report.failing_checks() == ["threshold-tightness"]
+    assert report.detail == "1 image patterns hold a feasible set strictly better than threshold"
+
+
+def test_an_unsatisfiable_source_fails_all_three_checks():
+    report = _over_one_cheap_set(cnf(1, [[1], [-1]]))
+    assert report.failing_checks() == [
+        "yes-equivalence", "projected-family-equality", "threshold-tightness"]
+
+
+def test_embedding_domain_image_and_source_are_validated():
+    formula = cnf(1, [[1]])
+    artifact = sat_to_vertex_cover(formula)
+    for embedding, message in (
+        ({"x1": "v:x1"}, "embedding must be defined on exactly the source universe"),
+        (dict(artifact.embedding, x1="nowhere"),
+         "embedding image must lie inside the target universe"),
+    ):
+        with pytest.raises(ValueError) as err:
+            ReductionArtifact(artifact.source_universe, artifact.target, embedding)
+        assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        check_reduction(sat_problem(cnf(2, [[1]])), artifact)
+    assert str(err.value) == "artifact source universe does not match the given source problem"
+
+
 def test_embedding_must_be_injective():
     formula = cnf(1, [[1]])
     artifact = sat_to_vertex_cover(formula)
@@ -205,6 +247,11 @@ def test_sense_invariants_are_validated():
         GroundProblem(universe, {"e": 1}, 0, Sense.FEASIBILITY)
     with pytest.raises(ValueError):
         GroundProblem(universe, {"e": 0}, -1, Sense.MIN)
+    with pytest.raises(ValueError, match="^universe element ids must be unique$"):
+        GroundProblem(universe * 2, {"e": 0}, 0, Sense.FEASIBILITY)
+    with pytest.raises(ValueError,
+                       match="^maximization problems are encoded with nonnegative weights$"):
+        explicit_problem(universe, [frozenset({"e"})], {"e": -1}, 0, Sense.MAX)
 
 
 def test_problems_are_frozen_and_a_replaced_copy_weighs_afresh():

@@ -7,7 +7,7 @@ from math import lcm
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pricegame.linprog import (
     LinearProgram,
@@ -65,6 +65,10 @@ def test_malformed_dimensions_rejected():
         LinearProgram(1, (1,), (((1,), "<<", 0),))
     with pytest.raises(ValueError):
         LinearProgram(1, (1,), (), {0: 2}, {0: 1})
+    with pytest.raises(ValueError, match="^a linear program needs at least one variable$"):
+        LinearProgram(0, (), ())
+    with pytest.raises(ValueError, match="^bound on unknown variable 1$"):
+        LinearProgram(1, (1,), (), {}, {1: 3})
 
 
 @pytest.mark.parametrize("rows, error, message", [
@@ -204,6 +208,22 @@ def test_returned_vertices_are_pinned():
     assert digest.hexdigest() == VERTEX_DIGEST
 
 
+def test_a_row_doubled_or_tripled_keeps_the_returned_vertex():
+    # A face LP's optimum is often a whole face, so its vertex shows the
+    # pivot path: phase 1 must read each row at one scale.
+    moved = []
+    for seed in range(2000):
+        lp = random_face_lp(random.Random(seed))
+        out = solve_lp(lp)
+        for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
+            for factor in (2, 3):
+                rows = list(lp.constraints)
+                rows[i] = (tuple([factor * a for a in coeffs]), rel, factor * rhs)
+                if solve_lp(dataclasses.replace(lp, constraints=tuple(rows))) != out:
+                    moved.append((seed, i, factor))
+    assert moved == []
+
+
 def test_a_tall_lp_holds_only_its_nonbasic_columns():
     # 2,000 rows over 3 free variables (6 standard columns).  A dense row
     # with a column per slack would hold about 2,000 entries; a dictionary
@@ -302,6 +322,9 @@ def degenerate_rational_lp(draw) -> LinearProgram:
 
 
 @given(degenerate_rational_lp(), st.lists(st.integers(1, 4), min_size=12, max_size=12))
+@example(LinearProgram(2, (0, 0), (((0, -2), "<=", 0), ((-3, -5), "<=", -1), ((1, 0), "<=", 1),
+                                   ((1, 2), ">=", 0)), lower={1: -1}),
+         [1, 2] + [1] * 10)
 @settings(max_examples=100, deadline=None)
 def test_rational_degenerate_lps_against_oracle(lp, scales):
     assert_matches_oracle(lp)

@@ -343,6 +343,8 @@ def test_instances_are_frozen_and_replace_revalidates():
         inst.domain = Domain.BOX
     with pytest.raises(ValueError):
         dataclasses.replace(inst, threshold=-1)
+    with pytest.raises(ValueError, match="^valuation must cover exactly the base universe$"):
+        dataclasses.replace(inst, valuation={"eL": 5})
     assert dataclasses.replace(inst, threshold=3).threshold == Fraction(3)
 
 

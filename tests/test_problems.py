@@ -66,6 +66,10 @@ def test_formula_validation():
         cnf(1, [[2]])
     with pytest.raises(ValueError):
         CnfFormula(2, (frozenset({1}),), ("x", "x"))
+    for names in (("x", ""), ("x", "~y")):
+        with pytest.raises(ValueError,
+                           match="^variable names must be nonempty and not start with ~$"):
+            CnfFormula(2, (frozenset({1}),), names)
 
 
 def test_formula_rejects_a_bool_literal():

@@ -136,6 +136,10 @@ def test_document_validation():
         load_document("{}")
     with pytest.raises(ValueError):
         load_document('{"schema_version": "0", "kind": "cnf", "payload": {}}')
+    with pytest.raises(ValueError, match="^a document must be a JSON object$"):
+        load_document("[]")
+    with pytest.raises(ValueError, match="^unknown problem flavor 'knapsack'$"):
+        decode_problem({"problem": "knapsack"})
 
 
 def _abc_subset_sum():
@@ -186,11 +190,13 @@ def test_replace_copy_encodes_like_the_original(build, changes):
      "a sat problem's universe is its formula's literals"),
     (lambda: sat_to_vertex_cover(cnf(1, [])).target, {"edges": [("v:x1", "v:x3")]},
      "edge (v:x1, v:x3) has an end outside the vertex set"),
+    (lambda: sat_to_vertex_cover(cnf(1, [])).target, {"edges": [("v:x1", "v:x1")]},
+     "self-loops are not allowed"),
     (_abc_subset_sum, {"weights": {"a": -1, "b": 3, "c": 4}}, "item weights must be nonnegative"),
     (lambda: explicit_problem([Element("a")], [frozenset({"a"})]), {"masks": frozenset({2})},
      "feasible sets must lie inside the universe"),
 ], ids=["sat-min", "vertex-cover-max", "subset-sum-min", "sat-formula", "vertex-cover-edges",
-        "subset-sum-weights", "explicit-masks"])
+        "vertex-cover-loop", "subset-sum-weights", "explicit-masks"])
 def test_an_invalid_copy_is_a_value_error(build, changes, message):
     with pytest.raises(ValueError) as err:
         dataclasses.replace(build(), **changes)
