@@ -215,8 +215,11 @@ def _cmd_compile(args) -> int:
         raise ValueError(f"{args.pipeline} expects a {kind} document")
     out_kind, payload, steps, line = step(_DECODERS[kind](doc["payload"]), args.cap,
                                           args.pipeline)
-    print(line)
-    _write(args, dump_document(make_document(out_kind, payload, [*doc["provenance"], *steps])))
+    text = dump_document(make_document(out_kind, payload, [*doc["provenance"], *steps]))
+    # The line goes to stdout ahead of the document, or once the file is written.
+    _write(args, text if args.out else f"{line}\n{text}")
+    if args.out:
+        print(line)
     return EXIT_OK
 
 
@@ -230,13 +233,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = CorpusSpec(
-        pairs=args.pairs,
-        max_terms=args.max_terms,
-        count=args.count,
-        seed=args.seed,
-        exhaustive_pair=args.exhaustive_pair,
-    )
+    spec = CorpusSpec(pairs=args.pairs, max_terms=args.max_terms, count=args.count,
+                      seed=args.seed, exhaustive_pair=args.exhaustive_pair)
     report = run_sweep(spec, cap=args.cap, jobs=args.jobs,
                        inject_fault=args.inject_fault, timed=args.timings)
     _write(args, dump_document(report))

@@ -238,14 +238,14 @@ def _weight_scale(sat_pricing: PricingInstance) -> int:
     return 4 * n * sum(sat_pricing.valuation.values())
 
 
-# The lifted valuation is scale * w plus the source value on embedded
-# elements, minus it for a minimization target; the ground is the feasible
-# family, except for a feasibility target, whose feasible sets are already
-# its solutions.
+# The lifted valuation is scale * w, plus the source value times the
+# target's sign on embedded elements; the ground is the feasible family,
+# except for a feasibility target, whose feasible sets are already its
+# solutions.
 _LIFTS = {
-    Sense.MAX: ("max", 1, GroundChoice.FEASIBLE),
-    Sense.MIN: ("min", -1, GroundChoice.FEASIBLE),
-    Sense.FEASIBILITY: ("feas", 1, GroundChoice.SOLUTIONS),
+    Sense.MAX: ("max", GroundChoice.FEASIBLE),
+    Sense.MIN: ("min", GroundChoice.FEASIBLE),
+    Sense.FEASIBILITY: ("feas", GroundChoice.SOLUTIONS),
 }
 
 
@@ -255,7 +255,7 @@ def _lift(
     cap: int,
     sense: Sense,
 ) -> tuple[PricingInstance, LiftParameters]:
-    mode, sign, ground = _LIFTS[sense]
+    mode, ground = _LIFTS[sense]
     if artifact.target.sense is not sense:
         raise ValueError(f"lift_{mode} needs a {sense.value}-sense target")
     try:
@@ -274,7 +274,7 @@ def _lift(
     # Certified: the target has solutions iff the source does, and, being
     # tight, every one of them weighs exactly the threshold.
     optimum = target.threshold if sat_pricing.base.solution_masks(cap) else None
-    scale = _weight_scale(sat_pricing)
+    scale, sign = _weight_scale(sat_pricing), sense.sign
     image = {v: k for k, v in artifact.embedding.items()}
     valuation = {}
     for e in target.universe:

@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from operator import ge, le
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -72,6 +71,11 @@ class Sense(Enum):
     MIN = "min"
     MAX = "max"
     FEASIBILITY = "feasibility"
+
+    @property
+    def sign(self) -> int:
+        """The sign that turns a value into a gain, larger being better: -1 under MIN."""
+        return -1 if self is Sense.MIN else 1
 
 
 class GroundChoice(Enum):
@@ -200,9 +204,10 @@ class GroundProblem:
         masks = self.feasible_masks(cap)
         if self.sense is Sense.FEASIBILITY:
             return list(masks)
-        meets = le if self.sense is Sense.MIN else ge
-        t = self.threshold
-        return [m for m, w in zip(masks, mask_sums(self._weight_bits, masks)) if meets(w, t)]
+        sign = self.sense.sign
+        floor = sign * self.threshold
+        return [m for m, w in zip(masks, mask_sums(self._weight_bits, masks))
+                if sign * w >= floor]
 
 
 def bits(mask: int) -> list[int]:
@@ -259,14 +264,14 @@ def best_by_pattern(
 
     The ground family is the problem's feasible sets or its solutions.  A
     member's pattern is its intersection with leader_mask and its gain the
-    sum of gains over its elements; the best is always the largest, so a
-    minimizing caller negates its values.  The patterns come in no promised
-    order.  With a floor, only the patterns whose best gain is at least the
-    floor are returned, with the same values and members; an oracle may
-    then skip the members that cannot reach it.  The problem's patterns
-    method answers, by default best_by_enumeration.  The cap is checked on
-    every call.  The problem remembers its last answer, so asking the same
-    question again in a row costs one comparison of the arguments.
+    sum of gains over its elements; the best is always the largest, so
+    callers multiply their values by `Sense.sign`.  The patterns come in no
+    promised order.  With a floor, only the patterns whose best gain is at
+    least the floor are returned, with the same values and members; an
+    oracle may then skip the members that cannot reach it.  The problem's
+    patterns method answers, by default best_by_enumeration.  The cap is
+    checked on every call.  The problem remembers its last answer, so asking
+    the same question again in a row costs one comparison of the arguments.
     """
     problem._check_cap(cap)
     key = (ground, leader_mask, gains, cap, floor)
@@ -393,7 +398,7 @@ def check_reduction(
     # The embedding is injective, so summing image bits maps a mask.
     image_bits = [target.mask_of((artifact.embedding[e.id],)) for e in source.universe]
     image_mask = sum(image_bits)
-    sign = -1 if target.sense is Sense.MIN else 1
+    sign = target.sense.sign
     gains = tuple([sign * target.weights[e.id] for e in target.universe])
     threshold = sign * target.threshold
     try:

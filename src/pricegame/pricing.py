@@ -7,14 +7,17 @@ optimizing their own objective built from the fixed valuation:
     MAX / FEASIBILITY sense    maximize  valuation(X) - d(X)
     MIN sense                  minimize  valuation(X) + d(X)
 
-The solver turns the sense into the sign of the follower's gain: the
-valuation, negated under MIN.  Both objectives are then one, maximize
-gain(X) - d(X), and the reported follower value is that net gain, negated
-back under MIN.  Among follower-optimal responses the one best for the
+Beyond the lower-cap domain's check, the solver reads the sense only as
+`Sense.sign`, the sign of the follower's gain (-1 under MIN): the gain is
+the valuation times it.  Both objectives are then one, maximize
+gain(X) - d(X), and the reported follower value is that net gain times
+the sign again.  Among follower-optimal responses the one best for the
 leader is selected (optimistic tie-breaking), with remaining ties resolved
-by canonical subset order over the universe: members compare as the
-tuples of their sorted element positions, so a member precedes its
-extensions.  `core._canon_before` is the one definition of that order.
+by canonical subset order over the universe: members compare as the tuples
+of their sorted element positions, so a member precedes its extensions.
+One comparison in `core` defines that order, and `_beats` makes every
+choice with it: the larger key wins, and an equal key goes to the
+canonically first member.
 
 The solver reads the ground family only through `core.best_by_pattern`,
 its collapse to leader patterns: each member's intersection with the leader
@@ -31,10 +34,9 @@ price-domain restriction.  The bilevel optimum is the best LP value.  An
 infeasible candidate LP just means that pattern is never an optimal
 response.  Equal LP values go to the canonically first member, so
 candidates are taken by bound, highest first, and among equal bounds in
-canonical order of their members.  They stop at the first bound below the
-incumbent's value, or equal to it with a member that does not precede the
-incumbent's: no candidate from there on can win, so the result is the one
-that solving every candidate would give.
+canonical order of their members.  They stop at the first candidate whose
+bound does not beat the incumbent: no candidate from there on can win, so
+the result is the one that solving every candidate would give.
 """
 
 from __future__ import annotations
@@ -124,10 +126,6 @@ class PricingInstance:
         if self.threshold < 0:
             raise ValueError("decision threshold must be nonnegative")
 
-    @property
-    def minimizing(self) -> bool:
-        return self.base.sense is Sense.MIN
-
 
 @dataclass(frozen=True)
 class PricingSolution:
@@ -147,10 +145,15 @@ class PriceEvaluation:
     response: frozenset[str]
 
 
+def _beats(key, member: int, held: tuple | None) -> bool:
+    """Whether (key, member) wins over held, a (key, member, ...) or None."""
+    return held is None or key > held[0] or (key == held[0] and _canon_before(member, held[1]))
+
+
 def _collapse(inst: PricingInstance, ground: GroundChoice, cap: int) -> dict[int, tuple[int, int]]:
     """The base's patterns for a solve or an evaluation; a cap error names the stage."""
     base = inst.base
-    sign = -1 if inst.minimizing else 1
+    sign = base.sense.sign
     gains = tuple([sign * inst.valuation[e.id] for e in base.universe])
     try:
         return best_by_pattern(base, ground, base.mask_of(inst.leader_ids), gains, cap)
@@ -160,7 +163,7 @@ def _collapse(inst: PricingInstance, ground: GroundChoice, cap: int) -> dict[int
 
 def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolution:
     """Exact optimistic bilevel optimum of a pricing instance."""
-    if inst.domain is Domain.LOWER_CAP and not inst.minimizing:
+    if inst.domain is Domain.LOWER_CAP and inst.base.sense is not Sense.MIN:
         raise ValueError("the lower-cap domain applies to minimization instances only")
     patterns = _collapse(inst, inst.ground, cap)
     if not patterns:
@@ -190,15 +193,10 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
         valuations = [inst.valuation[e.id] for e in base.universe]
         bound = dict(zip(patterns, mask_sums(valuations, patterns)))
 
-    best_value: Fraction | None = None
-    best_pattern: int | None = None
-    best_witness: tuple[Fraction, ...] | None = None
+    best = None  # the incumbent: (LP value, member, gain, witness)
     for pattern in sorted(patterns, key=lambda p: (-bound[p], bits(patterns[p][1]))):
         gain, member = patterns[pattern]
-        if best_value is not None and (bound[pattern] < best_value or (
-            bound[pattern] == best_value
-            and not _canon_before(member, patterns[best_pattern][1])
-        )):
+        if not _beats(bound[pattern], member, best):
             break  # no candidate from here on can win
         if not var_bits:
             # The one pattern is 0, which earns nothing.
@@ -219,24 +217,19 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
             if outcome.status is LpStatus.UNBOUNDED:
                 raise RuntimeError("candidate LP unbounded despite structural bound")
             value, witness = outcome.optimal_value, outcome.witness
-        if best_value is None or value > best_value or (
-            value == best_value and _canon_before(member, patterns[best_pattern][1])
-        ):
-            best_value, best_pattern, best_witness = value, pattern, witness
+        if _beats(value, member, best):
+            best = (value, member, gain, witness)
 
-    if best_value is None:
+    if best is None:
         raise RuntimeError(
             "every candidate LP is infeasible, yet some pattern is follower-optimal"
             " at any admissible prices"
         )
+    value, member, gain, witness = best
     prices = {e: Fraction(0) for e in inst.leader_ids}
-    prices.update(zip(var_ids, best_witness))
-    gain, member = patterns[best_pattern]
-    net = gain - best_value
-    follower_value = -net if inst.minimizing else net
-    return PricingSolution(
-        SolveStatus.OPTIMAL, prices, base.ids_of(member), best_value, follower_value
-    )
+    prices.update(zip(var_ids, witness))
+    return PricingSolution(SolveStatus.OPTIMAL, prices, base.ids_of(member), value,
+                           base.sense.sign * (gain - value))
 
 
 def meets_threshold(inst: PricingInstance, outcome: PricingSolution) -> bool:
@@ -277,16 +270,12 @@ def evaluate_prices(
 
     # The follower takes the best net gain, the leader the dearest of those
     # responses, and canonical order breaks the ties that remain.
-    best_rank: tuple[Fraction, Fraction] | None = None
-    response: int | None = None
+    best = None
     for pattern, (gain, member) in patterns.items():
         paid = sum((Fraction(prices[base.universe[b].id]) for b in bits(pattern)),
                    Fraction(0))
         rank = (gain - paid, paid)
-        if best_rank is None or rank > best_rank or (
-            rank == best_rank and _canon_before(member, response)
-        ):
-            best_rank, response = rank, member
-    net, leader_value = best_rank
-    follower_value = -net if inst.minimizing else net
-    return PriceEvaluation(follower_value, leader_value, base.ids_of(response))
+        if _beats(rank, member, best):
+            best = (rank, member)
+    (net, leader_value), response = best
+    return PriceEvaluation(base.sense.sign * net, leader_value, base.ids_of(response))

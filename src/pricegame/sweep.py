@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .compilers import QdnfFormula, compile_qdnf_pricing, qdnf, qdnf_holds
 from .core import DEFAULT_CAP, CapExceededError
 from .pricing import PricingInstance, meets_threshold, solve_pricing
-from .rational import format_rational
+from .rational import format_rational, require_ints
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -37,6 +37,13 @@ class CorpusSpec:
     count: int
     seed: int
     exhaustive_pair: bool = False  # prepend the full one-pair corpus
+
+    def __post_init__(self):
+        for field, least in (("pairs", 1), ("max_terms", 1), ("count", 0)):
+            value = getattr(self, field)
+            require_ints((value,), field)
+            if value < least:
+                raise ValueError(f"corpus {field} must be at least {least}, got {value}")
 
 
 def one_pair_terms() -> list[frozenset[int]]:
@@ -157,7 +164,7 @@ def run_sweep(
     records.sort(key=lambda r: r["instance_id"])
     mismatches = [r for r in records if r["match"] is False]
     errors = [r for r in records if r["match"] is None]
-    report = {
+    return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": "verification-report",
         "corpus": dataclasses.asdict(spec),
@@ -172,4 +179,3 @@ def run_sweep(
             {"instance_id": r["instance_id"], "record": r} for r in mismatches
         ],
     }
-    return report

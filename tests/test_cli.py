@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
 import json
 import multiprocessing
 import random
+from functools import partial
 
 import pytest
 
+from pricegame import cli
 from pricegame.cli import main
 from pricegame.compilers import qdnf
 from pricegame.core import Element, explicit_problem
@@ -17,7 +20,7 @@ from pricegame.serialize import (
     load_document,
     make_document,
 )
-from pricegame.problems import cnf, vertex_cover_problem
+from pricegame.problems import cnf, sat_to_vertex_cover, vertex_cover_problem
 from pricegame.sweep import CorpusSpec, random_formula, run_sweep
 
 
@@ -90,6 +93,42 @@ def test_compile_thm2_reports_parameters(tmp_path, capsys):
     doc = load_document(out_path.read_text())
     assert doc["kind"] == "pricing"
     assert doc["provenance"][0]["step"] == "thm2"
+
+
+def test_compile_to_an_unwritable_out_prints_only_the_error(tmp_path, capsys):
+    src = write_doc(tmp_path / "q.json", "qdnf", encode_qdnf(qdnf(1, [{1}])))
+    out_path = tmp_path / "missing" / "x.json"
+    code = main(["--out", str(out_path), "compile", src, "--pipeline", "thm2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out_path.exists()
+
+
+def test_compile_without_out_prints_the_line_then_the_document(tmp_path, capsys):
+    src = write_doc(tmp_path / "q.json", "qdnf", encode_qdnf(qdnf(1, [{1}])))
+    assert main(["compile", src, "--pipeline", "thm2"]) == 0
+    line, document = capsys.readouterr().out.split("\n", 1)
+    assert line == "price_unit=2 decision_threshold=3"
+    assert load_document(document)["kind"] == "pricing"
+
+
+def test_compile_rejects_an_artifact_that_fails_certification(tmp_path, capsys, monkeypatch):
+    def swapped(formula):
+        artifact = sat_to_vertex_cover(formula)
+        embedding = {"x1": "v:~x1", "~x1": "v:x1"}
+        return dataclasses.replace(artifact, embedding=embedding)
+
+    monkeypatch.setitem(cli.PIPELINES, "sat2vc", ("cnf", partial(cli._certified, swapped)))
+    src = write_doc(tmp_path / "f.json", "cnf", encode_cnf(cnf(1, [[1]])))
+    out_path = tmp_path / "vc.json"
+    code = main(["--out", str(out_path), "compile", src, "--pipeline", "sat2vc"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: reduction artifact failed certification: ")
+    assert not out_path.exists()
 
 
 def test_compile_sat2vc_reports_threshold(tmp_path, capsys):
@@ -422,6 +461,28 @@ def test_sweep_fault_outside_the_corpus_is_an_error(tmp_path, capsys, index):
         f"error: fault index {index} is outside the corpus of 3 instances\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, field, least", [
+    ("--pairs", "0", "pairs", 1),
+    ("--max-terms", "0", "max_terms", 1),
+    ("--count", "-1", "count", 0),
+])
+def test_sweep_rejects_a_corpus_it_cannot_build(tmp_path, capsys, flag, value, field, least):
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), "verify-sweep", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: corpus {field} must be at least {least}, got {value}\n"
+    assert not out.exists()
+
+
+def test_corpus_spec_validates_its_fields():
+    with pytest.raises(ValueError, match="corpus max_terms must be at least 1"):
+        CorpusSpec(pairs=1, max_terms=0, count=3, seed=4)
+    with pytest.raises(TypeError, match="count 2.0 is not an int"):
+        CorpusSpec(pairs=1, max_terms=2, count=2.0, seed=4)
+    assert CorpusSpec(pairs=1, max_terms=1, count=0, seed=4).count == 0
 
 
 def test_sweep_records_cap_errors_as_anomalies(tmp_path):

@@ -129,6 +129,14 @@ def test_no_feasible_candidate_is_a_runtime_error(monkeypatch):
         solve_pricing(two_item_instance())
 
 
+def test_unbounded_candidate_is_a_runtime_error(monkeypatch):
+    # Every candidate's revenue is bounded by its gain lead, so this too is
+    # an internal fault.
+    monkeypatch.setattr(pricing, "solve_lp", lambda lp: LpOutcome(LpStatus.UNBOUNDED))
+    with pytest.raises(RuntimeError, match="candidate LP unbounded despite structural bound"):
+        solve_pricing(two_item_instance())
+
+
 def test_lower_cap_requires_minimization():
     inst = two_item_instance(domain=Domain.LOWER_CAP)
     with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import dataclasses
 import enum
 import json
 import math
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -247,11 +247,19 @@ _SCALARS = (
     | st.sampled_from([-0.0, 0.5, 1e300, -1e-300, math.nan, math.inf, -math.inf])
     | st.floats()
 )
+class _Items(list):
+    pass
+
+
+_Pair = namedtuple("_Pair", "left right")
+
 _TREES = st.recursive(
     _SCALARS,
     lambda inner: (
         st.lists(inner, max_size=4)
         | st.lists(inner, max_size=4).map(tuple)
+        | st.lists(inner, max_size=4).map(_Items)
+        | st.tuples(inner, inner).map(_Pair._make)
         | st.dictionaries(_TEXT, inner, max_size=4)
     ),
     max_leaves=16,
