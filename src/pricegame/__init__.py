@@ -46,7 +46,6 @@ from .pricing import (
     Domain,
     GroundChoice,
     NoFollowerSolutionError,
-    PriceEvaluation,
     PricingInstance,
     PricingSolution,
     SolveStatus,

@@ -35,10 +35,7 @@ from .pricing import Domain, GroundChoice, SolveStatus, meets_threshold, solve_p
 from .problems import SatProblem, sat_problem, sat_to_subset_sum, sat_to_vertex_cover
 from .rational import format_rational, parse_rational
 from .serialize import (
-    decode_cnf,
-    decode_artifact,
-    decode_pricing,
-    decode_qdnf,
+    DECODERS,
     dump_document,
     encode_artifact,
     encode_pricing,
@@ -109,9 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_document(path: str) -> dict:
+def _read(path: str, kind: str, reader: str):
+    """The decoded value of the document at path and its provenance; reader needs kind."""
     with open(path, "r", encoding="utf-8") as handle:
-        return load_document(handle.read())
+        doc = load_document(handle.read())
+    if doc["kind"] != kind:
+        raise ValueError(f"{reader} expects a {kind} document")
+    return DECODERS[kind](doc["payload"]), doc["provenance"]
 
 
 def _write(args, text: str) -> None:
@@ -123,10 +124,7 @@ def _write(args, text: str) -> None:
 
 
 def _cmd_solve(args) -> int:
-    doc = _read_document(args.path)
-    if doc["kind"] != "pricing":
-        raise ValueError(f"solve expects a pricing document, got {doc['kind']!r}")
-    inst = decode_pricing(doc["payload"])
+    inst, _ = _read(args.path, "pricing", "solve")
     decide = args.threshold is not None
     inst = dataclasses.replace(
         inst,
@@ -204,18 +202,11 @@ PIPELINES = {
     "weight-lift": ("reduction-artifact", _weight_lifted),
 }
 
-_DECODERS = {"qdnf": decode_qdnf, "cnf": decode_cnf, "pricing": decode_pricing,
-             "reduction-artifact": decode_artifact}
-
-
 def _cmd_compile(args) -> int:
-    doc = _read_document(args.path)
     kind, step = PIPELINES[args.pipeline]
-    if doc["kind"] != kind:
-        raise ValueError(f"{args.pipeline} expects a {kind} document")
-    out_kind, payload, steps, line = step(_DECODERS[kind](doc["payload"]), args.cap,
-                                          args.pipeline)
-    text = dump_document(make_document(out_kind, payload, [*doc["provenance"], *steps]))
+    decoded, provenance = _read(args.path, kind, args.pipeline)
+    out_kind, payload, steps, line = step(decoded, args.cap, args.pipeline)
+    text = dump_document(make_document(out_kind, payload, [*provenance, *steps]))
     # The line goes to stdout ahead of the document, or once the file is written.
     _write(args, text if args.out else f"{line}\n{text}")
     if args.out:
@@ -224,10 +215,8 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    doc = _read_document(args.path)
-    if doc["kind"] != "qdnf":
-        raise ValueError("oracle expects a qdnf document")
-    verdict = qdnf_holds(decode_qdnf(doc["payload"]))
+    formula, _ = _read(args.path, "qdnf", "oracle")
+    verdict = qdnf_holds(formula)
     _write(args, "true\n" if verdict else "false\n")
     return EXIT_OK if verdict else EXIT_FALSE
 

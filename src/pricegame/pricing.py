@@ -136,15 +136,6 @@ class PricingSolution:
     follower_value: Fraction | None = None
 
 
-@dataclass(frozen=True)
-class PriceEvaluation:
-    """Exact optimistic outcome of one fixed price vector."""
-
-    follower_value: Fraction
-    leader_value: Fraction
-    response: frozenset[str]
-
-
 def _beats(key, member: int, held: tuple | None) -> bool:
     """Whether (key, member) wins over held, a (key, member, ...) or None."""
     return held is None or key > held[0] or (key == held[0] and _canon_before(member, held[1]))
@@ -255,14 +246,21 @@ def evaluate_prices(
     prices: dict[str, Fraction],
     cap: int = DEFAULT_CAP,
     ground: GroundChoice | None = None,
-) -> PriceEvaluation:
+) -> PricingSolution:
     """Exact optimistic follower response to one fixed price vector.
 
     Independent of the LP machinery; used as a lower-bound oracle on the
-    solver and for the scaled-bound experiments on lifted instances.
+    solver and for the scaled-bound experiments on lifted instances.  Each
+    price is an int or a Fraction, else TypeError; the outcome is OPTIMAL
+    at the given prices, and an OPTIMAL solve equals the evaluation at its
+    own prices.
     """
     if set(prices) != set(inst.leader_ids):
         raise ValueError("prices must be given on exactly the leader elements")
+    for e, price in prices.items():
+        if type(price) not in (int, Fraction):
+            raise TypeError(f"price {price!r} on {e!r} is not an int or a Fraction")
+    prices = {e: Fraction(price) for e, price in prices.items()}
     patterns = _collapse(inst, ground or inst.ground, cap)
     if not patterns:
         raise NoFollowerSolutionError("the follower has no admissible response")
@@ -272,10 +270,10 @@ def evaluate_prices(
     # responses, and canonical order breaks the ties that remain.
     best = None
     for pattern, (gain, member) in patterns.items():
-        paid = sum((Fraction(prices[base.universe[b].id]) for b in bits(pattern)),
-                   Fraction(0))
+        paid = sum((prices[base.universe[b].id] for b in bits(pattern)), Fraction(0))
         rank = (gain - paid, paid)
         if _beats(rank, member, best):
             best = (rank, member)
     (net, leader_value), response = best
-    return PriceEvaluation(base.sense.sign * net, leader_value, base.ids_of(response))
+    return PricingSolution(SolveStatus.OPTIMAL, prices, base.ids_of(response), leader_value,
+                           base.sense.sign * net)

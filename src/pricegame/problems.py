@@ -487,9 +487,12 @@ def _subset_sum_patterns(
       exactly target   the first half of the items by position on the left,
                        the rest on the right, whatever the leader mask.  Per
                        right value that some left part needs, a map from
-                       right pattern to its best gain and the parts tied at
-                       it; each left part of value v whose need target - v
-                       is there joins its pattern with each right pattern.
+                       right pattern to its best gain and its canonical part
+                       at that gain; each left part of value v whose need
+                       target - v is there joins its pattern with each right
+                       pattern.  Right bits lie above left bits, so for one
+                       left part a, a | b1 precedes a | b2 in canonical order
+                       exactly when b1 precedes b2.
       at most target   the lowest follower items, then the leader items, on
                        the left, about half of all items, so a member's
                        pattern is its left part's and the parts showing one
@@ -500,11 +503,12 @@ def _subset_sum_patterns(
                        right part always fits.  A pattern's best gain is its
                        block's maximum.
 
-    The canonical member is sought only among the pairs tied at a pattern's
-    best gain, and a floor drops the patterns whose best falls below it.
-    The exact search also answers a feasible query whose gains are the
-    values and whose floor is at least the target: only the members hitting
-    the target can reach that floor.
+    Each pattern's best gain and canonical member are kept as the halves
+    meet.  A floor drops the patterns whose best falls below it; the at-most
+    search applies it before it looks among a block's ties for the
+    canonical member.  The exact search also answers a feasible query whose
+    gains are the values and whose floor is at least the target: only the
+    members hitting the target can reach that floor.
     """
     n = len(values)
     if exact:
@@ -525,30 +529,27 @@ def _subset_sum_patterns(
     left_bits, left_values, left_gains = tables(left)
     right_bits, right_values, right_gains = tables(right)
 
-    # Per pattern: its best total gain and the pairs (left part, right
-    # parts) tied at it.
-    best: dict[int, tuple[int, list[tuple[int, list[int]]]]] = {}
+    answer = {}
     if exact:
         needs = {target - v for v in left_values}
-        by_value: dict[int, dict[int, tuple[int, list[int]]]] = {}
+        by_value: dict[int, dict[int, tuple[int, int]]] = {}
         for j in [j for j, v in enumerate(right_values) if v in needs]:
             b, g = right_bits[j], right_gains[j]
             at = by_value.setdefault(right_values[j], {})
             held = at.get(b & leader_mask)
-            if held is None or g > held[0]:
-                at[b & leader_mask] = (g, [b])
-            elif g == held[0]:
-                held[1].append(b)
+            if held is None or g > held[0] or g == held[0] and _canon_before(b, held[1]):
+                at[b & leader_mask] = (g, b)
         for k in [k for k, v in enumerate(left_values) if target - v in by_value]:
             a, g = left_bits[k], left_gains[k]
-            for pattern, (top, parts) in by_value[target - left_values[k]].items():
+            for pattern, (top, b) in by_value[target - left_values[k]].items():
                 total = g + top
                 pattern |= a & leader_mask
-                held = best.get(pattern)
-                if held is None or total > held[0]:
-                    best[pattern] = (total, [(a, parts)])
-                elif total == held[0]:
-                    held[1].append((a, parts))
+                held = answer.get(pattern)
+                if held is None or total > held[0] or \
+                        total == held[0] and _canon_before(a | b, held[1]):
+                    answer[pattern] = (total, a | b)
+        if floor is not None:
+            answer = {p: held for p, held in answer.items() if held[0] >= floor}
     else:
         # The right parts that no lighter part beats on gain, by value.
         order = sorted(range(len(right_values)), key=right_values.__getitem__)
@@ -569,20 +570,15 @@ def _subset_sum_patterns(
             if left_values[start] <= target:
                 block = totals[start:start + size]
                 total = max(block)
-                ties = best[left_bits[start]] = (total, [])
+                if floor is not None and total < floor:
+                    continue
+                member = None
                 for k in [start + k for k, t in enumerate(block) if t == total]:
-                    lo = bisect_left(kept_gains, total - left_gains[k])
-                    ties[1].append((left_bits[k], [right_bits[j] for j in kept[lo:fits[k]]]))
-
-    answer = {}
-    for pattern, (total, ties) in best.items():
-        if floor is None or total >= floor:
-            member = None
-            for a, parts in ties:
-                for b in parts:
-                    if member is None or _canon_before(a | b, member):
-                        member = a | b
-            answer[pattern] = (total, member)
+                    a = left_bits[k]
+                    for j in kept[bisect_left(kept_gains, total - left_gains[k]):fits[k]]:
+                        if member is None or _canon_before(a | right_bits[j], member):
+                            member = a | right_bits[j]
+                answer[left_bits[start]] = (total, member)
     return answer
 
 

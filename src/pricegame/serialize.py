@@ -1,9 +1,9 @@
 """Instance documents: a JSON format for every artifact this package builds.
 
 A document is {schema_version, kind, payload, provenance} with kind one of
-qdnf, cnf, pricing, reduction-artifact.  Rationals are serialized as
-"numerator/denominator" strings, never as decimals; literals inside cnf and
-qdnf payloads are signed integers.  Serialization preserves the stored
+the keys of DECODERS: qdnf, cnf, pricing, reduction-artifact.  Rationals
+are serialized as "numerator/denominator" strings, never as decimals;
+literals inside cnf and qdnf payloads are signed integers.  Serialization preserves the stored
 order of formulas and universes, so parsing a serialized value reproduces
 it exactly, and serializing the same value twice yields identical bytes.
 """
@@ -19,11 +19,10 @@ from .problems import CnfFormula, sat_problem, subset_sum_problem, vertex_cover_
 from .rational import format_rational, parse_rational
 
 SCHEMA_VERSION = "1"
-KINDS = ("qdnf", "cnf", "pricing", "reduction-artifact")
 
 
 def make_document(kind: str, payload: dict, provenance=()) -> dict:
-    if kind not in KINDS:
+    if kind not in DECODERS:
         raise ValueError(f"unknown document kind {kind!r}")
     return {
         "schema_version": SCHEMA_VERSION,
@@ -101,7 +100,7 @@ def load_document(text: str) -> dict:
             raise ValueError(f"document is missing the {field!r} field")
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc['schema_version']!r}")
-    if doc["kind"] not in KINDS:
+    if doc["kind"] not in DECODERS:
         raise ValueError(f"unknown document kind {doc['kind']!r}")
     provenance = doc.setdefault("provenance", [])
     if not isinstance(provenance, list) or not all(isinstance(p, dict) for p in provenance):
@@ -294,6 +293,11 @@ def decode_artifact(payload: dict) -> tuple[GroundProblem, ReductionArtifact]:
         embedding=_mapping(payload, "embedding", str, "strings"),
     )
     return source, artifact
+
+
+# Document kind -> the decoder of its payload.
+DECODERS = {"qdnf": decode_qdnf, "cnf": decode_cnf, "pricing": decode_pricing,
+            "reduction-artifact": decode_artifact}
 
 
 def pricing_summary(inst: PricingInstance, solution, decision=None) -> list[str]:

@@ -141,7 +141,10 @@ def run_sweep(
     inject_fault: int | None = None,
     timed: bool = False,
 ) -> dict:
-    """Check every corpus item; inject_fault, if given, must index one of them."""
+    """Check every corpus item in jobs processes; inject_fault, if given, must index one."""
+    require_ints((jobs,), "jobs")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     items = build_corpus(spec)
     if inject_fault is not None and not 0 <= inject_fault < len(items):
         raise ValueError(

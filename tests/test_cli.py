@@ -253,8 +253,9 @@ WRONG_INPUTS = {
     (["compile", "--pipeline", "lift-max"], "pricing-over-vc",
      "this pipeline needs a pricing document over a sat base"),
     (["oracle"], "cnf", "oracle expects a qdnf document"),
+    (["solve"], "qdnf", "solve expects a pricing document"),
 ], ids=["thm2-cnf", "sat2vc-qdnf", "sat2ss-qdnf", "weight-lift-pricing", "lift-min-cnf",
-        "lift-max-vc-base", "oracle-cnf"])
+        "lift-max-vc-base", "oracle-cnf", "solve-qdnf"])
 def test_wrong_document_kinds_are_one_line_errors(tmp_path, capsys, command, document, message):
     path = WRONG_INPUTS[document](tmp_path)
     assert main([command[0], path, *command[1:]]) == 1
@@ -475,6 +476,21 @@ def test_sweep_rejects_a_corpus_it_cannot_build(tmp_path, capsys, flag, value, f
     assert captured.out == ""
     assert captured.err == f"error: corpus {field} must be at least {least}, got {value}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), "--jobs", jobs, "verify-sweep", "--count", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: jobs must be at least 1, got {jobs}\n"
+    assert not out.exists()
+
+
+def test_run_sweep_takes_an_int_job_count():
+    with pytest.raises(TypeError, match="jobs 2.0 is not an int"):
+        run_sweep(CorpusSpec(pairs=1, max_terms=1, count=1, seed=0), jobs=2.0)
 
 
 def test_corpus_spec_validates_its_fields():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pricegame import core, pricing, problems
-from pricegame.compilers import compile_qdnf_pricing
+from pricegame.compilers import compile_qdnf_pricing, lift_feas, lift_max, lift_min
 from pricegame.core import (
     Element,
     ExplicitProblem,
@@ -16,6 +16,7 @@ from pricegame.core import (
     best_by_enumeration,
     best_by_pattern,
     explicit_problem,
+    identity_reduction,
 )
 from pricegame.linprog import LpOutcome, LpStatus
 from pricegame.pricing import (
@@ -28,9 +29,17 @@ from pricegame.pricing import (
     evaluate_prices,
     solve_pricing,
 )
-from pricegame.problems import cnf, sat_problem, subset_sum_problem, vertex_cover_problem
+from pricegame.problems import (
+    cnf,
+    sat_problem,
+    sat_to_subset_sum,
+    sat_to_vertex_cover,
+    subset_sum_problem,
+    vertex_cover_problem,
+)
 from pricegame.serialize import pricing_summary
 from pricegame.sweep import decision_fields, random_formula
+from test_compilers import seeded_sat_sources
 
 
 def two_item_instance(domain=Domain.FREE):
@@ -198,6 +207,48 @@ def test_optimistic_semantics_under_reevaluation(seed):
     # optima, leader-optimal; the solver's value is that optimum.
     assert check.leader_value == outcome.leader_value
     assert check.follower_value == outcome.follower_value
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=60, deadline=None)
+def test_a_solve_is_the_evaluation_of_its_own_prices(seed):
+    # Per seed: a random explicit instance, the three lifts of a sat source
+    # and thm2 compiles at one and two pairs, each under every domain that
+    # applies.  A tied response paying the leader more would have won its
+    # own LP, so the evaluation picks the solve's response, canonical ties
+    # included, and the outcomes are equal field for field.
+    rng = random.Random(seed)
+    formula, src = next(seeded_sat_sources(rng, 1))
+    instances = [random_instance(rng)]
+    instances += [lift(src, artifact)[0] for lift, artifact in (
+        (lift_min, sat_to_vertex_cover(formula)),
+        (lift_max, sat_to_subset_sum(formula)),
+        (lift_feas, identity_reduction(src.base)),
+    )]
+    instances += [compile_qdnf_pricing(random_formula(rng, pairs, 3)).pricing for pairs in (1, 2)]
+    for inst in instances:
+        for domain in Domain:
+            if domain is Domain.LOWER_CAP and inst.base.sense is not Sense.MIN:
+                continue
+            here = dataclasses.replace(inst, domain=domain)
+            solution = solve_pricing(here)
+            if solution.status is SolveStatus.OPTIMAL:
+                assert evaluate_prices(here, solution.prices) == solution
+
+
+@pytest.mark.parametrize("price", [0.1, True, "1/2"], ids=["float", "bool", "str"])
+def test_evaluate_prices_takes_only_exact_prices(price):
+    with pytest.raises(TypeError, match=f"price {price!r} on 'eL' is not an int or a Fraction"):
+        evaluate_prices(two_item_instance(), {"eL": price})
+
+
+def test_evaluate_prices_returns_its_prices_as_fractions():
+    outcome = evaluate_prices(two_item_instance(), {"eL": 2})
+    assert outcome.status is SolveStatus.OPTIMAL
+    assert outcome.prices == {"eL": Fraction(2)}
+    assert type(outcome.prices["eL"]) is Fraction
+    assert (outcome.leader_value, outcome.follower_value) == (2, 3)
+    assert outcome.response == frozenset({"eL"})
 
 
 @given(st.integers(min_value=0, max_value=10**9))
