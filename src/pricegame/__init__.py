@@ -15,7 +15,7 @@ lifts, and a batch verification harness.
 # collection empties them, and a loop that makes no reference cycles runs
 # none.
 
-from .rational import Rational, format_rational, parse_rational
+from .rational import format_rational, parse_rational
 from .linprog import LinearProgram, LpOutcome, LpStatus, solve_lp
 from .core import (
     CapExceededError,

@@ -52,12 +52,20 @@ EXIT_UNBOUNDED = 3
 EXIT_NO_FOLLOWER = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a malformed command line exits 1; subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _add_global_flags(parser) -> None:
     # SUPPRESS keeps unprovided copies from clobbering the root defaults,
     # so the flags work both before and after the subcommand.
     parser.add_argument("--cap", type=int, default=argparse.SUPPRESS, metavar="N",
-                        help="enumeration cap: bounds the walk at 2^N steps "
-                             f"(default {DEFAULT_CAP})")
+                        help="enumeration cap, at least 0: bounds each walk, the "
+                             f"oracle's included, at 2^N steps (default {DEFAULT_CAP})")
     parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for generated corpora")
     parser.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
@@ -67,7 +75,7 @@ def _add_global_flags(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pricegame",
         description="Exact solver and reduction pipelines for combinatorial pricing games.",
     )
@@ -149,7 +157,7 @@ def _cmd_solve(args) -> int:
 def _thm2(formula, cap, name):
     compiled = compile_qdnf_pricing(formula)
     return ("pricing", encode_pricing(compiled.pricing), compiled.provenance,
-            f"price_unit={compiled.price_unit} decision_threshold={compiled.decision_threshold}")
+            f"price_unit={compiled.price_unit} decision_threshold={compiled.pricing.threshold}")
 
 
 def _certified(reduce, formula, cap, name):
@@ -216,7 +224,7 @@ def _cmd_compile(args) -> int:
 
 def _cmd_oracle(args) -> int:
     formula, _ = _read(args.path, "qdnf", "oracle")
-    verdict = qdnf_holds(formula)
+    verdict = qdnf_holds(formula, args.cap)
     _write(args, "true\n" if verdict else "false\n")
     return EXIT_OK if verdict else EXIT_FALSE
 
@@ -237,7 +245,10 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.cap < 0:
+        parser.error(f"argument --cap: must be at least 0, got {args.cap}")
     handlers = {
         "solve": _cmd_solve,
         "compile": _cmd_compile,

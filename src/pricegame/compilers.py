@@ -13,6 +13,9 @@ toll exactly when the revealed exists assignment fails against some forall
 assignment.  Collecting the full toll plus the selector margins is possible
 precisely when some exists assignment beats every forall assignment.
 
+qdnf_holds, the oracle, walks the 4^n assignments of n pairs: a search
+over 2n binary choices, held to the enumeration cap like any other.
+
 lift_max, lift_min and lift_feas transport a pricing instance over
 satisfiability through a certified reduction into pricing over the
 reduction's target problem.  They are one lift that differs only in the
@@ -44,8 +47,6 @@ from .core import (
 from .pricing import Domain, GroundChoice, PricingInstance
 from .problems import CnfFormula, sat_problem
 from .rational import require_ints
-
-QDNF_PAIR_LIMIT = 12
 
 
 class CompileAnomalyError(RuntimeError):
@@ -89,15 +90,16 @@ def qdnf(num_pairs: int, terms) -> QdnfFormula:
     return QdnfFormula(num_pairs, ordered)
 
 
-def qdnf_holds(q: QdnfFormula) -> bool:
+def qdnf_holds(q: QdnfFormula, cap: int = DEFAULT_CAP) -> bool:
     """Exhaustively decide the exists/forall DNF formula.
 
     True iff some exists-block assignment satisfies the formula under every
-    forall-block assignment.  The walk is 4^n, so n is capped.
+    forall-block assignment.  The walk of 4^n assignments is a search over
+    2n binary choices held to the cap: the default 24 admits 12 pairs.
     """
     n = q.num_pairs
-    if n > QDNF_PAIR_LIMIT:
-        raise CapExceededError(n, QDNF_PAIR_LIMIT, f"a formula of {n} exists/forall pairs")
+    if 2 * n > cap:
+        raise CapExceededError(2 * n, cap, f"a search over {2 * n} binary choices")
     terms = []
     for term in q.terms:
         pos = neg = 0
@@ -123,9 +125,7 @@ def qdnf_holds(q: QdnfFormula) -> bool:
 @dataclass(frozen=True)
 class CompiledSatPricing:
     pricing: PricingInstance
-    decision_threshold: int
     price_unit: int
-    formula: CnfFormula
     provenance: tuple[dict, ...]
 
 
@@ -224,7 +224,7 @@ def compile_qdnf_pricing(q: QdnfFormula) -> CompiledSatPricing:
             },
         },
     )
-    return CompiledSatPricing(pricing, threshold, unit, formula, provenance)
+    return CompiledSatPricing(pricing, unit, provenance)
 
 
 @dataclass(frozen=True)

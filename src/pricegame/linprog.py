@@ -31,8 +31,6 @@ from operator import mul, neg, sub
 
 from .rational import require_ints
 
-Relation = str  # "<=", ">=", "="
-
 _RELATIONS = ("<=", ">=", "=")
 
 
@@ -46,13 +44,14 @@ class LpStatus(Enum):
 class LinearProgram:
     """Maximize objective . x subject to constraints and optional bounds.
 
-    Every coefficient, right-hand side and bound is an int; anything else,
-    a Fraction included, is a TypeError.
+    A constraint is (coefficients, relation, right-hand side), the relation
+    one of "<=", ">=" and "=".  Every coefficient, right-hand side and bound
+    is an int; anything else, a Fraction included, is a TypeError.
     """
 
     num_vars: int
     objective: tuple[int, ...]
-    constraints: tuple[tuple[tuple[int, ...], Relation, int], ...]
+    constraints: tuple[tuple[tuple[int, ...], str, int], ...]
     lower: dict[int, int] = field(default_factory=dict)
     upper: dict[int, int] = field(default_factory=dict)
 

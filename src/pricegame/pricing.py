@@ -141,13 +141,13 @@ def _beats(key, member: int, held: tuple | None) -> bool:
     return held is None or key > held[0] or (key == held[0] and _canon_before(member, held[1]))
 
 
-def _collapse(inst: PricingInstance, ground: GroundChoice, cap: int) -> dict[int, tuple[int, int]]:
+def _collapse(inst: PricingInstance, cap: int) -> dict[int, tuple[int, int]]:
     """The base's patterns for a solve or an evaluation; a cap error names the stage."""
     base = inst.base
     sign = base.sense.sign
     gains = tuple([sign * inst.valuation[e.id] for e in base.universe])
     try:
-        return best_by_pattern(base, ground, base.mask_of(inst.leader_ids), gains, cap)
+        return best_by_pattern(base, inst.ground, base.mask_of(inst.leader_ids), gains, cap)
     except CapExceededError as err:
         raise err.staged(f"solve of the {base.name} ground: ") from err
 
@@ -156,7 +156,7 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
     """Exact optimistic bilevel optimum of a pricing instance."""
     if inst.domain is Domain.LOWER_CAP and inst.base.sense is not Sense.MIN:
         raise ValueError("the lower-cap domain applies to minimization instances only")
-    patterns = _collapse(inst, inst.ground, cap)
+    patterns = _collapse(inst, cap)
     if not patterns:
         return PricingSolution(SolveStatus.NO_FOLLOWER_SOLUTION)
     low_bound, high_bound = _PRICE_BOUNDS[inst.domain]
@@ -242,10 +242,7 @@ def decide_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> bool:
 
 
 def evaluate_prices(
-    inst: PricingInstance,
-    prices: dict[str, Fraction],
-    cap: int = DEFAULT_CAP,
-    ground: GroundChoice | None = None,
+    inst: PricingInstance, prices: dict[str, Fraction], cap: int = DEFAULT_CAP
 ) -> PricingSolution:
     """Exact optimistic follower response to one fixed price vector.
 
@@ -261,7 +258,7 @@ def evaluate_prices(
         if type(price) not in (int, Fraction):
             raise TypeError(f"price {price!r} on {e!r} is not an int or a Fraction")
     prices = {e: Fraction(price) for e, price in prices.items()}
-    patterns = _collapse(inst, ground or inst.ground, cap)
+    patterns = _collapse(inst, cap)
     if not patterns:
         raise NoFollowerSolutionError("the follower has no admissible response")
     base = inst.base

@@ -1,21 +1,19 @@
 """Exact rational arithmetic.
 
-Every number that can reach a threshold comparison in this package is a
-Rational.  There is no floating point in any optimization path: leader
-values, follower values and prices are exact fractions, LP data are
-integers or exact fractions, and all comparisons are exact.
+Every number that can reach a threshold comparison in this package is an
+int or a standard library Fraction, never a float: leader values, follower
+values and prices are exact fractions, LP data are integers, and all
+comparisons are exact.
 
-Rational is the standard library Fraction, which already maintains the
-canonical form we rely on: positive denominator, gcd-reduced after every
-operation.  This module pins that choice and the one serialization format
-for rationals, "numerator/denominator" with no decimal notation anywhere.
+Fraction keeps the canonical form we rely on: positive denominator,
+gcd-reduced after every operation.  This module holds the one serialization
+format for rationals, "numerator/denominator" with no decimal notation
+anywhere, and the check that exact inputs are ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-Rational = Fraction
 
 _INT = frozenset({int})
 

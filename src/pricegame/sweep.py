@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .compilers import QdnfFormula, compile_qdnf_pricing, qdnf, qdnf_holds
 from .core import DEFAULT_CAP, CapExceededError
-from .pricing import PricingInstance, meets_threshold, solve_pricing
+from .pricing import PricingInstance, PricingSolution, meets_threshold, solve_pricing
 from .rational import format_rational, require_ints
 
 REPORT_SCHEMA_VERSION = "1"
@@ -58,14 +58,10 @@ def one_pair_terms() -> list[frozenset[int]]:
     return terms
 
 
-def exhaustive_one_pair_corpus(max_terms: int = 2) -> list[QdnfFormula]:
-    """Every term set with at most max_terms terms over one pair, deduplicated."""
+def exhaustive_one_pair_corpus() -> list[QdnfFormula]:
+    """Every term set with at most two terms over one pair, deduplicated."""
     terms = one_pair_terms()
-    corpus = []
-    for k in range(max_terms + 1):
-        for chosen in itertools.combinations(terms, k):
-            corpus.append(qdnf(1, chosen))
-    return corpus
+    return [qdnf(1, chosen) for k in range(3) for chosen in itertools.combinations(terms, k)]
 
 
 def random_formula(rng: random.Random, pairs: int, max_terms: int) -> QdnfFormula:
@@ -89,16 +85,11 @@ def build_corpus(spec: CorpusSpec) -> list[tuple[str, QdnfFormula]]:
     return items
 
 
-def _decide_compiled(instance: PricingInstance, cap: int):
-    outcome = solve_pricing(instance, cap)
-    return meets_threshold(instance, outcome), outcome.leader_value
-
-
-def decision_fields(instance: PricingInstance, cap: int = DEFAULT_CAP) -> dict:
-    """The pricing side of a sweep record; an unbounded value is recorded as null."""
-    verdict, value = _decide_compiled(instance, cap)
+def decision_fields(instance: PricingInstance, outcome: PricingSolution) -> dict:
+    """A sweep record's pricing side: outcome at instance's threshold; unbounded is null."""
+    value = outcome.leader_value
     return {
-        "pricing": verdict,
+        "pricing": meets_threshold(instance, outcome),
         "leader_value": None if value is None else format_rational(value),
         "decision_threshold": format_rational(instance.threshold),
     }
@@ -116,16 +107,17 @@ def check_one(
                     "terms": [sorted(t) for t in q.terms]}
     start = time.perf_counter()
     try:
-        expected = qdnf_holds(q)
+        expected = qdnf_holds(q, cap)
         instance = compile_qdnf_pricing(q).pricing
+        outcome = solve_pricing(instance, cap)
         if corrupt:
-            # Push the threshold past the achieved value (or down onto it)
-            # so the recorded decision is guaranteed to flip.
-            verdict, value = _decide_compiled(instance, cap)
-            bumped = instance.threshold + 1 if verdict else value
+            # The solve never reads the threshold, so pushing it past the
+            # achieved value (or down onto it) flips the recorded decision.
+            verdict = meets_threshold(instance, outcome)
+            bumped = instance.threshold + 1 if verdict else outcome.leader_value
             instance = dataclasses.replace(instance, threshold=bumped)
             record["fault_injected"] = True
-        record.update(decision_fields(instance, cap), oracle=expected)
+        record.update(decision_fields(instance, outcome), oracle=expected)
         record["match"] = expected == record["pricing"]
     except CapExceededError as err:
         record.update(oracle=None, pricing=None, match=None, anomaly=str(err))

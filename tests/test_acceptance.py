@@ -5,6 +5,7 @@ comparison is exact rational or integer equality, nothing is toleranced.
 Seeded corpora are deterministic, so reruns exercise identical instances.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -207,7 +208,7 @@ def test_criterion_4_follower_bound_under_any_prices(lifted_corpus):
             bound = params.target_optimum * params.weight_scale
             for _ in range(50):
                 prices = sample_price_vector(rng, lifted.leader_ids, params.weight_scale)
-                outcome = evaluate_prices(lifted, prices, ground=GroundChoice.FEASIBLE)
+                outcome = evaluate_prices(lifted, prices)
                 ok = outcome.follower_value <= bound if mode == "min" \
                     else outcome.follower_value >= bound
                 violations += not ok
@@ -222,12 +223,13 @@ def test_criterion_5_ground_set_collapse(lifted_corpus):
     for entry in lifted_corpus:
         for mode in ("min", "max"):
             lifted, params = entry[mode]
+            solutions = dataclasses.replace(lifted, ground=GroundChoice.SOLUTIONS)
             for _ in range(50):
                 prices = sample_price_vector(rng, lifted.leader_ids, params.weight_scale)
-                over_feasible = evaluate_prices(lifted, prices, ground=GroundChoice.FEASIBLE)
+                over_feasible = evaluate_prices(lifted, prices)
                 if over_feasible.leader_value < 0:
                     continue
-                over_solutions = evaluate_prices(lifted, prices, ground=GroundChoice.SOLUTIONS)
+                over_solutions = evaluate_prices(solutions, prices)
                 checked += 1
                 failures += over_feasible.leader_value != over_solutions.leader_value
     report(5, f"optimistic value identical over feasible sets and solution sets "

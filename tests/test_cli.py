@@ -7,7 +7,7 @@ from functools import partial
 
 import pytest
 
-from pricegame import cli
+from pricegame import cli, sweep
 from pricegame.cli import main
 from pricegame.compilers import qdnf
 from pricegame.core import Element, explicit_problem
@@ -227,6 +227,55 @@ def test_parse_error_is_exit_one(tmp_path, capsys):
     assert main(["solve", str(bad)]) == 1
     bad.write_text(dump_document(make_document("cnf", encode_cnf(cnf(1, [[1]])))))
     assert main(["solve", str(bad)]) == 1
+
+
+NEGATIVE_CAP = "pricegame: error: argument --cap: must be at least 0, got -1"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--cap", "abc", "solve", "p.json"], "pricegame: error: argument --cap: invalid int value"),
+    (["solve"], "pricegame solve: error: the following arguments are required: path"),
+    (["compile", "q.json", "--pipeline", "nope"],
+     "pricegame compile: error: argument --pipeline: invalid choice: 'nope'"),
+    (["solve", "p.json", "--bogus"], "pricegame: error: unrecognized arguments: --bogus"),
+    (["--cap", "-1", "solve", "p.json"], NEGATIVE_CAP),
+    (["solve", "p.json", "--cap", "-1"], NEGATIVE_CAP),
+], ids=["cap-not-an-int", "solve-without-path", "unknown-pipeline", "unknown-flag",
+        "negative-cap-before-the-command", "negative-cap-after-the-command"])
+def test_malformed_command_lines_exit_one(capsys, argv, message):
+    # Exit 2 is a false decision, so a malformed command line must not use it.
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: pricegame")
+    assert captured.err.splitlines()[-1].startswith(message)
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pricegame")
+
+
+def test_a_zero_cap_is_valid(tmp_path, capsys):
+    # An explicit problem declares a walk of 2^0 steps.
+    assert main(["--cap", "0", "solve", two_item_pricing_doc(tmp_path)]) == 0
+    assert "leader_value: 2/1" in capsys.readouterr().out
+
+
+def test_the_oracle_reads_the_cap(tmp_path, capsys):
+    q = write_doc(tmp_path / "q.json", "qdnf", encode_qdnf(qdnf(1, [{1}])))
+    assert main(["--cap", "0", "oracle", q]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a search over 2 binary choices exceeds the enumeration cap of 0\n"
+    )
+    assert main(["--cap", "2", "oracle", q]) == 0
+    assert capsys.readouterr().out == "true\n"
 
 
 def vertex_cover_pricing_doc(tmp_path):
@@ -511,6 +560,28 @@ def test_sweep_records_cap_errors_as_anomalies(tmp_path):
     report = json.loads(out.read_text())
     assert report["summary"]["errors"] == 2
     assert all("cap" in r["anomaly"] for r in report["records"])
+
+
+def test_a_sweep_below_twice_the_pairs_records_the_oracle_cap_error(tmp_path, capsys):
+    out = tmp_path / "capped.json"
+    assert main(["--out", str(out), "--cap", "3", "verify-sweep", "--pairs", "2",
+                 "--count", "2"]) == 1
+    assert "errors=2" in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert {r["anomaly"] for r in report["records"]} == {
+        "a search over 4 binary choices exceeds the enumeration cap of 3"
+    }
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_a_sweep_record_solves_once(monkeypatch, corrupt):
+    solved = []
+    solve = sweep.solve_pricing
+    monkeypatch.setattr(sweep, "solve_pricing",
+                        lambda inst, cap: solved.append(inst) or solve(inst, cap))
+    record = sweep.check_one("one", qdnf(1, [{1}]), corrupt=corrupt)
+    assert len(solved) == 1
+    assert record["match"] is not corrupt
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

@@ -65,6 +65,17 @@ def test_oracle_enumeration_bound():
         qdnf_holds(qdnf(13, [{1}]))
 
 
+def test_the_oracle_holds_its_search_to_the_cap():
+    with pytest.raises(CapExceededError) as err:
+        qdnf_holds(qdnf(3, [{1}]), cap=5)
+    assert str(err.value) == "a search over 6 binary choices exceeds the enumeration cap of 5"
+    assert qdnf_holds(qdnf(3, [{1}]), cap=6) is True
+    # The default cap admits 12 pairs.  With no terms the formula is false
+    # at the first forall assignment of every exists assignment, so this
+    # walk is 2^12 steps, not 4^12.
+    assert qdnf_holds(qdnf(12, [])) is False
+
+
 def test_qdnf_rejects_a_float_literal():
     with pytest.raises(TypeError, match=r"^literal 1\.0 is not an int$"):
         qdnf(1, [[1.0]])
@@ -79,9 +90,9 @@ def test_certification_cap_errors_name_the_lift_and_the_problem():
     compiled = compile_qdnf_pricing(qdnf(1, [{1}]))
     source = compiled.pricing
     cases = (
-        (lift_min, sat_to_vertex_cover(compiled.formula), 24,
+        (lift_min, sat_to_vertex_cover(compiled.pricing.base.formula), 24,
          "lift-min certification of the vertex-cover target: a universe of 67 elements", 67),
-        (lift_max, sat_to_subset_sum(compiled.formula), 24,
+        (lift_max, sat_to_subset_sum(compiled.pricing.base.formula), 24,
          "lift-max certification of the subset-sum target: a universe of 56 elements", 56),
         (lift_feas, identity_reduction(source.base), 5,
          "lift-feas certification of the sat source: a search over 9 binary choices", 9),
@@ -107,7 +118,7 @@ def test_formula_validation():
 def test_compile_shape_for_one_pair():
     compiled = compile_qdnf_pricing(qdnf(1, [{1}]))
     assert compiled.price_unit == 2
-    assert compiled.decision_threshold == 2 * 2 - 1
+    assert compiled.pricing.threshold == 2 * 2 - 1
     assert len(compiled.pricing.base.universe) == 18
     assert compiled.pricing.ground is GroundChoice.SOLUTIONS
     assert compiled.pricing.domain is Domain.FREE
@@ -117,7 +128,7 @@ def test_compile_shape_for_one_pair():
     assert compiled.pricing.valuation["fallback"] == 1
     assert compiled.pricing.valuation["dodge"] == 1
     assert compiled.pricing.valuation["sel_skip1"] == 1
-    assert set(compiled.formula.var_names) >= {"fallback", "engage", "toll", "dodge"}
+    assert set(compiled.pricing.base.formula.var_names) >= {"fallback", "engage", "toll", "dodge"}
 
 
 def test_compile_decides_like_the_oracle_on_the_examples():
@@ -311,7 +322,7 @@ def test_compiled_leader_value_never_exceeds_threshold():
         q = random_formula(rng, 1, 2)
         compiled = compile_qdnf_pricing(q)
         outcome = solve_pricing(compiled.pricing)
-        assert outcome.leader_value <= compiled.decision_threshold
+        assert outcome.leader_value <= compiled.pricing.threshold
 
 
 @pytest.mark.parametrize("seed, expected", [(0, True), (1, False), (2, True), (3, False)])

@@ -92,7 +92,7 @@ def test_cap_errors_name_what_they_counted():
     assert (err.value.size, err.value.cap) == (30, 24)
     with pytest.raises(CapExceededError) as err:
         qdnf_holds(qdnf(13, [{1}]))
-    assert str(err.value) == "a formula of 13 exists/forall pairs exceeds the enumeration cap of 12"
+    assert str(err.value) == "a search over 26 binary choices exceeds the enumeration cap of 24"
 
 
 def test_pattern_memo_keeps_the_answer_in_use():

@@ -74,7 +74,7 @@ def test_sweep_and_decide_pricing_agree_on_unbounded_outcome():
     )
     assert solve_pricing(inst).status is SolveStatus.UNBOUNDED
     assert decide_pricing(inst) is True
-    fields = decision_fields(inst)
+    fields = decision_fields(inst, solve_pricing(inst))
     assert fields["pricing"] is True
     assert fields["leader_value"] is None
     assert fields["decision_threshold"] == "5/1"
@@ -379,7 +379,7 @@ def test_tie_stop_solves_fewer_lps_for_the_same_solution(monkeypatch):
     # each of them would take four LPs.  The first in canonical order wins,
     # so the tie stop needs only its LP.
     inst = compile_qdnf_pricing(random_formula(random.Random(0), 2, 3)).pricing
-    patterns = pricing._collapse(inst, inst.ground, 24)
+    patterns = pricing._collapse(inst, 24)
     reaching = [p for p, (gain, _) in patterns.items() if gain - patterns[0][0] >= 10]
     solved = []
     solve_lp = pricing.solve_lp
