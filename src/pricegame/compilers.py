@@ -43,6 +43,7 @@ from .core import (
     ReductionArtifact,
     Sense,
     check_reduction,
+    require_cap,
 )
 from .pricing import Domain, GroundChoice, PricingInstance
 from .problems import CnfFormula, sat_problem
@@ -97,6 +98,7 @@ def qdnf_holds(q: QdnfFormula, cap: int = DEFAULT_CAP) -> bool:
     forall-block assignment.  The walk of 4^n assignments is a search over
     2n binary choices held to the cap: the default 24 admits 12 pairs.
     """
+    require_cap(cap)
     n = q.num_pairs
     if 2 * n > cap:
         raise CapExceededError(2 * n, cap, f"a search over {2 * n} binary choices")

@@ -67,6 +67,12 @@ class CapExceededError(RuntimeError):
         return CapExceededError(self.size, self.cap, stage + self.counted)
 
 
+def require_cap(cap: int) -> None:
+    """Raise ValueError unless cap, a bound of 2^cap on an enumeration, is at least 0."""
+    if cap < 0:
+        raise ValueError(f"the enumeration cap must be at least 0, got {cap}")
+
+
 class Sense(Enum):
     MIN = "min"
     MAX = "max"
@@ -188,6 +194,7 @@ class GroundProblem:
 
     def _check_cap(self, cap: int) -> None:
         """Raise CapExceededError if enumerating this problem costs over 2^cap."""
+        require_cap(cap)
         if self.cost_bits is None:
             if self.size > cap:
                 raise CapExceededError(self.size, cap, f"a universe of {self.size} elements")

@@ -30,13 +30,22 @@ member avoids the leader's part (there is no pattern 0), revenue grows
 without bound.  Otherwise one exact LP per candidate pattern, highest
 revenue bound first, maximizes the pattern's price revenue subject to its
 price lead over every other pattern staying within its gain lead, plus the
-price-domain restriction.  The bilevel optimum is the best LP value.  An
-infeasible candidate LP just means that pattern is never an optimal
-response.  Equal LP values go to the canonically first member, so
-candidates are taken by bound, highest first, and among equal bounds in
-canonical order of their members.  They stop at the first candidate whose
-bound does not beat the incumbent: no candidate from there on can win, so
-the result is the one that solving every candidate would give.
+price-domain restriction.  A domain bounds each price by a multiple of its
+valuation.  The lower bounds are LP variable bounds and the caps are rows
+e_k <= cap_k after the pattern rows, because the simplex starts each price
+at its own bound: a price with a lower bound starts at it, one with only an
+upper bound would start at its cap, and a free one starts at zero.  Capped
+prices started at their caps fail some of the candidate's rows, so a phase
+1 runs first; started at zero, they meet every row against a pattern of no
+larger gain.  Under box prices the cap rows are the rows that the LP's standard
+form builds for a price bounded on both sides, so the pivots do not change.
+The bilevel optimum is the best LP value.  An infeasible candidate LP just
+means that pattern is never an optimal response.  Equal LP values go to the
+canonically first member, so candidates are taken by bound, highest first,
+and among equal bounds in canonical order of their members.  They stop at
+the first candidate whose bound does not beat the incumbent: no candidate
+from there on can win, so the result is the one that solving every
+candidate would give.
 """
 
 from __future__ import annotations
@@ -168,7 +177,12 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
     var_ids = [base.universe[b].id for b in var_bits]
     caps = [inst.valuation[e] for e in var_ids]
     lower = {} if low_bound is None else {k: low_bound * c for k, c in enumerate(caps)}
-    upper = {} if high_bound is None else {k: high_bound * c for k, c in enumerate(caps)}
+    # One e_k <= high_bound * cap_k row per priced element, after every
+    # candidate's pattern rows: the module docstring says why not bounds.
+    cap_rows = [] if high_bound is None else [
+        (tuple([int(i == k) for i in range(len(caps))]), "<=", high_bound * c)
+        for k, c in enumerate(caps)
+    ]
     # Each pattern's 0/1 price vector over var_bits, built once per solve.
     vector = {p: tuple([p >> b & 1 for b in var_bits]) for p in patterns}
     # Bland's rule can reach another vertex of a degenerate LP when the rows
@@ -201,7 +215,7 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
                 if other != pattern:
                     gap = gain - other_gain
                     rows.append((tuple([*map(sub, objective, vector[other])]), "<=", gap))
-            lp = LinearProgram(len(objective), objective, tuple(rows), lower, upper)
+            lp = LinearProgram(len(objective), objective, tuple(rows + cap_rows), lower)
             outcome = solve_lp(lp)
             if outcome.status is LpStatus.INFEASIBLE:
                 continue  # this candidate is never a follower optimum

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import pricegame
 from pricegame import core
-from pricegame.compilers import qdnf, qdnf_holds, weight_lift
+from pricegame.compilers import compile_qdnf_pricing, qdnf, qdnf_holds, weight_lift
 from pricegame.core import (
     CapExceededError,
     Element,
@@ -23,6 +23,7 @@ from pricegame.core import (
     mask_sums,
     solution_set,
 )
+from pricegame.pricing import solve_pricing
 from pricegame.problems import (
     VertexCoverProblem,
     cnf,
@@ -30,6 +31,7 @@ from pricegame.problems import (
     sat_to_vertex_cover,
     vertex_cover_problem,
 )
+from pricegame.sweep import CorpusSpec, run_sweep
 
 
 def test_single_edge_cover_solutions():
@@ -93,6 +95,23 @@ def test_cap_errors_name_what_they_counted():
     with pytest.raises(CapExceededError) as err:
         qdnf_holds(qdnf(13, [{1}]))
     assert str(err.value) == "a search over 26 binary choices exceeds the enumeration cap of 24"
+
+
+def test_a_negative_cap_is_a_value_error_before_any_walk(monkeypatch):
+    # One check in core: the oracle, the solver and the sweep all refuse the
+    # cap itself, before its size is compared or a pattern is asked for.
+    def walked(*args):
+        raise AssertionError("walked under a negative cap")
+
+    message = "^the enumeration cap must be at least 0, got -1$"
+    with pytest.raises(ValueError, match=message):
+        qdnf_holds(qdnf(13, [{1}]), cap=-1)
+    inst = compile_qdnf_pricing(qdnf(1, [{1}])).pricing
+    monkeypatch.setattr(type(inst.base), "patterns", walked)
+    with pytest.raises(ValueError, match=message):
+        solve_pricing(inst, -1)
+    with pytest.raises(ValueError, match=message):
+        run_sweep(CorpusSpec(pairs=1, max_terms=1, count=2, seed=0), cap=-1)
 
 
 def test_pattern_memo_keeps_the_answer_in_use():

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -39,6 +41,7 @@ from pricegame.problems import (
 )
 from pricegame.serialize import pricing_summary
 from pricegame.sweep import decision_fields, random_formula
+from pricing_reference import solve_every_candidate
 from test_compilers import seeded_sat_sources
 
 
@@ -372,6 +375,84 @@ def test_compiled_two_pair_vertices_are_pinned():
             lines += pricing_summary(inst, solve_pricing(inst))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == PINNED_VERTEX_DIGEST
+
+
+def every_kind_instances(rng: random.Random):
+    """A random explicit instance, a small sat source, its three lifts (vertex
+    cover, subset sum, sat over its feasible sets) and a thm2 compile."""
+    n = rng.randint(2, 3)
+    clauses = []
+    for _ in range(rng.randint(1, 2)):
+        variables = rng.sample(range(1, n + 1), rng.randint(1, n))
+        clauses.append([v if rng.randint(0, 1) else -v for v in variables])
+    formula = cnf(n, clauses)
+    base = sat_problem(formula)
+    src = PricingInstance(base, frozenset(e.id for e in base.universe if rng.randint(0, 2) == 0),
+                          {e.id: rng.randint(0, 5) for e in base.universe},
+                          GroundChoice.SOLUTIONS)
+    yield random_instance(rng)
+    yield src
+    yield lift_min(src, sat_to_vertex_cover(formula))[0]
+    yield lift_max(src, sat_to_subset_sum(formula))[0]
+    yield lift_feas(src, identity_reduction(base))[0]
+    yield compile_qdnf_pricing(random_formula(rng, rng.randint(1, 2), 3)).pricing
+
+
+def under_every_domain(inst: PricingInstance):
+    for domain in Domain:
+        if domain is not Domain.LOWER_CAP or inst.base.sense is Sense.MIN:
+            yield dataclasses.replace(inst, domain=domain)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_solver_equals_the_solve_every_candidate_reference(seed):
+    # The reference lists the family, solves every candidate's LP and passes
+    # the caps as LP bounds.  Only the capped domain's formulation differs
+    # from the solver's, so only there may another optimal vertex be chosen;
+    # its prices must still evaluate to the solver's own outcome.
+    for inst in every_kind_instances(random.Random(seed)):
+        for here in under_every_domain(inst):
+            solution = solve_pricing(here)
+            reference = solve_every_candidate(here)
+            assert dataclasses.replace(solution, prices=None) == \
+                dataclasses.replace(reference, prices=None)
+            if here.domain is not Domain.CAPPED:
+                assert solution.prices == reference.prices
+            elif solution.status is SolveStatus.OPTIMAL:
+                assert evaluate_prices(here, solution.prices) == solution
+
+
+def test_caps_are_the_last_rows_and_lower_bounds_the_only_lp_bounds(monkeypatch):
+    # Under capped and box prices each candidate LP ends with e_k <= cap_k,
+    # one unit row per priced element in the order of their bits; no LP
+    # carries an upper bound, and the lower bounds are the domain's.
+    lps = []
+    solve_lp = pricing.solve_lp
+    monkeypatch.setattr(pricing, "solve_lp", lambda lp: lps.append(lp) or solve_lp(lp))
+    expected_lower = {Domain.FREE: None, Domain.NONNEG: 0, Domain.CAPPED: None,
+                      Domain.BOX: 0, Domain.LOWER_CAP: -1}
+    checked = set()
+    for seed in range(10):
+        for inst in every_kind_instances(random.Random(seed)):
+            for here in under_every_domain(inst):
+                patterns = pricing._collapse(here, 24)
+                union = functools.reduce(operator.or_, patterns, 0)
+                caps = [here.valuation[here.base.universe[b].id] for b in core.bits(union)]
+                n = len(caps)
+                low = expected_lower[here.domain]
+                capped = here.domain in (Domain.CAPPED, Domain.BOX)
+                units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+                del lps[:]
+                solve_pricing(here)
+                for lp in lps:
+                    assert lp.upper == {} and lp.num_vars == n
+                    assert lp.lower == ({} if low is None else {k: low * c for k, c in enumerate(caps)})
+                    assert len(lp.constraints) == len(patterns) - 1 + n * capped
+                    if capped:
+                        assert list(lp.constraints[-n:]) == [
+                            (unit, "<=", c) for unit, c in zip(units, caps)]
+                    checked.add(here.domain)
+    assert checked == set(Domain)
 
 
 def test_tie_stop_solves_fewer_lps_for_the_same_solution(monkeypatch):
