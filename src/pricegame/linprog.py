@@ -1,20 +1,21 @@
 """Exact linear programming over the rationals.
 
-A two-phase simplex used by the per-candidate leader optimization.
-Variables are free unless bounds are given; constraints may be <=, >= or =.
-LP data are Python ints, and the solver works in integers from end to end.
+A two-phase simplex used by the per-candidate leader optimization.  The LP
+has one form: maximize c.x subject to rows a.x <= b and lower bounds
+x_j >= l_j where given; every other variable is free.  LP data are Python
+ints, and the solver works in integers from end to end.
 It keeps a condensed dictionary (Chvatal, *Linear Programming*, 1983): each
 row holds only the nonbasic columns and the rhs, as integers over one
 common denominator, and pivots are fraction-free (Edmonds/Bareiss), so every
 division is exact.  A basic slack or artificial takes no column: an LP with
 m rows over n standard columns holds m * (n + g) integers, where g counts
-the rows whose slack starts nonbasic (>= rows with rhs >= 0, <= rows with
-rhs < 0).  A pivot whose entry equals the current denominator (on 0/+-1
+the rows with rhs < 0 once the lower bounds are moved to zero, whose slacks
+start nonbasic.  A pivot whose entry equals the current denominator (on 0/+-1
 data, nearly every pivot) updates in place only the rows with a nonzero
 entry in the pivot column, and in each only the columns where the pivot
 row is nonzero; any other pivot rescales every row.  The witness is read
 back as integers over that denominator ``d`` and checked in integer
-arithmetic against every constraint (``a.(x d) <= b d``) and every bound.
+arithmetic against every row (``a.(x d) <= b d``) and every lower bound.
 Fractions are built only for the returned witness and value.  Pivot
 selection follows Bland's rule, so with exact arithmetic the method always
 terminates.
@@ -28,10 +29,10 @@ from fractions import Fraction
 from itertools import chain, compress, count
 from math import gcd
 from operator import mul, neg, sub
+from types import MappingProxyType
+from typing import Mapping
 
 from .rational import require_ints
-
-_RELATIONS = ("<=", ">=", "=")
 
 
 class LpStatus(Enum):
@@ -42,41 +43,37 @@ class LpStatus(Enum):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Maximize objective . x subject to constraints and optional bounds.
+    """Maximize objective . x subject to a.x <= b per row, x_j >= lower[j].
 
-    A constraint is (coefficients, relation, right-hand side), the relation
-    one of "<=", ">=" and "=".  Every coefficient, right-hand side and bound
-    is an int; anything else, a Fraction included, is a TypeError.
+    A constraint is a pair (coefficients, rhs); a variable with no lower
+    bound is free.  lower is a read-only copy of the mapping given.  Every
+    coefficient, right-hand side and bound is an int; anything else, a
+    Fraction included, is a TypeError.
     """
 
     num_vars: int
     objective: tuple[int, ...]
-    constraints: tuple[tuple[tuple[int, ...], str, int], ...]
-    lower: dict[int, int] = field(default_factory=dict)
-    upper: dict[int, int] = field(default_factory=dict)
+    constraints: tuple[tuple[tuple[int, ...], int], ...]
+    lower: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "lower", MappingProxyType(dict(self.lower)))
         if self.num_vars < 1:
             raise ValueError("a linear program needs at least one variable")
         if len(self.objective) != self.num_vars:
             raise ValueError("objective length does not match num_vars")
         require_ints(self.objective, "objective coefficient")
-        for i, (coeffs, rel, _) in enumerate(self.constraints):
-            if len(coeffs) != self.num_vars:
+        for i, row in enumerate(self.constraints):
+            if len(row) != 2:
+                raise ValueError(f"constraint {i}: a row is (coefficients, rhs)")
+            if len(row[0]) != self.num_vars:
                 raise ValueError(f"constraint {i}: coefficient vector has wrong length")
-            if rel not in _RELATIONS:
-                raise ValueError(f"constraint {i}: unknown relation {rel!r}")
-            require_ints(coeffs, "constraint coefficient")
-        require_ints([rhs for _, _, rhs in self.constraints], "right-hand side")
-        for j in set(self.lower) | set(self.upper):
+            require_ints(row[0], "constraint coefficient")
+        require_ints([rhs for _, rhs in self.constraints], "right-hand side")
+        for j in self.lower:
             if not 0 <= j < self.num_vars:
                 raise ValueError(f"bound on unknown variable {j}")
         require_ints(self.lower.values(), "lower bound")
-        require_ints(self.upper.values(), "upper bound")
-        for j, lo in self.lower.items():
-            up = self.upper.get(j)
-            if up is not None and lo > up:
-                raise ValueError(f"variable {j} has lower bound above upper bound")
 
 
 @dataclass(frozen=True)
@@ -190,43 +187,27 @@ def _standardize(lp: LinearProgram):
 
     Returns (plan, offsets, std_rows): plan[col] is the (variable, sign) of
     standard column col, and original variable j equals offsets[j] plus the
-    signed sum of its columns.  Each std row is (coefficients over u,
-    relation, rhs): the original constraint shifted by the offsets, with
-    rhs >= 0 still to be arranged by the caller.
+    signed sum of its columns.  Each std row is (coefficients over u, rhs):
+    the original row shifted by the lower bounds, with rhs >= 0 still to be
+    arranged by the caller.
     """
-    plan: list[tuple[int, int]] = []
-    offsets = []
-    box = []
-    for j in range(lp.num_vars):
-        lo = lp.lower.get(j)
-        up = lp.upper.get(j)
-        if lo is not None:
-            plan.append((j, 1))
-            offsets.append(lo)
-            if up is not None:
-                box.append((len(plan) - 1, up - lo))
-        elif up is not None:
-            plan.append((j, -1))
-            offsets.append(up)
-        else:
-            plan += [(j, 1), (j, -1)]
-            offsets.append(0)
+    # A variable with a lower bound is one column of sign +1 above it; a
+    # free variable is the difference of two columns.
+    plan = [(j, sign) for j in range(lp.num_vars)
+            for sign in ((1,) if j in lp.lower else (1, -1))]
+    offsets = [lp.lower.get(j, 0) for j in range(lp.num_vars)]
 
-    # When every variable has a lower bound, each is one column of sign +1,
-    # and a row's standard coefficients are its own.
+    # When every variable has a lower bound, a row's standard coefficients
+    # are its own.
     identity = len(lp.lower) == lp.num_vars
-    shifts = [(j, o) for j, o in enumerate(offsets) if o]
+    shifts = [(j, o) for j, o in lp.lower.items() if o]
     std_rows = []
-    for coeffs, rel, rhs in lp.constraints:
+    for coeffs, rhs in lp.constraints:
         for j, o in shifts:
             rhs -= coeffs[j] * o
         if not identity:
             coeffs = [sign * coeffs[j] for j, sign in plan]
-        std_rows.append((coeffs, rel, rhs))
-    for col, width in box:
-        coeffs = [0] * len(plan)
-        coeffs[col] = 1
-        std_rows.append((coeffs, "<=", width))
+        std_rows.append((coeffs, rhs))
     return plan, offsets, std_rows
 
 
@@ -235,37 +216,31 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     plan, offsets, std_rows = _standardize(lp)
     nstd = len(plan)
 
-    # Variable labels: the standard columns, then one slack per inequality
-    # row, then one artificial per row whose slack cannot start basic, each
-    # in row order.  With rhs made nonnegative, a slack with coefficient +1
-    # starts basic; otherwise an artificial does, and a slack with
-    # coefficient -1 starts as a stored nonbasic column.
-    nslack = sum(1 for _, rel, _ in std_rows if rel != "=")
-    ncols = nstd + nslack
-    surplus = [rel != "=" and (rel == ">=") != (rhs < 0) for _, rel, rhs in std_rows]
-    zeros = [0] * sum(surplus)
+    # Variable labels: the standard columns, then one slack per row, then
+    # one artificial per row with rhs < 0, each in row order.  With rhs made
+    # nonnegative, a slack with coefficient +1 starts basic; otherwise an
+    # artificial does, and the slack, now with coefficient -1, starts as a
+    # stored nonbasic column.
+    ncols = nstd + len(std_rows)
+    zeros = [0] * sum(rhs < 0 for _, rhs in std_rows)
     labels = list(range(nstd))
     rows, basis = [], []
-    slack, artificial = nstd, ncols
-    for (coeffs, rel, rhs), stored in zip(std_rows, surplus):
+    artificial = ncols
+    for slack, (coeffs, rhs) in enumerate(std_rows, start=nstd):
         row = [*coeffs, *zeros, rhs]
         if rhs < 0:
-            row = list(map(neg, row))
-        if rel == "=" or stored:
             # Phase 1 sums these rows, so each is taken at its primitive
             # scale: a row scaled by a positive integer keeps the pivot path.
+            row = list(map(neg, row))
             g = gcd(*row)
             if g > 1:
                 row = [a // g for a in row]
+            row[len(labels)] = -1
+            labels.append(slack)
             basis.append(artificial)
             artificial += 1
         else:
             basis.append(slack)
-        if stored:
-            row[len(labels)] = -1
-            labels.append(slack)
-        if rel != "=":
-            slack += 1
         rows.append(row)
 
     dic = _Dictionary(rows, basis, labels)
@@ -281,23 +256,20 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         if cost[-1] != 0:
             return LpOutcome(LpStatus.INFEASIBLE)
         # Drive leftover artificials out of the basis on the lowest real
-        # label; drop redundant rows, then every artificial column.
-        keep = []
+        # label, then drop every artificial column.  An artificial's row
+        # always has a nonzero real entry: every row keeps its slack, so
+        # B^-1 [A | +-I] has full row rank and no row is redundant.
         for i, b in enumerate(dic.basis):
             if b >= ncols:
                 row = dic.rows[i]
-                nonzero = [(v, k) for k, v in enumerate(labels) if v < ncols and row[k]]
-                if not nonzero:
-                    continue  # redundant constraint
-                dic.pivot(i, min(nonzero)[1])
-            keep.append(i)
+                _, k = min((v, k) for k, v in enumerate(labels) if v < ncols and row[k])
+                dic.pivot(i, k)
         real = [k for k, v in enumerate(labels) if v < ncols]
-        dic.rows = [[dic.rows[i][k] for k in real] + [dic.rows[i][-1]] for i in keep]
-        dic.basis = [dic.basis[i] for i in keep]
+        dic.rows = [[row[k] for k in real] + [row[-1]] for row in dic.rows]
         dic.labels = labels = [labels[k] for k in real]
     # Phase 2: minimize the negated objective over the standard columns,
     # priced out against the basis.
-    objective = [-sign * lp.objective[j] for j, sign in plan] + [0] * nslack
+    objective = [-sign * lp.objective[j] for j, sign in plan] + [0] * len(std_rows)
     cost = [dic.d * objective[v] for v in labels] + [0]
     for i, b in enumerate(dic.basis):
         factor = objective[b]
@@ -321,19 +293,13 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
 
 
 def _check_witness(lp: LinearProgram, scaled, d: int) -> None:
-    """Raise unless the point scaled / d meets every row and bound of lp.
+    """Raise unless the point scaled / d meets every row and lower bound of lp.
 
     A row a.x <= b is checked as a.scaled <= b * d, all in integers.
     """
-    for coeffs, rel, rhs in lp.constraints:
-        lhs = sum(map(mul, coeffs, scaled))
-        rhs *= d
-        ok = lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
-        if not ok:
+    for coeffs, rhs in lp.constraints:
+        if sum(map(mul, coeffs, scaled)) > rhs * d:
             raise RuntimeError("simplex produced a witness violating a constraint")
     for j, lo in lp.lower.items():
         if scaled[j] < lo * d:
             raise RuntimeError("simplex witness violates a lower bound")
-    for j, up in lp.upper.items():
-        if scaled[j] > up * d:
-            raise RuntimeError("simplex witness violates an upper bound")

@@ -31,14 +31,10 @@ without bound.  Otherwise one exact LP per candidate pattern, highest
 revenue bound first, maximizes the pattern's price revenue subject to its
 price lead over every other pattern staying within its gain lead, plus the
 price-domain restriction.  A domain bounds each price by a multiple of its
-valuation.  The lower bounds are LP variable bounds and the caps are rows
-e_k <= cap_k after the pattern rows, because the simplex starts each price
-at its own bound: a price with a lower bound starts at it, one with only an
-upper bound would start at its cap, and a free one starts at zero.  Capped
-prices started at their caps fail some of the candidate's rows, so a phase
-1 runs first; started at zero, they meet every row against a pattern of no
-larger gain.  Under box prices the cap rows are the rows that the LP's standard
-form builds for a price bounded on both sides, so the pivots do not change.
+valuation.  The LP takes only lower bounds, so the caps are rows
+e_k <= cap_k after the pattern rows.  The simplex starts each price at its
+lower bound, or at zero when it has none; capped prices started at zero
+meet their cap rows and every row against a pattern of no larger gain.
 The bilevel optimum is the best LP value.  An infeasible candidate LP just
 means that pattern is never an optimal response.  Equal LP values go to the
 canonically first member, so candidates are taken by bound, highest first,
@@ -178,9 +174,9 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
     caps = [inst.valuation[e] for e in var_ids]
     lower = {} if low_bound is None else {k: low_bound * c for k, c in enumerate(caps)}
     # One e_k <= high_bound * cap_k row per priced element, after every
-    # candidate's pattern rows: the module docstring says why not bounds.
+    # candidate's pattern rows.
     cap_rows = [] if high_bound is None else [
-        (tuple([int(i == k) for i in range(len(caps))]), "<=", high_bound * c)
+        (tuple([int(i == k) for i in range(len(caps))]), high_bound * c)
         for k, c in enumerate(caps)
     ]
     # Each pattern's 0/1 price vector over var_bits, built once per solve.
@@ -214,7 +210,7 @@ def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolut
             for other, (other_gain, _) in ordered:
                 if other != pattern:
                     gap = gain - other_gain
-                    rows.append((tuple([*map(sub, objective, vector[other])]), "<=", gap))
+                    rows.append((tuple([*map(sub, objective, vector[other])]), gap))
             lp = LinearProgram(len(objective), objective, tuple(rows + cap_rows), lower)
             outcome = solve_lp(lp)
             if outcome.status is LpStatus.INFEASIBLE:

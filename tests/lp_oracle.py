@@ -29,15 +29,12 @@ def dot(a, b):
 
 
 def rows_of(lp):
-    """Constraints plus bounds, as (coeffs, rel, rhs) triples."""
+    """The LP's <= rows plus its lower bounds, as (coeffs, rel, rhs) triples."""
     n = lp.num_vars
-    rows = [(tuple(c), rel, rhs) for c, rel, rhs in lp.constraints]
+    rows = [(tuple(c), "<=", rhs) for c, rhs in lp.constraints]
     for j in sorted(lp.lower):
         unit = tuple(ONE if k == j else ZERO for k in range(n))
         rows.append((unit, ">=", lp.lower[j]))
-    for j in sorted(lp.upper):
-        unit = tuple(ONE if k == j else ZERO for k in range(n))
-        rows.append((unit, "<=", lp.upper[j]))
     return rows
 
 

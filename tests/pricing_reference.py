@@ -1,10 +1,13 @@
 """Solve-every-candidate reference for the bilevel pricing solver.
 
 The ground family is listed (`core.best_by_enumeration`, not a problem's
-pattern oracle), every candidate pattern gets its LP, with no revenue bound
-and no early stop, and each domain's price bounds go to the LP as lower and
-upper variable bounds, where the solver passes its caps as rows.  The
-winner is the largest LP value, ties going to the member whose sorted
+pattern oracle), and every candidate pattern gets its LP, with no revenue
+bound and no early stop.  Under capped prices alone the reference keeps a
+second formulation: each price is cap - y with y >= 0, the standard form
+that the simplex built when it took upper bounds, where the solver passes
+its caps as rows.  Under box prices the caps are unit rows after the
+pattern rows, as in the solver, and the lower bounds are LP lower bounds.
+The winner is the largest LP value, ties going to the member whose sorted
 element positions come first.
 
 Under every domain but the capped one the winner's LP has the solver's
@@ -48,27 +51,38 @@ def solve_every_candidate(inst: PricingInstance, cap: int = DEFAULT_CAP) -> Pric
         union |= pattern
     var_bits = bits(union)
     caps = [inst.valuation[base.universe[b].id] for b in var_bits]
+    n = len(caps)
+    offset, turn = [0] * n, 1  # price k is offset[k] + turn * (LP variable k)
+    if low is None and high is not None:
+        # Capped alone: each price is cap - y with y >= 0.
+        offset, turn, low, high = [high * c for c in caps], -1, 0, None
     lower = {} if low is None else {k: low * c for k, c in enumerate(caps)}
-    upper = {} if high is None else {k: high * c for k, c in enumerate(caps)}
+    cap_rows = () if high is None else tuple(
+        (tuple(int(i == k) for i in range(n)), high * c) for k, c in enumerate(caps))
     ordered = sorted(patterns.items())
 
     def vector(pattern):
         return tuple(pattern >> b & 1 for b in var_bits)
 
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
     best = None  # (value, sorted positions of the member, member, gain, witness)
     for pattern, (gain, member) in ordered:
         if var_bits:
-            rows = tuple(
-                (tuple(a - b for a, b in zip(vector(pattern), vector(other))), "<=",
-                 gain - other_gain)
-                for other, (other_gain, _) in ordered if other != pattern
-            )
-            lp = LinearProgram(len(var_bits), vector(pattern), rows, lower, upper)
-            outcome = solve_lp(lp)
+            rows = []
+            for other, (other_gain, _) in ordered:
+                if other != pattern:
+                    lead = [a - b for a, b in zip(vector(pattern), vector(other))]
+                    rows.append((tuple(turn * a for a in lead),
+                                 gain - other_gain - dot(lead, offset)))
+            objective = tuple(turn * a for a in vector(pattern))
+            outcome = solve_lp(LinearProgram(n, objective, (*rows, *cap_rows), lower))
             if outcome.status is LpStatus.INFEASIBLE:
                 continue
             assert outcome.status is LpStatus.OPTIMAL
-            value, witness = outcome.optimal_value, outcome.witness
+            value = dot(vector(pattern), offset) + outcome.optimal_value
+            witness = tuple(o + turn * y for o, y in zip(offset, outcome.witness))
         else:
             value, witness = Fraction(0), ()
         key = (value, tuple(bits(member)))

@@ -29,7 +29,7 @@ from lp_oracle import (
 
 
 def test_single_constraint_optimum():
-    out = solve_lp(LinearProgram(1, (1,), (((2,), "<=", 3),)))
+    out = solve_lp(LinearProgram(1, (1,), (((2,), 3),)))
     assert out.status is LpStatus.OPTIMAL
     assert out.optimal_value == Fraction(3, 2)
 
@@ -40,18 +40,21 @@ def test_free_ray_is_unbounded():
 
 
 def test_separable_box_optimum():
-    out = solve_lp(LinearProgram(2, (1, 1), (((1, 0), "<=", 1), ((0, 1), "<=", 2))))
+    out = solve_lp(LinearProgram(2, (1, 1), (((1, 0), 1), ((0, 1), 2))))
     assert out.status is LpStatus.OPTIMAL
     assert out.optimal_value == 3
 
 
 def test_infeasible_system():
-    out = solve_lp(LinearProgram(1, (1,), (((1,), "<=", 0), ((1,), ">=", 1))))
+    # x <= 0 and x >= 1, the second written as -x <= -1.
+    out = solve_lp(LinearProgram(1, (1,), (((1,), 0), ((-1,), -1))))
     assert out.status is LpStatus.INFEASIBLE
 
 
 def test_equality_and_bounds():
-    out = solve_lp(LinearProgram(2, (2, 1), (((1, 1), "=", 4),), {0: 0}, {0: 3, 1: 10}))
+    # x0 + x1 = 4 as two rows, then the caps x0 <= 3 and x1 <= 10 as rows.
+    rows = (((1, 1), 4), ((-1, -1), -4), ((1, 0), 3), ((0, 1), 10))
+    out = solve_lp(LinearProgram(2, (2, 1), rows, {0: 0}))
     assert out.status is LpStatus.OPTIMAL
     assert out.optimal_value == 2 * 3 + 1  # x0 at its cap, x1 takes the rest
 
@@ -60,27 +63,49 @@ def test_malformed_dimensions_rejected():
     with pytest.raises(ValueError):
         LinearProgram(2, (1,), ())
     with pytest.raises(ValueError):
-        LinearProgram(2, (1, 1), (((1,), "<=", 0),))
-    with pytest.raises(ValueError):
-        LinearProgram(1, (1,), (((1,), "<<", 0),))
-    with pytest.raises(ValueError):
-        LinearProgram(1, (1,), (), {0: 2}, {0: 1})
+        LinearProgram(2, (1, 1), (((1,), 0),))
+    with pytest.raises(ValueError, match=r"^constraint 0: a row is \(coefficients, rhs\)$"):
+        LinearProgram(1, (1,), (((1,),),))
     with pytest.raises(ValueError, match="^a linear program needs at least one variable$"):
         LinearProgram(0, (), ())
     with pytest.raises(ValueError, match="^bound on unknown variable 1$"):
-        LinearProgram(1, (1,), (), {}, {1: 3})
+        LinearProgram(1, (1,), (), {1: 3})
+
+
+def test_the_fields_are_rows_and_lower_bounds():
+    assert [f.name for f in dataclasses.fields(LinearProgram)] == [
+        "num_vars", "objective", "constraints", "lower"]
+
+
+def test_lower_is_a_read_only_copy_and_replace_revalidates():
+    given = {0: 1}
+    lp = LinearProgram(2, (-1, -1), (), given)
+    with pytest.raises(TypeError):
+        lp.lower[5] = 0
+    with pytest.raises(TypeError):
+        lp.lower[0] = 0.5
+    given[1] = 2
+    assert lp.lower == {0: 1}
+    assert solve_lp(lp).status is LpStatus.UNBOUNDED
+    with pytest.raises(ValueError, match="^bound on unknown variable 5$"):
+        dataclasses.replace(lp, lower={0: 1, 5: 0})
+    with pytest.raises(TypeError, match="lower bound"):
+        dataclasses.replace(lp, lower={0: Fraction(1, 2)})
+    out = solve_lp(dataclasses.replace(lp, lower={0: 1, 1: 2}))
+    assert (out.optimal_value, out.witness) == (-3, (1, 2))
 
 
 @pytest.mark.parametrize("rows, error, message", [
-    # Row 0's relation is named before row 2's length or float.
-    ([((1,), "<<", 0), ((1,), "<=", 1), ((1, 2), "<=", 0)],
-     ValueError, "constraint 0: unknown relation '<<'"),
-    ([((1,), "<<", 0), ((1,), "<=", 1), ((1.5,), "<=", 0)],
-     ValueError, "constraint 0: unknown relation '<<'"),
-    ([((1,), "<=", 0), ((2.5,), "<=", 1), ((1, 2), "<=", 0)],
+    # Row 0, a triple carrying a relation, is named before row 2's length
+    # or float.
+    ([((1,), "<=", 0), ((1,), 1), ((1, 2), 0)],
+     ValueError, "constraint 0: a row is (coefficients, rhs)"),
+    ([((1,), "<<", 0), ((1,), 1), ((1.5,), 0)],
+     ValueError, "constraint 0: a row is (coefficients, rhs)"),
+    ([((1,), 0), ((2.5,), 1), ((1, 2), 0)],
      TypeError, "constraint coefficient 2.5 is not an int"),
     # Right-hand sides are checked after every row.
-    ([((1,), "<=", 0.5), ((1,), "<=", 1), ((1, 2), "<=", 0)],
+    ([((1,), 0.5), ((1,), 1), ((1, 2), 0)],
      ValueError, "constraint 2: coefficient vector has wrong length"),
 ], ids=["relation-then-length", "relation-then-float", "float-then-length", "rhs-after-rows"])
 def test_the_first_faulty_row_is_named(rows, error, message):
@@ -91,39 +116,57 @@ def test_the_first_faulty_row_is_named(rows, error, message):
 
 @pytest.mark.parametrize("build, what", [
     (lambda: LinearProgram(1, (0.5,), ()), "objective coefficient"),
-    (lambda: LinearProgram(1, (1,), (((1.0,), "<=", 1),)), "constraint coefficient"),
-    (lambda: LinearProgram(1, (1,), (((1,), "<=", 2.5),)), "right-hand side"),
+    (lambda: LinearProgram(1, (1,), (((1.0,), 1),)), "constraint coefficient"),
+    (lambda: LinearProgram(1, (1,), (((1,), 2.5),)), "right-hand side"),
     (lambda: LinearProgram(1, (1,), (), {0: 0.0}), "lower bound"),
-    (lambda: LinearProgram(1, (1,), (), {}, {0: True}), "upper bound"),
+    (lambda: LinearProgram(1, (1,), (), {0: True}), "lower bound"),
     (lambda: LinearProgram(1, (False,), ()), "objective coefficient"),
-    (lambda: LinearProgram(1, (1,), (((1,), "<=", "3"),)), "right-hand side"),
+    (lambda: LinearProgram(1, (1,), (((1,), "3"),)), "right-hand side"),
     (lambda: LinearProgram(1, (Fraction(1, 2),), ()), "objective coefficient"),
-    (lambda: LinearProgram(1, (1,), (((Fraction(2),), "<=", 1),)), "constraint coefficient"),
-    (lambda: LinearProgram(1, (1,), (((1,), "<=", Fraction(3, 2)),)), "right-hand side"),
+    (lambda: LinearProgram(1, (1,), (((Fraction(2),), 1),)), "constraint coefficient"),
+    (lambda: LinearProgram(1, (1,), (((1,), Fraction(3, 2)),)), "right-hand side"),
     (lambda: LinearProgram(1, (1,), (), {0: Fraction(-1, 3)}), "lower bound"),
-    (lambda: LinearProgram(1, (1,), (), {}, {0: Fraction(5, 2)}), "upper bound"),
 ], ids=["float-objective", "float-coefficient", "float-rhs", "float-lower",
-        "bool-upper", "bool-objective", "string-rhs", "fraction-objective",
-        "fraction-coefficient", "fraction-rhs", "fraction-lower", "fraction-upper"])
+        "bool-lower", "bool-objective", "string-rhs", "fraction-objective",
+        "fraction-coefficient", "fraction-rhs", "fraction-lower"])
 def test_inexact_lp_data_is_rejected(build, what):
     with pytest.raises(TypeError, match=what):
         build()
 
 
 def test_negative_rhs_needs_artificial():
-    out = solve_lp(LinearProgram(1, (-1,), (((1,), ">=", -2),), {0: -10}))
+    # x >= -2 as -x <= 2: moved to the lower bound -10, the rhs is -8.
+    out = solve_lp(LinearProgram(1, (-1,), (((-1,), 2),), {0: -10}))
     assert out.status is LpStatus.OPTIMAL
     assert out.optimal_value == 2
     assert out.witness == (Fraction(-2),)
 
 
 def test_phase_one_drives_out_an_artificial_on_a_negative_entry():
-    # -x >= 0 with x >= 0 starts on an artificial that phase 1 leaves basic
-    # at zero; driving it out pivots on the entry -1.
-    out = solve_lp(LinearProgram(1, (1,), (((-1,), ">=", 0),), {0: 0}))
+    # -x <= -2 and x <= 2 with x >= 0: the first row starts on an
+    # artificial, which phase 1 leaves basic at zero once x = 2 enters on
+    # the second row's ratio tie; driving it out pivots on the entry -1.
+    out = solve_lp(LinearProgram(1, (2,), (((-1,), -2), ((1,), 2)), {0: 0}))
     assert out.status is LpStatus.OPTIMAL
-    assert out.optimal_value == 0
-    assert out.witness == (Fraction(0),)
+    assert out.optimal_value == 4
+    assert out.witness == (Fraction(2),)
+
+
+def one_form(n, objective, rows, lower, upper) -> LinearProgram:
+    """The LP of drawn (coefficients, relation, rhs) rows and bounds.
+
+    A >= row is written negated and an = row as the row and its negation;
+    each upper bound is a unit row after them, in variable order.
+    """
+    pairs = []
+    for coeffs, rel, rhs in rows:
+        if rel != ">=":
+            pairs.append((tuple(coeffs), rhs))
+        if rel != "<=":
+            pairs.append((tuple([-a for a in coeffs]), -rhs))
+    for j in sorted(upper):
+        pairs.append((tuple([int(k == j) for k in range(n)]), upper[j]))
+    return LinearProgram(n, tuple(objective), tuple(pairs), lower)
 
 
 def random_lp(rng: random.Random) -> LinearProgram:
@@ -140,14 +183,14 @@ def random_lp(rng: random.Random) -> LinearProgram:
         if rng.random() < 0.25:
             a, b = rng.randint(-5, 5), rng.randint(-5, 5)
             lower[j], upper[j] = min(a, b), max(a, b)
-    return LinearProgram(n, tuple(objective), tuple(constraints), lower, upper)
+    return one_form(n, objective, constraints, lower, upper)
 
 
-def random_degenerate_lp(rng: random.Random) -> LinearProgram:
-    """A seeded copy of degenerate_rational_lp below, for pinned corpora.
+def draw_degenerate(rng: random.Random):
+    """A seeded copy of degenerate_rational_lp's draws, for pinned corpora.
 
     Hypothesis may draw other examples in another of its versions; a seeded
-    random.Random draws the same ones.
+    random.Random draws the same ones.  Returns the arguments of one_form.
     """
     n = rng.randint(1, 3)
 
@@ -178,25 +221,30 @@ def random_degenerate_lp(rng: random.Random) -> LinearProgram:
         coeffs = vector()
         rows.append((coeffs, rng.choice(relations), sum(map(mul, coeffs, point))))
     rng.shuffle(rows)
-    return LinearProgram(n, vector(), tuple(rows), lower, upper)
+    return n, vector(), rows, lower, upper
+
+
+def random_degenerate_lp(rng: random.Random) -> LinearProgram:
+    return one_form(*draw_degenerate(rng))
 
 
 def random_face_lp(rng: random.Random) -> LinearProgram:
-    """A random_degenerate_lp that maximizes along one of its own rows.
+    """A random_degenerate_lp that maximizes along one of its drawn rows.
 
     Its optimum is often a whole face, so the vertex returned depends on the
     pivot path: on Bland's ratio tie-break as well as on the entering rule.
     """
-    lp = random_degenerate_lp(rng)
-    coeffs, rel, _ = rng.choice(lp.constraints)
+    n, _, rows, lower, upper = draw_degenerate(rng)
+    coeffs, rel, _ = rng.choice(rows)
     sign = -1 if rel == ">=" else 1
-    return dataclasses.replace(lp, objective=tuple([sign * a for a in coeffs]))
+    return one_form(n, [sign * a for a in coeffs], rows, lower, upper)
 
 
-# sha256 over (status, value, witness) of 2,000 seeds of each generator,
-# recorded with the dense tableau that the dictionary replaced.  The oracle
-# tests check values; this pins which vertex is returned.
-VERTEX_DIGEST = "c56f5d6295cf59a832130dd27cfaa8b07898546cf26a2ecf76952ad79ffef788"
+# sha256 over (status, value, witness) of 2,000 seeds of each generator.
+# Recorded by the solver that still took >= and = rows and upper bounds, fed
+# these LPs' rows as <= rows; the oracle tests check values, and this pins
+# which vertex is returned.
+VERTEX_DIGEST = "c626bf337a3bf9b4ff849f325cbc2f003d3886234483e3b66346b98abbeea272"
 
 
 def test_returned_vertices_are_pinned():
@@ -215,10 +263,10 @@ def test_a_row_doubled_or_tripled_keeps_the_returned_vertex():
     for seed in range(2000):
         lp = random_face_lp(random.Random(seed))
         out = solve_lp(lp)
-        for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
+        for i, (coeffs, rhs) in enumerate(lp.constraints):
             for factor in (2, 3):
                 rows = list(lp.constraints)
-                rows[i] = (tuple([factor * a for a in coeffs]), rel, factor * rhs)
+                rows[i] = (tuple([factor * a for a in coeffs]), factor * rhs)
                 if solve_lp(dataclasses.replace(lp, constraints=tuple(rows))) != out:
                     moved.append((seed, i, factor))
     assert moved == []
@@ -230,7 +278,7 @@ def test_a_tall_lp_holds_only_its_nonbasic_columns():
     # row holds 6 and the rhs.
     rng = random.Random(11)
     rows = tuple([
-        (tuple([rng.randint(-5, 5) for _ in range(3)]), "<=", rng.randint(1, 50))
+        (tuple([rng.randint(-5, 5) for _ in range(3)]), rng.randint(1, 50))
         for _ in range(2000)
     ])
     lp = LinearProgram(3, (1, 2, 3), rows)
@@ -289,8 +337,8 @@ def degenerate_rational_lp(draw) -> LinearProgram:
     Concurrent rows all pass through one drawn integer point, often a corner
     of the variable bounds, so several of them are tight at one vertex;
     duplicates and parallels make redundant rows.  Phase 1 then ends with
-    artificials at zero that it must drive out (on entries of either sign)
-    or drop.
+    artificials at zero that it must drive out, on entries of either sign.
+    The draws are written as in one_form.
     """
     n = draw(st.integers(1, 3))
     vector = st.lists(INTEGERS, min_size=n, max_size=n).map(tuple)
@@ -318,21 +366,24 @@ def degenerate_rational_lp(draw) -> LinearProgram:
         coeffs = draw(vector)
         rows.append((coeffs, draw(relation), sum(map(mul, coeffs, point))))
     order = draw(st.permutations(range(len(rows))))
-    return LinearProgram(n, draw(vector), tuple([rows[i] for i in order]), lower, upper)
+    return one_form(n, draw(vector), [rows[i] for i in order], lower, upper)
 
 
-@given(degenerate_rational_lp(), st.lists(st.integers(1, 4), min_size=12, max_size=12))
-@example(LinearProgram(2, (0, 0), (((0, -2), "<=", 0), ((-3, -5), "<=", -1), ((1, 0), "<=", 1),
-                                   ((1, 2), ">=", 0)), lower={1: -1}),
-         [1, 2] + [1] * 10)
+# One scale per row: at most 9 drawn rows, each = row written as two, and
+# up to 3 upper-bound rows make at most 21.
+@given(degenerate_rational_lp(), st.lists(st.integers(1, 4), min_size=24, max_size=24))
+@example(LinearProgram(2, (0, 0), (((0, -2), 0), ((-3, -5), -1), ((1, 0), 1),
+                                   ((-1, -2), 0)), lower={1: -1}),
+         [1, 2] + [1] * 22)
 @settings(max_examples=100, deadline=None)
 def test_rational_degenerate_lps_against_oracle(lp, scales):
+    assert len(scales) >= len(lp.constraints)
     assert_matches_oracle(lp)
     # Scaling constraints by positive factors keeps the pivot path, so the
     # reported vertex must not move.
     scaled = dataclasses.replace(lp, constraints=tuple([
-        (tuple([s * a for a in coeffs]), rel, s * rhs)
-        for s, (coeffs, rel, rhs) in zip(scales, lp.constraints)
+        (tuple([s * a for a in coeffs]), s * rhs)
+        for s, (coeffs, rhs) in zip(scales, lp.constraints)
     ]))
     assert solve_lp(scaled) == solve_lp(lp)
 
@@ -346,33 +397,34 @@ def pricing_style_lp(draw):
 
     The objective is the candidate's 0/1 price vector, each row subtracts
     another pattern's vector (so coefficients are 0 or +-1) against an
-    integer gap, and the bounds follow one price domain with integer caps.
+    integer gap, and the bounds follow one price domain with integer caps:
+    lower bounds as LP bounds and caps as unit rows after the others.
     """
     n = draw(st.integers(1, 4))
     vector = st.lists(st.integers(0, 1), min_size=n, max_size=n)
     objective = draw(vector)
     rows = [
-        (tuple([a - b for a, b in zip(objective, other)]), "<=", draw(st.integers(-6, 6)))
+        (tuple([a - b for a, b in zip(objective, other)]), draw(st.integers(-6, 6)))
         for other in draw(st.lists(vector, max_size=6))
     ]
     caps = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
     domain = draw(st.sampled_from(DOMAINS))
-    lower, upper = {}, {}
+    lower = {}
     for k, cap in enumerate(caps):
         if domain in ("nonneg", "box"):
             lower[k] = 0
         if domain in ("capped", "box"):
-            upper[k] = cap
+            rows.append((tuple([int(i == k) for i in range(n)]), cap))
         if domain == "lowercap":
             lower[k] = -cap
-    return objective, rows, lower, upper
+    return objective, rows, lower
 
 
 @given(pricing_style_lp())
 @settings(max_examples=150, deadline=None)
 def test_integer_lps_match_their_fraction_copies(data):
-    objective, rows, lower, upper = data
-    native = LinearProgram(len(objective), tuple(objective), tuple(rows), lower, upper)
+    objective, rows, lower = data
+    native = LinearProgram(len(objective), tuple(objective), tuple(rows), lower)
     out = solve_lp(native)
     if out.status is LpStatus.OPTIMAL:
         assert type(out.optimal_value) is Fraction
@@ -416,22 +468,24 @@ def _tight(lp):
     return [x.numerator * (common // x.denominator) for x in out.witness], common
 
 
-HALF_PLANE = LinearProgram(2, (1, 1), (((2, 1), "=", 1),), {1: 0}, {1: 1})
+# max x + y s.t. 2x + y = 1 (as two rows), y in [0, 1] (the cap a row).
+HALF_PLANE = LinearProgram(2, (1, 1), (((2, 1), 1), ((-2, -1), -1), ((0, 1), 1)), {1: 0})
 
 
 @pytest.mark.parametrize("lp, j, step, message", [
     # max x s.t. 2x <= 3: tight at x = 3/2.
-    (LinearProgram(1, (1,), (((2,), "<=", 3),)), 0, 1, "constraint"),
-    # max -x s.t. 3x >= 2: tight at x = 2/3.
-    (LinearProgram(1, (-1,), (((3,), ">=", 2),)), 0, -1, "constraint"),
-    # max x + y s.t. 2x + y = 1, y in [0, 1]: x = 1/2, y = 0.
+    (LinearProgram(1, (1,), (((2,), 3),)), 0, 1, "constraint"),
+    # max -x s.t. 3x >= 2, written -3x <= -2: tight at x = 2/3.
+    (LinearProgram(1, (-1,), (((-3,), -2),)), 0, -1, "constraint"),
+    # HALF_PLANE: x = 0, y = 1, on both rows of the equation.
     (HALF_PLANE, 0, 1, "constraint"),
     (HALF_PLANE, 0, -1, "constraint"),
-    (LinearProgram(2, (1, 0), (((1, -1), "<=", 2),), {0: 0, 1: -3}, {0: 4, 1: 0}),
+    (LinearProgram(2, (1, 0), (((1, -1), 2), ((1, 0), 4), ((0, 1), 0)), {0: 0, 1: -3}),
      0, 1, "constraint"),
-    (LinearProgram(2, (1, 1), (), {0: -2, 1: 0}, {0: 4, 1: 3}), 1, 1, "upper bound"),
-    (LinearProgram(1, (-1,), (((1,), ">=", 2),)), 0, -1, "constraint"),
-    (LinearProgram(2, (1, 0), (((1, 1), "=", 3),), {1: 1}), 0, 1, "constraint"),
+    # The caps y <= 3 and x <= 4 as unit rows.
+    (LinearProgram(2, (1, 1), (((1, 0), 4), ((0, 1), 3)), {0: -2, 1: 0}), 1, 1, "constraint"),
+    (LinearProgram(1, (-1,), (((-1,), -2),)), 0, -1, "constraint"),
+    (LinearProgram(2, (1, 0), (((1, 1), 3), ((-1, -1), -3)), {1: 1}), 0, 1, "constraint"),
     (LinearProgram(1, (-1,), (), {0: -2}), 0, -1, "lower bound"),
 ], ids=["le-row", "ge-row", "eq-row-up", "eq-row-down", "int-le-row", "int-upper",
         "int-ge-row", "int-eq-row", "int-lower"])
