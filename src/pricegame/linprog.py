@@ -46,9 +46,9 @@ class LinearProgram:
     """Maximize objective . x subject to a.x <= b per row, x_j >= lower[j].
 
     A constraint is a pair (coefficients, rhs); a variable with no lower
-    bound is free.  lower is a read-only copy of the mapping given.  Every
-    coefficient, right-hand side and bound is an int; anything else, a
-    Fraction included, is a TypeError.
+    bound is free.  lower is a read-only copy of the mapping given.  num_vars
+    and every coefficient, right-hand side and bound are ints; anything
+    else, a bool, a float or a Fraction included, is a TypeError.
     """
 
     num_vars: int
@@ -58,6 +58,7 @@ class LinearProgram:
 
     def __post_init__(self):
         object.__setattr__(self, "lower", MappingProxyType(dict(self.lower)))
+        require_ints((self.num_vars,), "num_vars")
         if self.num_vars < 1:
             raise ValueError("a linear program needs at least one variable")
         if len(self.objective) != self.num_vars:

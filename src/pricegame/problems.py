@@ -280,19 +280,22 @@ class VertexCoverProblem(GroundProblem):
     The enumerator emits covers as complements of independent sets, which
     keeps the walk far below 2^|V| on the gadget graphs built here.
     Patterns over the feasible covers are found without listing them, by
-    the frontier engine (_frontier) over a table of one layer per vertex
+    the frontier engine (_frontier) over a table of one layer per clique
     (_cover_patterns), whose states never outnumber the covers and whose
     needs drop, under a floor, the states that cannot reach it; patterns
-    over the solutions are found by enumeration.  The greedy cliques that
-    bound those needs (_greedy_cliques) and the exclude moves and layer
-    order of that table are computed once per problem, not once per query.
+    over the solutions are found by enumeration.  The cliques are the
+    maximal runs of consecutive, pairwise adjacent vertices, taken from the
+    highest vertex down and computed once per problem as ranges of
+    positions; they give both the layers and the bound on the needs
+    (_cover_bounds).  In sat_to_vertex_cover's order they are the literal
+    pairs and the clause gadgets, except that a first clause ~x_n, whose
+    two gadget vertices both join ~x_n, takes ~x_n into its run.
     """
 
     name = "vertex-cover"
     edges: tuple[tuple[str, str], ...]
     _adjacency: list[int] = field(init=False, repr=False)
-    _cliques: list[list[int]] = field(init=False, repr=False)
-    _excludes: list[tuple[int, int, tuple]] = field(init=False, repr=False)
+    _cliques: list[range] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.sense is not Sense.MIN:
@@ -309,10 +312,16 @@ class VertexCoverProblem(GroundProblem):
                 raise ValueError("self-loops are not allowed")
             adjacency[iu] |= 1 << iv
             adjacency[iv] |= 1 << iu
-        excludes = [(v, 1 << v, (1 << v, 0, adjacency[v] & ((1 << v) - 1), 0, 0))
-                    for v in range(self.size - 1, -1, -1)]
-        for attr, value in (("edges", edges), ("_adjacency", adjacency),
-                            ("_cliques", _greedy_cliques(adjacency)), ("_excludes", excludes)):
+        # A run grows down while the next vertex is adjacent to all of it.
+        cliques, low = [], self.size
+        while low:
+            top = low = low - 1
+            common = adjacency[top]
+            while low and common >> low - 1 & 1:
+                low -= 1
+                common &= adjacency[low]
+            cliques.append(range(low, top + 1))
+        for attr, value in (("edges", edges), ("_adjacency", adjacency), ("_cliques", cliques)):
             object.__setattr__(self, attr, value)
 
     def feasible(self, mask: int) -> bool:
@@ -338,7 +347,7 @@ class VertexCoverProblem(GroundProblem):
         # The table reads no weights or threshold, so solutions are listed.
         if ground is GroundChoice.SOLUTIONS:
             return super().patterns(ground, leader_mask, gains, cap, floor)
-        return _cover_patterns(self._excludes, self._cliques, leader_mask, gains, floor)
+        return _cover_patterns(self._adjacency, self._cliques, leader_mask, gains, floor)
 
 
 def vertex_cover_problem(
@@ -352,79 +361,59 @@ def vertex_cover_problem(
                               Sense.MIN, edges)
 
 
-def _greedy_cliques(adjacency: list[int]) -> list[list[int]]:
-    """The vertices split greedily into disjoint cliques, each listed lowest first.
+def _cover_bounds(cliques: list[range], gains: tuple[int, ...]) -> list[int]:
+    """Entry k bounds from above the gain that the lowest k cliques add to a cover.
 
-    Each clique is the lowest vertex left, extended by the lowest vertex left
-    adjacent to all of it (in sat_to_vertex_cover's order: the literal pairs
-    and the clause gadgets).
+    The cliques are VertexCoverProblem's, highest first.  A cover keeps all
+    of a clique's vertices but at most one, so a clique adds at most the sum
+    of its gains less its most negative gain, if one is negative.
     """
-    cliques = []
-    free = (1 << len(adjacency)) - 1
-    for u in range(len(adjacency)):
-        if free >> u & 1:
-            clique, common = [u], adjacency[u] & free
-            while common:
-                w = (common & -common).bit_length() - 1
-                clique.append(w)
-                common &= adjacency[w]
-            for w in clique:
-                free ^= 1 << w
-            cliques.append(clique)
-    return cliques
-
-
-def _cover_bounds(cliques: list[list[int]], gains: tuple[int, ...]) -> list[int]:
-    """Entry v bounds from above the gain that the vertices below v add to a cover.
-
-    The cliques are _greedy_cliques' partition, which VertexCoverProblem
-    computes once per graph.  A cover keeps all of a clique's vertices but
-    at most one, so a clique wholly below v adds at most the sum of its
-    gains minus its most negative gain; any other vertex below v adds at
-    most max(gain, 0).
-    """
-    # Per clique's highest vertex, what the clique adds beyond its positive
-    # gains: every negative gain but the most negative.
-    correction = {}
-    for clique in cliques:
-        negatives = sorted(gains[w] for w in clique if gains[w] < 0)
-        correction[clique[-1]] = sum(negatives[1:])
     rest = [0]
-    for v, gain in enumerate(gains):
-        rest.append(rest[v] + max(gain, 0) + correction.get(v, 0))
+    for clique in reversed(cliques):
+        part = gains[clique.start:clique.stop]
+        rest.append(rest[-1] + sum(part) - min(0, *part))
     return rest
 
 
 def _cover_patterns(
-    excludes: list[tuple[int, int, tuple]], cliques: list[list[int]], leader_mask: int,
-    gains: tuple[int, ...], floor: int | None,
+    adjacency: list[int], cliques: list[range], leader_mask: int, gains: tuple[int, ...],
+    floor: int | None,
 ) -> dict[int, tuple[int, int]]:
     """best_by_pattern over the vertex covers of a graph, without listing them.
 
-    One layer per vertex, from the highest down.  A key is forced | pattern:
+    One layer per clique, from the highest down.  A key is forced | pattern:
     the undecided vertices that an excluded neighbour forces into the cover,
-    and the leader bits decided so far, in disjoint bit ranges.  Including a
-    vertex clears its forced bit and puts its leader bit; excluding it is
-    forbidden when forced and forces its lower neighbours.  Undecided bits
-    lie below decided ones, so _canon_before(L | H1, L | H2) equals
+    and the leader bits decided so far, in disjoint bit ranges.  A cover
+    keeps all of a clique or all but one vertex u of it, so a layer has one
+    move per choice: each clears the forced bits of the vertices it keeps
+    and puts their leader bits, and excluding u is forbidden when u is
+    forced and forces u's neighbours below the clique.  Undecided bits lie
+    below decided ones, so _canon_before(L | H1, L | H2) equals
     _canon_before(H1, H2).  Every state completes to a cover by including
-    the rest, so no layer holds more states than there are covers.  Under a
-    floor, a layer's need is the floor less _cover_bounds' bound on the
-    vertices below it, over the graph's cliques.  With no floor every need
-    is one sentinel below every partial gain, so no state is dropped and no
-    bound is computed.  excludes lists (vertex, bit, exclude move) from the
-    highest vertex down; only the include moves read the query.
+    the rest, so no layer holds more states than there are covers.  A layer
+    per vertex, highest first, would hold the same states after each
+    clique's lowest vertex, given the same needs.  Under a floor, a layer's
+    need is the floor less _cover_bounds' bound on the cliques below it.
+    With no floor every need is one sentinel below every partial gain, so
+    no state is dropped and no bound is computed.
     """
-    size = len(excludes)
     if floor is None:
-        needs = [-sum(map(abs, gains)) - 1] * size
+        needs = [-sum(map(abs, gains)) - 1] * len(cliques)
     else:
         rest = _cover_bounds(cliques, gains)
-        if rest[size] < floor:
+        if rest[-1] < floor:
             return {}
-        needs = [floor - rest[v] for v in range(size - 1, -1, -1)]
-    layers = [(0, [(0, bit, bit & leader_mask, bit, gains[v]), exclude])
-              for v, bit, exclude in excludes]
+        needs = [floor - bound for bound in reversed(rest[:-1])]
+    layers = []
+    for clique in cliques:
+        whole, below = (1 << clique.stop) - (1 << clique.start), (1 << clique.start) - 1
+        total = sum(gains[clique.start:clique.stop])
+        moves = [(0, whole, whole & leader_mask, whole, total)]
+        for u in clique:
+            kept = whole ^ 1 << u
+            moves.append((1 << u, kept, kept & leader_mask | adjacency[u] & below, kept,
+                          total - gains[u]))
+        layers.append((0, moves))
     states = {0: (0, 0)}
     for states in _frontier(layers, needs):
         pass

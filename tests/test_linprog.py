@@ -126,9 +126,12 @@ def test_the_first_faulty_row_is_named(rows, error, message):
     (lambda: LinearProgram(1, (1,), (((Fraction(2),), 1),)), "constraint coefficient"),
     (lambda: LinearProgram(1, (1,), (((1,), Fraction(3, 2)),)), "right-hand side"),
     (lambda: LinearProgram(1, (1,), (), {0: Fraction(-1, 3)}), "lower bound"),
+    (lambda: LinearProgram(2.0, (1, 1), (((1, 1), 3),)), "num_vars"),
+    (lambda: LinearProgram(True, (1,), ()), "num_vars"),
 ], ids=["float-objective", "float-coefficient", "float-rhs", "float-lower",
         "bool-lower", "bool-objective", "string-rhs", "fraction-objective",
-        "fraction-coefficient", "fraction-rhs", "fraction-lower"])
+        "fraction-coefficient", "fraction-rhs", "fraction-lower", "float-num-vars",
+        "bool-num-vars"])
 def test_inexact_lp_data_is_rejected(build, what):
     with pytest.raises(TypeError, match=what):
         build()

@@ -406,10 +406,12 @@ def under_every_domain(inst: PricingInstance):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_solver_equals_the_solve_every_candidate_reference(seed):
-    # The reference lists the family, solves every candidate's LP and passes
-    # the caps as LP bounds.  Only the capped domain's formulation differs
-    # from the solver's, so only there may another optimal vertex be chosen;
-    # its prices must still evaluate to the solver's own outcome.
+    # The reference lists the family and solves every candidate's LP.  Under
+    # capped prices alone it writes each price as cap - y with y >= 0, where
+    # the solver takes the caps as unit rows; under box prices both take the
+    # unit rows.  Only the capped domain's formulation differs from the
+    # solver's, so only there may another optimal vertex be chosen; its
+    # prices must still evaluate to the solver's own outcome.
     for inst in every_kind_instances(random.Random(seed)):
         for here in under_every_domain(inst):
             solution = solve_pricing(here)

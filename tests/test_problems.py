@@ -604,6 +604,10 @@ def vertex_cover_pattern_queries(draw):
 # Floored at 2, the cover {a, b} is lost unless the bound counts what the
 # positive gains left can still add.
 @example((vertex_cover_problem("ab", [("a", "b")], 0), 0, (1, 1), 0), GroundChoice.FEASIBLE, 0)
+# The cliques of consecutive vertices, {c, d}, {b} and {a}, are not a greedy
+# clique cover's {a, c, d} and {b}; the floored queries' bound reads the former.
+@example((vertex_cover_problem("abcd", [("a", "c"), ("a", "d"), ("c", "d"), ("b", "c")], 0),
+          0b0110, (-3, 2, -1, -2), 1), GroundChoice.FEASIBLE, 0)
 @settings(max_examples=300, deadline=None)
 def test_vertex_cover_pattern_oracle_matches_the_enumeration(query, ground, pick):
     # Values and members equal the enumeration's, on the problem, on a
@@ -744,9 +748,18 @@ def test_sat_pattern_states_on_thm2_output_are_pinned(monkeypatch, pairs):
     assert calls == [THM2_SAT_WIDTHS[pairs]]
 
 
+def at_clique_ends(per_vertex, problem):
+    """A list of widths per vertex, highest first, read where each of the
+    problem's cliques ends."""
+    ends = itertools.accumulate([len(clique) for clique in problem._cliques])
+    return [per_vertex[end - 1] for end in ends]
+
+
 def test_cover_pattern_states_of_a_lift_min_target_are_pinned(monkeypatch):
-    # Recorded with the SAT widths above: first the floored query that
-    # certifies the lift, then the unfloored one that solves it.
+    # Recorded with the SAT widths above, one layer per vertex: first the
+    # floored query that certifies the lift, then the unfloored one that
+    # solves it.  A layer per clique holds the same states at each clique's
+    # end.
     formula = cnf(4, [[1, -2, 3], [-1, 2, 4], [2, -3], [-4]])
     valuation = {"x1": 3, "~x1": 1, "x2": 2, "~x2": 0, "x3": 4, "~x3": 2, "x4": 1, "~x4": 5}
     source = PricingInstance(sat_problem(formula), frozenset({"x1", "~x2", "x3", "~x4"}),
@@ -754,10 +767,33 @@ def test_cover_pattern_states_of_a_lift_min_target_are_pinned(monkeypatch):
     calls = record_widths(monkeypatch)
     lifted, _ = lift_min(source, sat_to_vertex_cover(formula))
     solve_pricing(lifted)
-    assert calls == [
+    per_vertex = [
         [2, 1, 2, 2, 4, 6, 6, 12, 18, 18, 18, 12, 15, 12, 16, 8, 7, 4],
         [2, 2, 4, 6, 12, 16, 20, 40, 60, 80, 68, 56, 48, 48, 48, 32, 16, 16],
     ]
+    assert calls == [at_clique_ends(widths, lifted.base) for widths in per_vertex]
+    assert calls == [[1, 2, 6, 18, 12, 12, 8, 4], [2, 6, 20, 80, 56, 48, 32, 16]]
+
+
+# Per-vertex states of the floored query that certifies lift_min on the
+# 1-pair thm2 output, recorded with one layer per vertex at cap 80.
+THM2_COVER_WIDTHS = [
+    2, 3, 3, 6, 9, 9, 18, 27, 27, 54, 67, 51, 96, 121, 78, 141, 157, 83, 166, 249, 332, 313,
+    626, 882, 882, 1650, 2532, 2023, 4046, 5086, 3959, 7918, 7918, 15836, 9947, 17883, 9012,
+    16948, 8492, 16428, 8232, 16168, 9352, 18504, 9252, 18404, 9216, 18432, 18432, 13952,
+    9216, 7018, 4608, 4096, 3456, 2944, 2294, 1782, 1132, 868, 560, 432, 278, 278, 149, 149,
+    11,
+]
+
+
+def test_cover_pattern_states_of_thm2_certification_are_pinned(monkeypatch):
+    inst = compile_qdnf_pricing(random_formula(random.Random(1), 1, 3)).pricing
+    artifact = sat_to_vertex_cover(inst.base.formula)
+    calls = record_widths(monkeypatch)
+    lift_min(inst, artifact, 80)
+    target = artifact.target
+    assert (target.size, len(target._cliques)) == (67, 28)
+    assert calls == [at_clique_ends(THM2_COVER_WIDTHS, target)]
 
 
 def test_no_frontier_move_touches_its_forbidden_bits(monkeypatch):
