@@ -23,7 +23,10 @@ target sense it accepts: the lifted valuation is scale * weight plus the
 source value on embedded elements (minus it for a minimization target),
 with the scale large enough that follower optimality is decided by the
 weight digit first; feasibility targets have zero weights, so only the
-source value remains.  weight_lift rescales a minimization target so every
+source value remains.  The leader value carries over only when some source
+solution avoids the leader's part, the standing assumption of every lift:
+without one, lift_max and lift_min followers may escape to target feasible
+sets that avoid it.  weight_lift rescales a minimization target so every
 embedded element has weight at least one, preserving the solution set;
 lift_min applies it on demand and the CLI's weight-lift pipeline records it
 as a provenance step.
@@ -305,7 +308,8 @@ def lift_max(
 
     Target profits become scale * weight, plus the source profit on embedded
     elements, so the weight digit dominates and the source game replays on
-    the embedded copy.  The decision threshold carries over unchanged.
+    the embedded copy.  The threshold carries over unchanged, and the leader
+    value when some source solution avoids the leader's part.
     """
     return _lift(sat_pricing, artifact, cap, Sense.MAX)
 
@@ -320,7 +324,8 @@ def lift_min(
     Costs become scale * weight minus the source profit on embedded
     elements.  If any embedded element has weight zero the target is first
     rescaled by weight_lift, and the rescaled artifact is certified again;
-    the lifted instance's base is then the rescaled target.
+    the lifted instance's base is then the rescaled target.  The leader
+    value carries over when some source solution avoids the leader's part.
     """
     return _lift(sat_pricing, artifact, cap, Sense.MIN)
 

@@ -15,9 +15,8 @@ the sign again.  Among follower-optimal responses the one best for the
 leader is selected (optimistic tie-breaking), with remaining ties resolved
 by canonical subset order over the universe: members compare as the tuples
 of their sorted element positions, so a member precedes its extensions.
-One comparison in `core` defines that order, and `_beats` makes every
-choice with it: the larger key wins, and an equal key goes to the
-canonically first member.
+One comparison in `core` defines that order.  `_beats` takes the solve's
+larger key, ties by it; an evaluation's ties go to the follower's oracle.
 
 The solver reads the ground family only through `core.best_by_pattern`,
 its collapse to leader patterns: each member's intersection with the leader
@@ -50,6 +49,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from operator import or_, sub
 from types import MappingProxyType
 from typing import Mapping
@@ -146,29 +146,22 @@ def _beats(key, member: int, held: tuple | None) -> bool:
     return held is None or key > held[0] or (key == held[0] and _canon_before(member, held[1]))
 
 
-def _collapse(inst: PricingInstance, cap: int) -> dict[int, tuple[int, int]]:
-    """The base's patterns for a solve or an evaluation; a cap error names the stage."""
-    base = inst.base
-    sign = base.sense.sign
-    gains = tuple([sign * inst.valuation[e.id] for e in base.universe])
-    try:
-        return best_by_pattern(base, inst.ground, base.mask_of(inst.leader_ids), gains, cap)
-    except CapExceededError as err:
-        raise err.staged(f"solve of the {base.name} ground: ") from err
-
-
 def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolution:
     """Exact optimistic bilevel optimum of a pricing instance."""
     if inst.domain is Domain.LOWER_CAP and inst.base.sense is not Sense.MIN:
         raise ValueError("the lower-cap domain applies to minimization instances only")
-    patterns = _collapse(inst, cap)
+    base = inst.base
+    gains = tuple([base.sense.sign * inst.valuation[e.id] for e in base.universe])
+    try:
+        patterns = best_by_pattern(base, inst.ground, base.mask_of(inst.leader_ids), gains, cap)
+    except CapExceededError as err:
+        raise err.staged(f"solve of the {base.name} ground: ") from err
     if not patterns:
         return PricingSolution(SolveStatus.NO_FOLLOWER_SOLUTION)
     low_bound, high_bound = _PRICE_BOUNDS[inst.domain]
     if high_bound is None and 0 not in patterns:
         return PricingSolution(SolveStatus.UNBOUNDED)
 
-    base = inst.base
     var_bits = bits(reduce(or_, patterns, 0))
     var_ids = [base.universe[b].id for b in var_bits]
     caps = [inst.valuation[e] for e in var_ids]
@@ -256,11 +249,10 @@ def evaluate_prices(
 ) -> PricingSolution:
     """Exact optimistic follower response to one fixed price vector.
 
-    Independent of the LP machinery; used as a lower-bound oracle on the
-    solver and for the scaled-bound experiments on lifted instances.  Each
-    price is an int or a Fraction, else TypeError; the outcome is OPTIMAL
-    at the given prices, and an OPTIMAL solve equals the evaluation at its
-    own prices.
+    One query to the follower's pattern oracle with leader mask 0, sharing
+    no collapse and no remembered answer with the solve.  Each price is an
+    int or a Fraction, else TypeError; the outcome is OPTIMAL at the given
+    prices, and an OPTIMAL solve equals the evaluation at its own prices.
     """
     if set(prices) != set(inst.leader_ids):
         raise ValueError("prices must be given on exactly the leader elements")
@@ -268,19 +260,21 @@ def evaluate_prices(
         if type(price) not in (int, Fraction):
             raise TypeError(f"price {price!r} on {e!r} is not an int or a Fraction")
     prices = {e: Fraction(price) for e, price in prices.items()}
-    patterns = _collapse(inst, cap)
-    if not patterns:
+    base, sign = inst.base, inst.base.sense.sign
+    # Payments in units of 1/d lie within ±big/2: big·net + payment ranks net, then payment.
+    d = lcm(*[price.denominator for price in prices.values()])
+    paid = [int(d * prices.get(e.id, 0)) for e in base.universe]
+    big = 2 * sum(map(abs, paid)) + 1
+    gains = tuple([big * (d * sign * inst.valuation[e.id] - c) + c
+                   for e, c in zip(base.universe, paid)])
+    try:
+        base._check_cap(cap)
+        answer = base.patterns(inst.ground, 0, gains, cap)
+    except CapExceededError as err:
+        raise err.staged(f"evaluation of the {base.name} ground: ") from err
+    if not answer:
         raise NoFollowerSolutionError("the follower has no admissible response")
-    base = inst.base
-
-    # The follower takes the best net gain, the leader the dearest of those
-    # responses, and canonical order breaks the ties that remain.
-    best = None
-    for pattern, (gain, member) in patterns.items():
-        paid = sum((prices[base.universe[b].id] for b in bits(pattern)), Fraction(0))
-        rank = (gain - paid, paid)
-        if _beats(rank, member, best):
-            best = (rank, member)
-    (net, leader_value), response = best
-    return PricingSolution(SolveStatus.OPTIMAL, prices, base.ids_of(response), leader_value,
-                           base.sense.sign * net)
+    key, response = answer[0]
+    net, payment = divmod(key + big // 2, big)
+    return PricingSolution(SolveStatus.OPTIMAL, prices, base.ids_of(response),
+                           Fraction(payment - big // 2, d), sign * Fraction(net, d))

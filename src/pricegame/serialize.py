@@ -100,7 +100,7 @@ def load_document(text: str) -> dict:
             raise ValueError(f"document is missing the {field!r} field")
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc['schema_version']!r}")
-    if doc["kind"] not in DECODERS:
+    if not isinstance(doc["kind"], str) or doc["kind"] not in DECODERS:
         raise ValueError(f"unknown document kind {doc['kind']!r}")
     provenance = doc.setdefault("provenance", [])
     if not isinstance(provenance, list) or not all(isinstance(p, dict) for p in provenance):

@@ -1,4 +1,4 @@
-"""Solve-every-candidate reference for the bilevel pricing solver.
+"""Solve-every-candidate and scan-every-pattern references for pricing.
 
 The ground family is listed (`core.best_by_enumeration`, not a problem's
 pattern oracle), and every candidate pattern gets its LP, with no revenue
@@ -13,6 +13,10 @@ element positions come first.
 Under every domain but the capped one the winner's LP has the solver's
 standard form, so the prices agree too; under capped prices the two
 formulations may reach different optimal vertices of the same region.
+
+The evaluation reference scans every leader pattern of the listed family
+with Fraction sums: the best net gain wins, then the larger payment to the
+leader, then the member whose sorted element positions come first.
 """
 
 from __future__ import annotations
@@ -21,7 +25,13 @@ from fractions import Fraction
 
 from pricegame.core import DEFAULT_CAP, Sense, best_by_enumeration, bits
 from pricegame.linprog import LinearProgram, LpStatus, solve_lp
-from pricegame.pricing import Domain, PricingInstance, PricingSolution, SolveStatus
+from pricegame.pricing import (
+    Domain,
+    NoFollowerSolutionError,
+    PricingInstance,
+    PricingSolution,
+    SolveStatus,
+)
 
 # Each domain's (lower, upper) price bound as a multiple of the valuation.
 BOUNDS = {
@@ -94,3 +104,22 @@ def solve_every_candidate(inst: PricingInstance, cap: int = DEFAULT_CAP) -> Pric
     prices.update(zip([base.universe[b].id for b in var_bits], witness))
     return PricingSolution(SolveStatus.OPTIMAL, prices, base.ids_of(member), value,
                            sign * (gain - value))
+
+
+def evaluate_every_pattern(inst: PricingInstance, prices: dict[str, Fraction],
+                           cap: int = DEFAULT_CAP) -> PricingSolution:
+    base = inst.base
+    sign = base.sense.sign
+    gains = tuple(sign * inst.valuation[e.id] for e in base.universe)
+    patterns = best_by_enumeration(base, inst.ground, base.mask_of(inst.leader_ids), gains, cap)
+    if not patterns:
+        raise NoFollowerSolutionError("the follower has no admissible response")
+    prices = {e: Fraction(price) for e, price in prices.items()}
+    best = None  # ((net gain, payment), member)
+    for pattern, (gain, member) in patterns.items():
+        paid = sum((prices[base.universe[b].id] for b in bits(pattern)), Fraction(0))
+        rank = (gain - paid, paid)
+        if best is None or rank > best[0] or (rank == best[0] and bits(member) < bits(best[1])):
+            best = (rank, member)
+    (net, paid), member = best
+    return PricingSolution(SolveStatus.OPTIMAL, prices, base.ids_of(member), paid, sign * net)

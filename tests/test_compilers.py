@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -33,6 +34,7 @@ from pricegame.pricing import (
     Domain,
     GroundChoice,
     PricingInstance,
+    SolveStatus,
     decide_pricing,
     solve_pricing,
 )
@@ -268,6 +270,56 @@ def test_lift_feas_through_identity_preserves_instance():
     assert lifted.valuation == {k: int(v) for k, v in src.valuation.items()}
     assert lifted.leader_ids == src.leader_ids
     assert solve_pricing(lifted).leader_value == solve_pricing(src).leader_value
+
+
+def test_lifts_keep_the_leader_value_only_when_a_solution_avoids_the_leader():
+    # The standing assumption of every lift: the source has a solution that
+    # avoids the leader's part.  With one, all three lifts keep the leader
+    # value under every domain they share with the source.  Without one,
+    # only lift_feas, whose ground is the target's solutions, keeps it:
+    # lift_max never does, and lift_min only sometimes under free and
+    # nonnegative prices, where the source's revenue is unbounded.
+    kept, seen = Counter(), Counter()
+    for formula, src in seeded_sat_sources(random.Random(11), 150):
+        solutions = src.base.solution_masks(40)
+        if not solutions:
+            continue
+        leader_mask = src.base.mask_of(src.leader_ids)
+        assumed = any(not s & leader_mask for s in solutions)
+        lifts = {"min": lift_min(src, sat_to_vertex_cover(formula), 40)[0],
+                 "max": lift_max(src, sat_to_subset_sum(formula), 40)[0],
+                 "feas": lift_feas(src, identity_reduction(src.base), 40)[0]}
+        for domain in (Domain.FREE, Domain.NONNEG, Domain.CAPPED, Domain.BOX):
+            expected = solve_pricing(dataclasses.replace(src, domain=domain), 40)
+            for mode, lifted in lifts.items():
+                outcome = solve_pricing(dataclasses.replace(lifted, domain=domain), 40)
+                seen[assumed, mode, domain] += 1
+                kept[assumed, mode, domain] += (outcome.status, outcome.leader_value) == \
+                    (expected.status, expected.leader_value)
+    for domain in (Domain.FREE, Domain.NONNEG, Domain.CAPPED, Domain.BOX):
+        unbounded = domain in (Domain.FREE, Domain.NONNEG)
+        for mode in ("min", "max", "feas"):
+            assert (seen[True, mode, domain], kept[True, mode, domain]) == (74, 74)
+        assert [kept[False, mode, domain] for mode in ("min", "max", "feas")] == \
+            [50 if unbounded else 0, 0, 70]
+        assert {seen[False, mode, domain] for mode in ("min", "max", "feas")} == {70}
+
+
+def test_a_source_whose_solutions_all_meet_the_leader_breaks_the_weighted_lifts():
+    # x1 is the only solution, and the leader owns it: the source's revenue
+    # is unbounded.  The lifted followers may leave the target's solutions
+    # for feasible sets that avoid the leader, so lift_min and lift_max
+    # bound the revenue; lift_feas keeps the follower on the solutions.
+    formula = cnf(1, [[1]])
+    src = source_instance(formula, {"x1"}, {"x1": 1, "~x1": 0})
+    assert solve_pricing(src).status is SolveStatus.UNBOUNDED
+    outcomes = [solve_pricing(lift(src, artifact)[0]) for lift, artifact in (
+        (lift_min, sat_to_vertex_cover(formula)),
+        (lift_max, sat_to_subset_sum(formula)),
+        (lift_feas, identity_reduction(src.base)),
+    )]
+    assert [(o.status, o.leader_value) for o in outcomes] == [
+        (SolveStatus.OPTIMAL, 9), (SolveStatus.OPTIMAL, 81), (SolveStatus.UNBOUNDED, None)]
 
 
 def test_weight_lift_formulas():

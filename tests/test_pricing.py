@@ -41,7 +41,7 @@ from pricegame.problems import (
 )
 from pricegame.serialize import pricing_summary
 from pricegame.sweep import decision_fields, random_formula
-from pricing_reference import solve_every_candidate
+from pricing_reference import evaluate_every_pattern, solve_every_candidate
 from test_compilers import seeded_sat_sources
 
 
@@ -424,6 +424,13 @@ def test_solver_equals_the_solve_every_candidate_reference(seed):
                 assert evaluate_prices(here, solution.prices) == solution
 
 
+def solve_patterns(inst: PricingInstance) -> dict[int, tuple[int, int]]:
+    """The leader patterns a solve of inst reads, at cap 24."""
+    base = inst.base
+    gains = tuple(base.sense.sign * inst.valuation[e.id] for e in base.universe)
+    return best_by_pattern(base, inst.ground, base.mask_of(inst.leader_ids), gains, 24)
+
+
 def test_caps_are_the_last_rows_and_lower_bounds_the_only_lp_bounds(monkeypatch):
     # Under capped and box prices each candidate LP ends with e_k <= cap_k,
     # one unit row per priced element in the order of their bits, and the
@@ -437,7 +444,7 @@ def test_caps_are_the_last_rows_and_lower_bounds_the_only_lp_bounds(monkeypatch)
     for seed in range(10):
         for inst in every_kind_instances(random.Random(seed)):
             for here in under_every_domain(inst):
-                patterns = pricing._collapse(here, 24)
+                patterns = solve_patterns(here)
                 union = functools.reduce(operator.or_, patterns, 0)
                 caps = [here.valuation[here.base.universe[b].id] for b in core.bits(union)]
                 n = len(caps)
@@ -462,7 +469,7 @@ def test_tie_stop_solves_fewer_lps_for_the_same_solution(monkeypatch):
     # each of them would take four LPs.  The first in canonical order wins,
     # so the tie stop needs only its LP.
     inst = compile_qdnf_pricing(random_formula(random.Random(0), 2, 3)).pricing
-    patterns = pricing._collapse(inst, 24)
+    patterns = solve_patterns(inst)
     reaching = [p for p, (gain, _) in patterns.items() if gain - patterns[0][0] >= 10]
     solved = []
     solve_lp = pricing.solve_lp
@@ -544,10 +551,49 @@ def test_pattern_memo_stays_bounded_over_many_valuations():
     assert core.best_by_pattern(base, *key) is answer
 
 
-def test_solves_and_evaluations_under_every_domain_share_one_collapse(monkeypatch):
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=60, deadline=None)
+def test_evaluation_equals_the_scan_of_every_pattern(seed):
+    # Every kind under both grounds, plus an empty family, at random prices:
+    # negative, zero and fractional ones.  The reference lists the family
+    # and scans every leader pattern with Fraction sums.
+    rng = random.Random(seed)
+    empty = explicit_problem([Element("a"), Element("b")], [])
+    instances = [*every_kind_instances(rng),
+                 PricingInstance(empty, frozenset({"a"}), {"a": 1, "b": 2}, GroundChoice.FEASIBLE)]
+    for inst in instances:
+        for ground in GroundChoice:
+            here = dataclasses.replace(inst, ground=ground)
+            for _ in range(3):
+                prices = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                          for e in sorted(here.leader_ids)}
+                try:
+                    expected = evaluate_every_pattern(here, prices)
+                except NoFollowerSolutionError:
+                    with pytest.raises(NoFollowerSolutionError):
+                        evaluate_prices(here, prices)
+                    continue
+                assert evaluate_prices(here, prices) == expected
+
+
+def test_evaluation_past_the_cap_names_its_stage():
+    base = sat_problem(cnf(3, [[1, 2, 3]]))
+    inst = PricingInstance(base, frozenset({"x1"}), {**dict.fromkeys(base.weights, 0), "x1": 2},
+                           GroundChoice.SOLUTIONS)
+    with pytest.raises(core.CapExceededError, match="^evaluation of the sat ground: a search"
+                       " over 3 binary choices exceeds the enumeration cap of 2$"):
+        evaluate_prices(inst, {"x1": Fraction(1, 2)}, cap=2)
+    outcome = evaluate_prices(inst, {"x1": Fraction(1, 2)}, cap=3)
+    assert (outcome.leader_value, outcome.follower_value) == (Fraction(1, 2), Fraction(3, 2))
+
+
+def test_solves_share_one_collapse_and_evaluations_ask_the_oracle_once(monkeypatch):
     # As in the domain-resolve benchmark: fresh instances over one compiled
     # base, one per domain, each solved and then evaluated at its prices.
+    # The solves share one collapse to the leader patterns; each evaluation
+    # is one query with leader mask 0 that leaves the solve's answer held.
     template = compile_qdnf_pricing(random_formula(random.Random(1), 2, 3)).pricing
+    leader_mask = template.base.mask_of(template.leader_ids)
     calls = []
     collapse = problems._sat_patterns
 
@@ -556,12 +602,20 @@ def test_solves_and_evaluations_under_every_domain_share_one_collapse(monkeypatc
         return collapse(*args)
 
     monkeypatch.setattr(problems, "_sat_patterns", counted)
+    evaluations = 0
     for domain in (Domain.FREE, Domain.NONNEG, Domain.CAPPED, Domain.BOX, Domain.CAPPED):
         inst = dataclasses.replace(template, domain=domain)
         solution = solve_pricing(inst)
         if solution.status is SolveStatus.OPTIMAL:
-            evaluate_prices(inst, solution.prices)
-    assert len(calls) == 1
+            assert evaluate_prices(inst, solution.prices) == solution
+            evaluations += 1
+    masks = [args[2] for args in calls]
+    assert evaluations > 0
+    assert masks.count(leader_mask) == 1 and masks.count(0) == evaluations
+    assert len(masks) == 1 + evaluations
+    gains = tuple(template.valuation[e.id] for e in template.base.universe)
+    key, _ = template.base._last_answer
+    assert key == (template.ground, leader_mask, gains, 24, None)
 
 
 def positions(mask):
