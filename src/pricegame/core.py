@@ -68,7 +68,8 @@ class CapExceededError(RuntimeError):
 
 
 def require_cap(cap: int) -> None:
-    """Raise ValueError unless cap, a bound of 2^cap on an enumeration, is at least 0."""
+    """Raise unless cap, a bound of 2^cap on an enumeration, is an int of at least 0."""
+    require_ints((cap,), "the enumeration cap")
     if cap < 0:
         raise ValueError(f"the enumeration cap must be at least 0, got {cap}")
 
@@ -263,6 +264,11 @@ def _canon_before(a: int, b: int) -> bool:
     return b > low if a & low else a < low
 
 
+def _beats(key, member: int, held: tuple | None) -> bool:
+    """The one best-member rule: whether (key, member) beats held, a (key, member, ...) or None."""
+    return held is None or key > held[0] or (key == held[0] and _canon_before(member, held[1]))
+
+
 def best_by_pattern(
     problem: GroundProblem, ground: GroundChoice, leader_mask: int,
     gains: tuple[int, ...], cap: int = DEFAULT_CAP, floor: int | None = None,
@@ -304,8 +310,7 @@ def best_by_enumeration(
     best: dict[int, tuple[int, int]] = {}
     for m, gain in zip(masks, mask_sums(gains, masks)):
         pattern = m & leader_mask
-        held = best.get(pattern)
-        if held is None or gain > held[0] or (gain == held[0] and _canon_before(m, held[1])):
+        if _beats(gain, m, best.get(pattern)):
             best[pattern] = (gain, m)
     if floor is not None:
         return {p: held for p, held in best.items() if held[0] >= floor}

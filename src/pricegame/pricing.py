@@ -15,8 +15,8 @@ the sign again.  Among follower-optimal responses the one best for the
 leader is selected (optimistic tie-breaking), with remaining ties resolved
 by canonical subset order over the universe: members compare as the tuples
 of their sorted element positions, so a member precedes its extensions.
-One comparison in `core` defines that order.  `_beats` takes the solve's
-larger key, ties by it; an evaluation's ties go to the follower's oracle.
+`core._beats` is the one rule for every such choice, asked by the solve
+and, for an evaluation's ties, by the follower's oracle.
 
 The solver reads the ground family only through `core.best_by_pattern`,
 its collapse to leader patterns: each member's intersection with the leader
@@ -60,7 +60,7 @@ from .core import (
     GroundChoice,
     GroundProblem,
     Sense,
-    _canon_before,
+    _beats,
     best_by_pattern,
     bits,
     mask_sums,
@@ -139,11 +139,6 @@ class PricingSolution:
     response: frozenset[str] | None = None
     leader_value: Fraction | None = None
     follower_value: Fraction | None = None
-
-
-def _beats(key, member: int, held: tuple | None) -> bool:
-    """Whether (key, member) wins over held, a (key, member, ...) or None."""
-    return held is None or key > held[0] or (key == held[0] and _canon_before(member, held[1]))
 
 
 def solve_pricing(inst: PricingInstance, cap: int = DEFAULT_CAP) -> PricingSolution:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from .core import (
     Element,
@@ -30,7 +31,7 @@ from .core import (
     GroundProblem,
     ReductionArtifact,
     Sense,
-    _canon_before,
+    _beats,
     bits,
     mask_sums,
     subset_sums,
@@ -122,7 +123,8 @@ def cnf(num_vars: int, clauses, var_names=None) -> CnfFormula:
 class SatProblem(GroundProblem):
     """The satisfiability problem of a formula as a feasibility-sense instance.
 
-    Its universe is the formula's literal universe, and its oracles read the
+    Its universe is the formula's literals, its weights zero and its
+    threshold 0, set by SatProblem(formula) itself; its oracles read the
     formula's incidence tables rather than its clauses.  The enumerator
     searches assignments depth first rather than scanning arbitrary literal
     subsets, and declares its cost as the 2^n assignments it could visit at
@@ -134,14 +136,16 @@ class SatProblem(GroundProblem):
     """
 
     name = "sat"
+    sense: Sense = field(default=Sense.FEASIBILITY, init=False)
+    universe: tuple[Element, ...] = field(init=False)
+    weights: Mapping[str, int] = field(init=False)
+    threshold: int = field(default=0, init=False)
     formula: CnfFormula
 
     def __post_init__(self):
-        if self.sense is not Sense.FEASIBILITY:
-            raise ValueError("satisfiability is a feasibility problem")
+        object.__setattr__(self, "universe", self.formula.universe)
+        object.__setattr__(self, "weights", dict.fromkeys([e.id for e in self.universe], 0))
         super().__post_init__()
-        if self.universe != self.formula.universe:
-            raise ValueError("a sat problem's universe is its formula's literals")
 
     @property
     def cost_bits(self) -> int:
@@ -188,8 +192,7 @@ class SatProblem(GroundProblem):
 
 def sat_problem(formula: CnfFormula) -> SatProblem:
     """The satisfiability problem of a formula."""
-    weights = dict.fromkeys([e.id for e in formula.universe], 0)
-    return SatProblem(formula.universe, weights, 0, Sense.FEASIBILITY, formula)
+    return SatProblem(formula)
 
 
 def _frontier(layers, needs):
@@ -203,11 +206,11 @@ def _frontier(layers, needs):
     which must hold close, and close then leaves it; the part gains bit and
     the gain grows by gain.  No move clears or puts a forbid bit, and no
     layer closes one, so both tests read the moved key through one mask.
-    Gains below the layer's need are dropped, and a key keeps the larger
-    gain, on a tie the part _canon_before puts first.  That is exact when
-    every completion H orders two parts with one key as _canon_before
-    orders the parts (L1 | H first iff L1 first), and when a need is at
-    most the floor less a bound on what the later layers add.
+    Gains below the layer's need are dropped, and a key keeps the part that
+    core._beats picks: the larger gain, on a tie the canonically first part.
+    That is exact when every completion H orders two parts with one key as
+    canonical order orders the parts (L1 | H first iff L1 first), and when a
+    need is at most the floor less a bound on what the later layers add.
     Each table says why it meets both; its last keys are patterns.
     """
     states = {0: (0, 0)}
@@ -226,8 +229,7 @@ def _frontier(layers, needs):
                 moved ^= close
                 member = part | bit
                 held = held_at(moved)
-                if held is None or total > held[0] or total == held[0] and \
-                        _canon_before(member, held[1]):
+                if held is None or _beats(total, member, held):
                     step[moved] = (total, member)
         states = step
         yield states
@@ -293,13 +295,12 @@ class VertexCoverProblem(GroundProblem):
     """
 
     name = "vertex-cover"
+    sense: Sense = field(default=Sense.MIN, init=False)
     edges: tuple[tuple[str, str], ...]
     _adjacency: list[int] = field(init=False, repr=False)
     _cliques: list[range] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.sense is not Sense.MIN:
-            raise ValueError("vertex cover is a minimization problem")
         super().__post_init__()
         edges = tuple([tuple(sorted((str(u), str(v)))) for u, v in self.edges])
         index = self._index
@@ -357,8 +358,7 @@ def vertex_cover_problem(
     names = [v if isinstance(v, str) else str(v) for v in vertices]
     if weights is None:
         weights = dict.fromkeys(names, 1)
-    return VertexCoverProblem(tuple([Element(v, v) for v in names]), weights, threshold,
-                              Sense.MIN, edges)
+    return VertexCoverProblem(tuple([Element(v, v) for v in names]), weights, threshold, edges)
 
 
 def _cover_bounds(cliques: list[range], gains: tuple[int, ...]) -> list[int]:
@@ -388,8 +388,8 @@ def _cover_patterns(
     move per choice: each clears the forced bits of the vertices it keeps
     and puts their leader bits, and excluding u is forbidden when u is
     forced and forces u's neighbours below the clique.  Undecided bits lie
-    below decided ones, so _canon_before(L | H1, L | H2) equals
-    _canon_before(H1, H2).  Every state completes to a cover by including
+    below decided ones, so L | H1 precedes L | H2 in canonical order exactly
+    when H1 precedes H2.  Every state completes to a cover by including
     the rest, so no layer holds more states than there are covers.  A layer
     per vertex, highest first, would hold the same states after each
     clique's lowest vertex, given the same needs.  Under a floor, a layer's
@@ -431,10 +431,9 @@ class SubsetSumProblem(GroundProblem):
     """
 
     name = "subset-sum"
+    sense: Sense = field(default=Sense.MAX, init=False)
 
     def __post_init__(self):
-        if self.sense is not Sense.MAX:
-            raise ValueError("subset sum is a maximization problem")
         if any(w < 0 for w in self.weights.values()):
             raise ValueError("item weights must be nonnegative")
         super().__post_init__()
@@ -458,8 +457,7 @@ class SubsetSumProblem(GroundProblem):
 
 def subset_sum_problem(item_ids, weights: dict[str, int], target: int) -> SubsetSumProblem:
     """Subset sum as a maximization instance."""
-    return SubsetSumProblem(tuple([Element(i, i) for i in item_ids]), weights, target,
-                            Sense.MAX)
+    return SubsetSumProblem(tuple([Element(i, i) for i in item_ids]), weights, target)
 
 
 def _subset_sum_patterns(
@@ -525,17 +523,14 @@ def _subset_sum_patterns(
         for j in [j for j, v in enumerate(right_values) if v in needs]:
             b, g = right_bits[j], right_gains[j]
             at = by_value.setdefault(right_values[j], {})
-            held = at.get(b & leader_mask)
-            if held is None or g > held[0] or g == held[0] and _canon_before(b, held[1]):
+            if _beats(g, b, at.get(b & leader_mask)):
                 at[b & leader_mask] = (g, b)
         for k in [k for k, v in enumerate(left_values) if target - v in by_value]:
             a, g = left_bits[k], left_gains[k]
             for pattern, (top, b) in by_value[target - left_values[k]].items():
                 total = g + top
                 pattern |= a & leader_mask
-                held = answer.get(pattern)
-                if held is None or total > held[0] or \
-                        total == held[0] and _canon_before(a | b, held[1]):
+                if _beats(total, a | b, answer.get(pattern)):
                     answer[pattern] = (total, a | b)
         if floor is not None:
             answer = {p: held for p, held in answer.items() if held[0] >= floor}
@@ -561,13 +556,13 @@ def _subset_sum_patterns(
                 total = max(block)
                 if floor is not None and total < floor:
                     continue
-                member = None
+                held = None
                 for k in [start + k for k, t in enumerate(block) if t == total]:
                     a = left_bits[k]
                     for j in kept[bisect_left(kept_gains, total - left_gains[k]):fits[k]]:
-                        if member is None or _canon_before(a | right_bits[j], member):
-                            member = a | right_bits[j]
-                answer[left_bits[start]] = (total, member)
+                        if _beats(total, a | right_bits[j], held):
+                            held = (total, a | right_bits[j])
+                answer[left_bits[start]] = held
     return answer
 
 

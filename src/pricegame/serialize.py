@@ -40,10 +40,13 @@ def dump_document(doc: dict) -> str:
     only the cyclic collector frees.  Keys must be strings; a value that is
     not a str, int, bool, None, dict, list or tuple is written as json.dumps
     writes it alone, so a float reads the same and a Fraction raises
-    TypeError.
+    TypeError.  Nesting past the recursion limit raises ValueError.
     """
     out: list[str] = []
-    _write(doc, "\n", out.append)
+    try:
+        _write(doc, "\n", out.append)
+    except RecursionError:
+        raise ValueError("the document is nested too deeply to write") from None
     out.append("\n")
     return "".join(out)
 
@@ -92,7 +95,10 @@ def _write(value, newline: str, emit) -> None:
 
 
 def load_document(text: str) -> dict:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("the document is nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise ValueError("a document must be a JSON object")
     for field in ("schema_version", "kind", "payload"):

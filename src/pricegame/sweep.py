@@ -138,10 +138,12 @@ def run_sweep(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     items = build_corpus(spec)
-    if inject_fault is not None and not 0 <= inject_fault < len(items):
-        raise ValueError(
-            f"fault index {inject_fault} is outside the corpus of {len(items)} instances"
-        )
+    if inject_fault is not None:
+        require_ints((inject_fault,), "fault index")
+        if not 0 <= inject_fault < len(items):
+            raise ValueError(
+                f"fault index {inject_fault} is outside the corpus of {len(items)} instances"
+            )
     tasks = [
         (instance_id, q, cap, inject_fault == idx, timed)
         for idx, (instance_id, q) in enumerate(items)

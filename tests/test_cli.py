@@ -343,6 +343,17 @@ def test_malformed_documents_say_what_is_wrong(tmp_path, capsys):
         path.write_text(json.dumps({"schema_version": "1", "kind": kind, "payload": {}}))
         assert main(["solve", str(path)]) == 1
         assert capsys.readouterr().err == f"error: unknown document kind {kind!r}\n"
+    # Provenance nested past the recursion limit is refused when it is read,
+    # or, where json reads 3,000 levels (Python 3.13), when it is written.
+    for depth in (3_000, 100_000):
+        doc = {"schema_version": "1", "kind": "qdnf", "payload": encode_qdnf(qdnf(1, [{1}])),
+               "provenance": [{"deep": "here"}]}
+        path = tmp_path / f"deep-{depth}.json"
+        path.write_text(json.dumps(doc).replace('"here"', "[" * depth + "]" * depth))
+        assert main(["compile", str(path), "--pipeline", "thm2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the document is nested too deeply to ")
+        assert err.count("\n") == 1
 
 
 def test_wrong_json_types_name_the_field_and_the_type(tmp_path, capsys):

@@ -23,7 +23,7 @@ from pricegame.core import (
     mask_sums,
     solution_set,
 )
-from pricegame.pricing import solve_pricing
+from pricegame.pricing import evaluate_prices, solve_pricing
 from pricegame.problems import (
     VertexCoverProblem,
     cnf,
@@ -98,20 +98,42 @@ def test_cap_errors_name_what_they_counted():
 
 
 def test_a_negative_cap_is_a_value_error_before_any_walk(monkeypatch):
-    # One check in core: the oracle, the solver and the sweep all refuse the
-    # cap itself, before its size is compared or a pattern is asked for.
+    # One check in core: the oracle, the solver, the evaluation, the
+    # certification and the sweep all refuse the cap itself, before its size
+    # is compared or a pattern is asked for.  A cap that is not an int, a
+    # bool included, is a TypeError naming it.
     def walked(*args):
-        raise AssertionError("walked under a negative cap")
+        raise AssertionError("walked under a bad cap")
 
-    message = "^the enumeration cap must be at least 0, got -1$"
-    with pytest.raises(ValueError, match=message):
-        qdnf_holds(qdnf(13, [{1}]), cap=-1)
     inst = compile_qdnf_pricing(qdnf(1, [{1}])).pricing
-    monkeypatch.setattr(type(inst.base), "patterns", walked)
-    with pytest.raises(ValueError, match=message):
-        solve_pricing(inst, -1)
-    with pytest.raises(ValueError, match=message):
+    prices = dict.fromkeys(inst.leader_ids, 0)
+    formula = cnf(2, [[1, -2], [2]])
+    artifact = sat_to_vertex_cover(formula)
+    for kind in (type(inst.base), type(artifact.target)):
+        monkeypatch.setattr(kind, "patterns", walked)
+        monkeypatch.setattr(kind, "mask_enumerator", walked)
+    calls = [
+        lambda cap: qdnf_holds(qdnf(13, [{1}]), cap=cap),
+        lambda cap: solve_pricing(inst, cap),
+        lambda cap: evaluate_prices(inst, prices, cap),
+        lambda cap: check_reduction(sat_problem(formula), artifact, cap),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^the enumeration cap must be at least 0, got -1$"):
+            call(-1)
+        for cap in (2.5, True, "24"):
+            with pytest.raises(TypeError) as err:
+                call(cap)
+            assert str(err.value) == f"the enumeration cap {cap!r} is not an int"
+    with pytest.raises(ValueError, match="^the enumeration cap must be at least 0, got -1$"):
         run_sweep(CorpusSpec(pairs=1, max_terms=1, count=2, seed=0), cap=-1)
+
+
+def test_a_fault_index_that_is_not_an_int_is_a_type_error():
+    # True would compare equal to index 1 and corrupt that record.
+    with pytest.raises(TypeError) as err:
+        run_sweep(CorpusSpec(pairs=1, max_terms=1, count=2, seed=0), inject_fault=True)
+    assert str(err.value) == "fault index True is not an int"
 
 
 def test_pattern_memo_keeps_the_answer_in_use():
@@ -125,8 +147,7 @@ def test_pattern_memo_keeps_the_answer_in_use():
             return super().patterns(ground, leader_mask, gains, cap, floor)
 
     base = _path_cover()
-    problem = RecordingCover(base.universe, base.weights, base.threshold, base.sense,
-                             base.edges)
+    problem = RecordingCover(base.universe, base.weights, base.threshold, base.edges)
     hot, cold = (1,) * problem.size, (2,) * problem.size
     answers = [core.best_by_pattern(problem, GroundChoice.FEASIBLE, 0b11, gains)
                for gains in (hot, hot, cold, cold, hot)]

@@ -626,7 +626,16 @@ def positions(mask):
 def test_canon_before_is_the_sorted_positions_order():
     for a in range(256):
         for b in range(256):
-            assert pricing._canon_before(a, b) == (positions(a) < positions(b)), (a, b)
+            assert core._canon_before(a, b) == (positions(a) < positions(b)), (a, b)
+    # The one best-member rule: a larger key wins, an equal key goes to the
+    # canonically first member, and every member beats an empty holder.
+    keys = (-1, 0, Fraction(1, 2), 1)
+    for k1, k2 in itertools.product(keys, repeat=2):
+        for a in range(16):
+            assert core._beats(k1, a, None)
+            for b in range(16):
+                expected = k1 > k2 or k1 == k2 and positions(a) < positions(b)
+                assert core._beats(k1, a, (k2, b)) == expected, (k1, a, k2, b)
 
 
 @given(

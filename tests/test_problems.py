@@ -5,7 +5,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pricegame import problems
 from pricegame.compilers import compile_qdnf_pricing, lift_max, lift_min, weight_lift
@@ -370,12 +370,11 @@ def test_feasible_takes_the_masks_the_enumerator_yields(problem, high):
 def changed_copies(draw):
     """A small problem of any kind and a replace copy given other weights,
     another threshold or another value of its kind's own field, as far as
-    its kind admits them (a sat problem's weights and threshold are zero)."""
+    its kind admits them (a sat problem takes only a formula, of any size)."""
     problem = draw(small_problems())
     names = [e.id for e in problem.universe]
     if problem.name == "sat":
-        n = problem.formula.num_vars
-        options = {"formula": small_cnfs(min_vars=n, max_vars=n)}
+        options = {"formula": small_cnfs(max_vars=4)}
     else:
         options = {"weights": st.fixed_dictionaries({v: st.integers(0, 20) for v in names}),
                    "threshold": st.integers(0, 60)}
@@ -409,6 +408,22 @@ def test_a_copy_is_served_by_its_own_fields(drawn, data):
         assert best_by_pattern(copy, ground, leader_mask, gains) == expected
         assert_floored_answers_filter(copy, ground, leader_mask, gains, expected,
                                       data.draw(st.integers(0, 63)))
+
+
+@given(small_cnfs(max_vars=4), small_cnfs(max_vars=4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_sat_copy_over_another_formula_is_that_formulas_problem(f, g, data):
+    # A sat problem sets its universe, weights and threshold from its
+    # formula, so a copy over a formula of another size is that formula's.
+    assume(f.num_vars != g.num_vars)
+    copy, fresh = dataclasses.replace(sat_problem(f), formula=g), sat_problem(g)
+    assert (copy.universe, copy.weights, copy.threshold, copy.sense) == \
+        (fresh.universe, fresh.weights, fresh.threshold, fresh.sense)
+    leader_mask = data.draw(st.integers(0, (1 << copy.size) - 1))
+    gains = data.draw(st.tuples(*[st.integers(-4, 4)] * copy.size))
+    for ground in GroundChoice:
+        assert best_by_pattern(copy, ground, leader_mask, gains) == \
+            best_by_pattern(fresh, ground, leader_mask, gains)
 
 
 @st.composite

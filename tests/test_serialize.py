@@ -140,6 +140,13 @@ def test_document_validation():
         load_document("[]")
     with pytest.raises(ValueError, match="^unknown problem flavor 'knapsack'$"):
         decode_problem({"problem": "knapsack"})
+    deep = []
+    for _ in range(3_000):
+        deep = [deep]
+    with pytest.raises(ValueError, match="^the document is nested too deeply to write$"):
+        dump_document(make_document("cnf", {}, [{"deep": deep}]))
+    with pytest.raises(ValueError, match="^the document is nested too deeply to read$"):
+        load_document("[" * 100_000 + "]" * 100_000)
 
 
 def _abc_subset_sum():
@@ -152,9 +159,10 @@ def _lifted_cover():
     return weight_lift(artifact.target, artifact.image_ids())
 
 
-# An unchanged copy, a weight-lifted cover, or a subset sum given another
-# threshold (its target) or other weights keeps its kind and round-trips to
-# identical bytes.
+# An unchanged copy, a weight-lifted cover, a sat problem given a formula
+# over another number of variables, or a subset sum given another threshold
+# (its target) or other weights keeps its kind and round-trips to identical
+# bytes.
 @pytest.mark.parametrize("build, changes", [
     (lambda: sat_problem(cnf(2, [[1, 2]], var_names=["p", "q"])), {}),
     (lambda: sat_to_vertex_cover(cnf(2, [[1, -2], [2]])).target, {}),
@@ -162,10 +170,11 @@ def _lifted_cover():
     (lambda: explicit_problem([Element("a", "A"), Element("b")],
                               [frozenset(), frozenset({"a", "b"})]), {}),
     (_lifted_cover, {}),
+    (lambda: sat_problem(cnf(2, [[1, 2]])), {"formula": cnf(3, [[1]])}),
     (_abc_subset_sum, {"threshold": 3}),
     (_abc_subset_sum, {"weights": {"a": 1, "b": 1, "c": 4}}),
 ], ids=["sat", "vertex-cover", "subset-sum", "explicit", "weight-lifted-cover",
-        "subset-sum-threshold", "subset-sum-weights"])
+        "sat-formula", "subset-sum-threshold", "subset-sum-weights"])
 def test_replace_copy_encodes_like_the_original(build, changes):
     problem = build()
     copy = dataclasses.replace(problem, **changes)
@@ -178,16 +187,18 @@ def test_replace_copy_encodes_like_the_original(build, changes):
         assert encoded == encode_problem(problem)
 
 
-# A copy is a valid problem of its kind or a ValueError: a kind's sense is
-# fixed, and its own field is validated like the rest.
+_FIXED_SENSE = "field sense is declared with init=False, it cannot be specified with replace()"
+
+
+# A copy is a valid problem of its kind or a ValueError: a kind sets its own
+# sense, so replace takes no other, and its own field is validated like the
+# rest.
 @pytest.mark.parametrize("build, changes, message", [
     (lambda: sat_problem(cnf(2, [[1, 2]], var_names=["p", "q"])), {"sense": Sense.MIN},
-     "satisfiability is a feasibility problem"),
+     _FIXED_SENSE),
     (lambda: sat_to_vertex_cover(cnf(2, [[1, -2], [2]])).target, {"sense": Sense.MAX},
-     "vertex cover is a minimization problem"),
-    (_abc_subset_sum, {"sense": Sense.MIN}, "subset sum is a maximization problem"),
-    (lambda: sat_problem(cnf(2, [[1, 2]])), {"formula": cnf(3, [[1]])},
-     "a sat problem's universe is its formula's literals"),
+     _FIXED_SENSE),
+    (_abc_subset_sum, {"sense": Sense.MIN}, _FIXED_SENSE),
     (lambda: sat_to_vertex_cover(cnf(1, [])).target, {"edges": [("v:x1", "v:x3")]},
      "edge (v:x1, v:x3) has an end outside the vertex set"),
     (lambda: sat_to_vertex_cover(cnf(1, [])).target, {"edges": [("v:x1", "v:x1")]},
@@ -195,7 +206,7 @@ def test_replace_copy_encodes_like_the_original(build, changes):
     (_abc_subset_sum, {"weights": {"a": -1, "b": 3, "c": 4}}, "item weights must be nonnegative"),
     (lambda: explicit_problem([Element("a")], [frozenset({"a"})]), {"masks": frozenset({2})},
      "feasible sets must lie inside the universe"),
-], ids=["sat-min", "vertex-cover-max", "subset-sum-min", "sat-formula", "vertex-cover-edges",
+], ids=["sat-min", "vertex-cover-max", "subset-sum-min", "vertex-cover-edges",
         "vertex-cover-loop", "subset-sum-weights", "explicit-masks"])
 def test_an_invalid_copy_is_a_value_error(build, changes, message):
     with pytest.raises(ValueError) as err:
